@@ -1,10 +1,10 @@
 """Exact automorphism groups of small graphs, orbits, and stabilizers.
 
-The search is a vertex-by-vertex backtracking over candidate images. Vertices
-are processed in descending-degree then index order; candidates are filtered
-by a (degree, sorted neighbor degrees) invariant and by exact adjacency
-consistency with everything already mapped, so every leaf is an automorphism
-and every automorphism is reached.
+search_bijections is the one backtracking search for adjacency-preserving
+bijections g1 -> g2 (automorphisms when g1 = g2). Vertices of g1 are mapped
+in descending-degree then index order, to vertices of g2 with the same
+(degree, sorted neighbor degrees) invariant that are adjacency-consistent
+with everything already mapped, so every such bijection is a leaf.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from . import config
 from .errors import GroupTooLargeError, UnsupportedSizeError
 from .graphs import Graph
-from .perms import Perm, PermGroup
+from .perms import Perm, PermGroup, apply_mask
 
 
 def _vertex_invariants(g: Graph) -> list[tuple]:
@@ -23,47 +23,56 @@ def _vertex_invariants(g: Graph) -> list[tuple]:
     ]
 
 
-def automorphism_elements(g: Graph, element_cap: int | None = None):
-    """Image tuples of every adjacency-preserving bijection, in discovery order."""
-    n = g.n
-    if n == 0:
-        return [()]
-    inv = _vertex_invariants(g)
-    order = sorted(range(n), key=lambda v: (-g.adj[v].bit_count(), v))
-    candidates = [
-        [w for w in range(n) if inv[w] == inv[v]] for v in order
-    ]
-    adj = g.adj
+def search_bijections(g1: Graph, g2: Graph, visit) -> None:
+    """Pass the image tuple of each adjacency-preserving bijection g1 -> g2
+    to visit, in discovery order, for as long as visit returns True."""
+    n = g1.n
+    inv1 = _vertex_invariants(g1)
+    inv2 = inv1 if g2 is g1 else _vertex_invariants(g2)
+    if sorted(inv1) != sorted(inv2):
+        return
+    adj1, adj2 = g1.adj, g2.adj
+    order = sorted(range(n), key=lambda v: (-adj1[v].bit_count(), v))
+    candidates = [[w for w in range(n) if inv2[w] == inv1[v]] for v in order]
     img = [-1] * n
-    found: list[tuple[int, ...]] = []
     used = 0  # bitmask of taken images
 
-    def extend(pos: int):
+    def extend(pos: int) -> bool:  # False once visit has stopped the search
         nonlocal used
         if pos == n:
-            found.append(tuple(img))
-            if element_cap is not None and len(found) > element_cap:
-                raise GroupTooLargeError(element_cap)
-            return
+            return visit(tuple(img))
         v = order[pos]
         # images of the already-mapped neighbors of v
         need = 0
         for j in range(pos):
             u = order[j]
-            if adj[v] >> u & 1:
+            if adj1[v] >> u & 1:
                 need |= 1 << img[u]
         for w in candidates[pos]:
-            if used >> w & 1:
-                continue
-            if adj[w] & used != need:
+            if used >> w & 1 or adj2[w] & used != need:
                 continue
             img[v] = w
             used |= 1 << w
-            extend(pos + 1)
+            if not extend(pos + 1):
+                return False
             used ^= 1 << w
             img[v] = -1
+        return True
 
     extend(0)
+
+
+def automorphism_elements(g: Graph, element_cap: int | None = None):
+    """Image tuples of every adjacency-preserving bijection, in discovery order."""
+    found: list[tuple[int, ...]] = []
+
+    def collect(images: tuple[int, ...]) -> bool:
+        found.append(images)
+        if element_cap is not None and len(found) > element_cap:
+            raise GroupTooLargeError(element_cap)
+        return True
+
+    search_bijections(g, g, collect)
     return found
 
 
@@ -125,14 +134,5 @@ def setwise_stabilizer(group: PermGroup, s) -> PermGroup:
     mask = 0
     for v in s:
         mask |= 1 << v
-    kept = []
-    for p in group.elements:
-        img = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            img |= 1 << p.images[low.bit_length() - 1]
-            rest ^= low
-        if img == mask:
-            kept.append(p)
+    kept = [p for p in group.elements if apply_mask(p.images, mask) == mask]
     return PermGroup(group.degree, tuple(kept))

@@ -62,17 +62,13 @@ from .metrics import (
     UNKNOWN,
     Coloring,
     SymmetryReport,
-    _apply_mask,
-    _distinguishing_number,
-    _min_determining_set,
-    _min_distinguishing_class,
-    _Unknown,
     analyze,
+    distinguishing_number,
     is_determining_set,
     is_distinguishing,
     is_distinguishing_class,
 )
-from .perms import PermGroup
+from .perms import PermGroup, apply_mask
 
 RULES = (
     "pair_fixers_trivial",
@@ -143,7 +139,7 @@ def check_pair_rules(
         raise NotDeterminingPairError(f"{{{x}, {y}}} is not a determining set")
 
     n = aut.degree
-    elems = [p.images for p in aut.elements]
+    elems = aut.images
     ident = tuple(range(n))
     swaps = [t for t in elems if t[x] == y and t[y] == x]
     half_x: dict[int, list] = {}
@@ -231,12 +227,12 @@ def check_pair_rules(
 
     if d is None:
         try:
-            d = _distinguishing_number(aut, budget)[0]
+            d = distinguishing_number(g, budget, aut=aut)[0]
         except BudgetExceededError:
             d = UNKNOWN
     if d == 2:
         bare = tuple(y if v == x else x if v == y else v for v in range(n))
-        if bare in set(elems):
+        if bare in aut.image_set:
             flag("bare_swap_absent", [bare])
     else:
         statuses["bare_swap_absent"] = "skipped"
@@ -291,7 +287,7 @@ def check_restriction(
         k = max(cols, default=0) + 1
         return Coloring(tuple(cols), k)
 
-    candidates: list[Coloring] = [_distinguishing_number(aut_g, budget)[1]]
+    candidates: list[Coloring] = [distinguishing_number(g, budget, aut=aut_g)[1]]
     n = g.n
     if 2**n + 3**n <= exhaustive_limit:
         for k in (2, 3):
@@ -323,10 +319,7 @@ def check_shared_distinguishing_number(
     sigma = distinguishably_equivalent(g1, g2, budget)
     if sigma is None:
         raise NotApplicableError("graphs are not distinguishably equivalent")
-    return (
-        _distinguishing_number(automorphism_group(g1), budget)[0]
-        == _distinguishing_number(automorphism_group(g2), budget)[0]
-    )
+    return distinguishing_number(g1, budget)[0] == distinguishing_number(g2, budget)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +391,7 @@ def _brute_min_class_size(aut: PermGroup, n: int):
             mask = 0
             for v in comb:
                 mask |= 1 << v
-            if all(_apply_mask(t, mask) != mask for t in non_id):
+            if all(apply_mask(t, mask) != mask for t in non_id):
                 return k
     return None
 
@@ -422,9 +415,7 @@ def _scan_one(g: Graph, options: ScanOptions):
     violations: list[Violation] = []
     rule_reports: list[RuleReport] = []
 
-    if isinstance(report.d, _Unknown) or isinstance(report.det, _Unknown) or isinstance(
-        report.rho, _Unknown
-    ):
+    if report.d is UNKNOWN or report.det is UNKNOWN or report.rho is UNKNOWN:
         return {"graph6": g6, "skip": "budget exceeded", "report": report}
 
     if report.det_witness is not None and not is_determining_set(aut, report.det_witness):
@@ -607,11 +598,12 @@ def family_bounds_check(
     det_exact = rho_exact = None
     clique_ok = rand_ok = None
     if exact:
-        det_exact = _min_determining_set(aut, budget)[0]
+        report = analyze(g, budget, aut=aut)
+        det_exact, rho_exact = report.det, report.rho
+        if det_exact is UNKNOWN or rho_exact is UNKNOWN:
+            raise BudgetExceededError("exact Det and rho search exceeded the budget")
         if det_exact != det_target:
             failures.append(f"Det={det_exact} != {det_target}")
-        found = _min_distinguishing_class(aut, budget)
-        rho_exact = found[0] if found else None
         if rho_exact != rho_target:
             failures.append(f"rho={rho_exact} != {rho_target}")
     if n == 3:

@@ -17,6 +17,7 @@ import os
 import sys
 
 from . import config
+from .autgroup import automorphism_group
 from .checks import ScanOptions, scan_corpus
 from .equivalence import distinguishably_equivalent
 from .errors import (
@@ -113,15 +114,10 @@ def cmd_equiv(args) -> int:
         print(f"not-equivalent search-exhausted {exc}")
         return 1
     if sigma is None:
-        from .autgroup import automorphism_group
-        from .perms import cycle_type
-
         a1, a2 = automorphism_group(g1), automorphism_group(g2)
         if a1.order != a2.order:
             reason = f"aut-order {a1.order} != {a2.order}"
-        elif sorted(cycle_type(p) for p in a1.elements) != sorted(
-            cycle_type(p) for p in a2.elements
-        ):
+        elif sorted(a1.cycle_types) != sorted(a2.cycle_types):
             reason = "cycle-type multisets differ"
         else:
             reason = "no conjugating bijection"
@@ -163,15 +159,22 @@ def _budget(args) -> config.Budget:
     return config.Budget.uniform(args.budget)
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(p, jobs=False):
-    p.add_argument("--budget", type=int, default=None, help="search budget cap")
+    p.add_argument("--budget", type=positive_int, default=None, help="search budget cap")
     p.add_argument(
         "--format", choices=("lines", "json"), default="lines", help="output format"
     )
     if jobs:
         p.add_argument(
             "--jobs",
-            type=int,
+            type=positive_int,
             default=os.cpu_count() or 1,
             help="worker processes (output is identical for any value)",
         )

@@ -12,10 +12,11 @@ per-element candidate lists that shrink as images are fixed.
 from __future__ import annotations
 
 from . import config
-from .autgroup import automorphism_group
+from .autgroup import automorphism_group, search_bijections
 from .errors import BudgetExceededError
-from .graphs import Graph
-from .perms import Perm, PermGroup, cycle_type, inverse
+from .graphs import Graph, encode_graph6
+from .metrics import distinguishing_number
+from .perms import Perm, PermGroup, inverse
 
 # per-element candidate lists are only maintained for groups up to this order;
 # beyond it the search relies on signatures plus the exact leaf check
@@ -24,9 +25,7 @@ _LIST_LIMIT = 3000
 
 def representations_equal(a: PermGroup, b: PermGroup) -> bool:
     """Same degree and identical element sets."""
-    return a.degree == b.degree and set(p.images for p in a.elements) == set(
-        p.images for p in b.elements
-    )
+    return a.degree == b.degree and a.image_set == b.image_set
 
 
 def conjugate_group(aut: PermGroup, sigma: Perm) -> PermGroup:
@@ -46,8 +45,7 @@ def _vertex_signatures(aut: PermGroup) -> list[tuple]:
     (element cycle type, length of the cycle through the vertex)."""
     n = aut.degree
     sigs: list[list] = [[] for _ in range(n)]
-    for p in aut.elements:
-        ct = cycle_type(p)
+    for p, ct in zip(aut.elements, aut.cycle_types):
         for cyc in p.cycles():
             for v in cyc:
                 sigs[v].append((ct, len(cyc)))
@@ -61,18 +59,16 @@ def _conjugating_bijection(autA: PermGroup, autB: PermGroup, budget: config.Budg
         return None
     if autA.order == 1:
         return Perm.identity(n)
-    typesA = sorted(cycle_type(p) for p in autA.elements)
-    typesB = sorted(cycle_type(p) for p in autB.elements)
-    if typesA != typesB:
+    if sorted(autA.cycle_types) != sorted(autB.cycle_types):
         return None
     sigA = _vertex_signatures(autA)
     sigB = _vertex_signatures(autB)
     if sorted(sigA) != sorted(sigB):
         return None
 
-    A = [p.images for p in autA.elements]
+    A = autA.images
     Ainv = [inverse(p).images for p in autA.elements]
-    Bset = frozenset(p.images for p in autB.elements)
+    Bset = autB.image_set
     cand_vertices = {
         sig: [w for w in range(n) if sigB[w] == sig] for sig in set(sigA)
     }
@@ -81,9 +77,9 @@ def _conjugating_bijection(autA: PermGroup, autB: PermGroup, budget: config.Budg
     track_lists = autA.order <= _LIST_LIMIT
     if track_lists:
         by_type: dict[tuple, list] = {}
-        for q in autB.elements:
-            by_type.setdefault(cycle_type(q), []).append(q.images)
-        cand_elems = [list(by_type[cycle_type(p)]) for p in autA.elements]
+        for images, ct in zip(autB.images, autB.cycle_types):
+            by_type.setdefault(ct, []).append(images)
+        cand_elems = [list(by_type[ct]) for ct in autA.cycle_types]
 
     sigma = [-1] * n
     used = [False] * n
@@ -170,52 +166,10 @@ def distinguishably_equivalent(
 
 
 def isomorphism(g1: Graph, g2: Graph):
-    """A vertex bijection preserving adjacency, or None. Backtracking with a
-    (degree, neighbor degrees) candidate filter."""
-    if g1.n != g2.n or g1.edge_count != g2.edge_count:
-        return None
-    n = g1.n
-
-    def invariants(g):
-        degs = [g.adj[v].bit_count() for v in range(g.n)]
-        return [
-            (degs[v], tuple(sorted(degs[u] for u in range(g.n) if g.adj[v] >> u & 1)))
-            for v in range(g.n)
-        ]
-
-    inv1, inv2 = invariants(g1), invariants(g2)
-    if sorted(inv1) != sorted(inv2):
-        return None
-    order = sorted(range(n), key=lambda v: (-g1.adj[v].bit_count(), v))
-    img = [-1] * n
-    used = 0
-
-    def extend(pos: int) -> bool:
-        nonlocal used
-        if pos == n:
-            return True
-        v = order[pos]
-        need = 0
-        for j in range(pos):
-            u = order[j]
-            if g1.adj[v] >> u & 1:
-                need |= 1 << img[u]
-        for w in range(n):
-            if used >> w & 1 or inv2[w] != inv1[v]:
-                continue
-            if g2.adj[w] & used != need:
-                continue
-            img[v] = w
-            used |= 1 << w
-            if extend(pos + 1):
-                return True
-            used ^= 1 << w
-            img[v] = -1
-        return False
-
-    if extend(0):
-        return Perm(tuple(img))
-    return None
+    """A vertex bijection g1 -> g2 preserving adjacency, or None."""
+    found: list[tuple[int, ...]] = []
+    search_bijections(g1, g2, found.append)  # append returns None: stop at one
+    return Perm(found[0]) if found else None
 
 
 def format_class_report(
@@ -223,13 +177,10 @@ def format_class_report(
 ) -> list[str]:
     """One line per class: id, member graph6 strings, shared group order and
     distinguishing number (computed on the class representative)."""
-    from .graphs import encode_graph6
-    from .metrics import _distinguishing_number
-
     lines = []
     for cid, members in enumerate(partition):
         aut = automorphism_group(graphs[members[0]])
-        d = _distinguishing_number(aut, budget)[0]
+        d = distinguishing_number(graphs[members[0]], budget, aut=aut)[0]
         g6 = ",".join(encode_graph6(graphs[i]) for i in members)
         lines.append(f"class={cid} members={g6} aut={aut.order} D={d}")
     return lines
@@ -249,7 +200,7 @@ def equivalence_classes(
     unresolved: list[tuple[int, int]] = []
     for i, g in enumerate(graphs):
         aut = automorphism_group(g)
-        key = (g.n, aut.order, tuple(sorted(cycle_type(p) for p in aut.elements)))
+        key = (g.n, aut.order, tuple(sorted(aut.cycle_types)))
         placed = False
         for cls in classes:
             if cls["key"] != key:

@@ -2,8 +2,9 @@
 
 Adjacency is stored as one neighbor bitmask per vertex, which keeps graphs
 hashable, immutable, and cheap to permute. graph6 follows the standard format
-(one record per line, optional ">>graph6<<" header); emitted records use the
-single-byte size form, so encoding is limited to n <= 62.
+(one record per line, optional ">>graph6<<" header). Both directions take
+the one-byte size form (n <= 62) and the four-byte long form, up to
+GRAPH6_MAX_N vertices; the eight-byte form is not supported.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from .errors import FamilySpecError, ParseError, UnsupportedSizeError
 from .perms import Perm
 
 GRAPH6_HEADER = ">>graph6<<"
+GRAPH6_MAX_N = 512
 
 FAMILY_KINDS = ("path", "cycle", "complete", "hypercube", "clique_with_tails")
 
@@ -135,7 +137,7 @@ def parse_graph6(text: str) -> Graph:
         n = 0
         for i in range(1, 4):
             n = n << 6 | (ord(record[i]) - 63)
-        if n > 512:
+        if n > GRAPH6_MAX_N:
             raise UnsupportedSizeError(f"record encodes n={n}, beyond supported sizes")
         body_start = 4
     else:
@@ -169,9 +171,13 @@ def parse_graph6(text: str) -> Graph:
 
 def encode_graph6(g: Graph) -> str:
     """graph6 record of g under its current vertex numbering."""
-    if g.n > 62:
-        raise UnsupportedSizeError(f"single-byte size form requires n <= 62, got {g.n}")
-    out = [chr(g.n + 63)]
+    if g.n > GRAPH6_MAX_N:
+        raise UnsupportedSizeError(f"graph6 supports n <= {GRAPH6_MAX_N}, got {g.n}")
+    if g.n <= 62:
+        out = [chr(g.n + 63)]
+    else:
+        # long size form: 126 then three 6-bit digits, big-endian
+        out = [chr(126)] + [chr((g.n >> shift & 63) + 63) for shift in (12, 6, 0)]
     acc = 0
     nacc = 0
     for v in range(1, g.n):

@@ -11,7 +11,7 @@ Search strategy notes:
   one subset search: subsets are enumerated by increasing size, and subsets
   equivalent under the group are pruned by visiting each subset orbit once.
   Since a class and its complement have the same setwise stabilizer, sizes
-  above n/2 never need scanning.
+  above n/2 never need scanning. analyze settles Det in the same walk.
 * For three or more colors, D falls back to a depth-first search over
   colorings in canonical form (a color id may appear only after all smaller
   ids), pruning a partial coloring as soon as some group element is fully
@@ -27,7 +27,7 @@ from . import config
 from .autgroup import automorphism_group, pointwise_stabilizer, setwise_stabilizer
 from .errors import BudgetExceededError, DegreeError
 from .graphs import Graph, encode_graph6
-from .perms import Perm, PermGroup
+from .perms import Perm, PermGroup, apply_mask
 
 
 class _Unknown:
@@ -145,15 +145,6 @@ def nn_pairs(g: Graph, v1: int, v2: int) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _apply_mask(images: tuple[int, ...], mask: int) -> int:
-    img = 0
-    while mask:
-        low = mask & -mask
-        img |= 1 << images[low.bit_length() - 1]
-        mask ^= low
-    return img
-
-
 def _mask_vertices(mask: int) -> frozenset[int]:
     out = set()
     while mask:
@@ -168,7 +159,7 @@ class _SubsetScan:
 
     def __init__(self, aut: PermGroup, budget: config.Budget):
         self.n = aut.degree
-        self.images = [p.images for p in aut.elements]
+        self.images = aut.images
         self.tests = 0
         self.cap = budget.subset_tests
 
@@ -189,7 +180,7 @@ class _SubsetScan:
                 orbit = set()
                 stab = 0
                 for images in self.images:
-                    img = _apply_mask(images, mask)
+                    img = apply_mask(images, mask)
                     orbit.add(img)
                     if img == mask:
                         stab += 1
@@ -197,25 +188,55 @@ class _SubsetScan:
                 yield k, mask, stab
 
 
+def _min_sets(aut: PermGroup, budget: config.Budget, det=UNKNOWN, rho=UNKNOWN):
+    """(Det, rho) from one walk over the subset orbits, each as (size,
+    vertices), rho None when no class has at most n/2 vertices, UNKNOWN when
+    the budget ran out first; det=None or rho=None leaves that search out.
+    A class (stab == 1) is a determining set, so Det <= rho. The walk stops
+    once both are settled and settles rho = None before counting a subset
+    above n/2, so each settles at the count a walk of its own would reach."""
+    n = aut.degree
+    if det is UNKNOWN and aut.is_trivial:
+        det = 0, frozenset()
+    fixed = [p.fixed_mask() for p in aut.non_identity()] if det is UNKNOWN else []
+
+    def sizes():
+        nonlocal rho
+        for k in range(n + 1):
+            if k > n // 2 and rho is UNKNOWN:
+                rho = None
+            if det is not UNKNOWN and rho is not UNKNOWN:
+                return
+            yield k
+
+    try:
+        for k, mask, stab in _SubsetScan(aut, budget).representatives(sizes()):
+            if det is UNKNOWN and all(mask & ~fm for fm in fixed):
+                det = k, _mask_vertices(mask)
+            if rho is UNKNOWN and stab == 1:
+                rho = k, _mask_vertices(mask)
+            if det is not UNKNOWN and rho is not UNKNOWN:
+                break
+    except BudgetExceededError:
+        pass
+    return det, rho
+
+
+def _settled(value, budget: config.Budget):
+    if value is UNKNOWN:
+        cap = budget.subset_tests
+        raise BudgetExceededError(f"subset search exceeded {cap} candidate tests")
+    return value
+
+
 def _min_distinguishing_class(aut: PermGroup, budget: config.Budget):
     """Smallest subset with trivial setwise stabilizer, or None."""
-    scan = _SubsetScan(aut, budget)
-    for k, mask, stab in scan.representatives(range(aut.degree // 2 + 1)):
-        if stab == 1:
-            return k, _mask_vertices(mask)
-    return None
+    return _settled(_min_sets(aut, budget, det=None)[1], budget)
 
 
 def _min_determining_set(aut: PermGroup, budget: config.Budget):
     """Smallest subset whose pointwise stabilizer is trivial."""
-    if aut.is_trivial:
-        return 0, frozenset()
-    fixed = [p.fixed_mask() for p in aut.non_identity()]
-    scan = _SubsetScan(aut, budget)
-    for k, mask, _stab in scan.representatives(range(aut.degree)):
-        if all(mask & ~fm for fm in fixed):
-            return k, _mask_vertices(mask)
-    raise AssertionError("fixing all but one vertex always determines")
+    return _settled(_min_sets(aut, budget, rho=None)[0], budget)
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +285,12 @@ def _search_coloring(aut: PermGroup, k: int, budget: config.Budget):
 
 
 def distinguishing_number(
-    g: Graph, budget: config.Budget = config.DEFAULT_BUDGET
+    g: Graph,
+    budget: config.Budget = config.DEFAULT_BUDGET,
+    aut: PermGroup | None = None,
 ) -> tuple[int, Coloring]:
-    return _distinguishing_number(automorphism_group(g), budget)
-
-
-def _distinguishing_number(aut: PermGroup, budget: config.Budget):
+    if aut is None:
+        aut = automorphism_group(g)
     if aut.is_trivial:
         return 1, Coloring((0,) * aut.degree, 1)
     found = _min_distinguishing_class(aut, budget)
@@ -287,15 +308,25 @@ def _distinguishing_ge3(aut: PermGroup, budget: config.Budget):
 
 
 def determining_number(
-    g: Graph, budget: config.Budget = config.DEFAULT_BUDGET
+    g: Graph,
+    budget: config.Budget = config.DEFAULT_BUDGET,
+    aut: PermGroup | None = None,
 ) -> tuple[int, frozenset[int]]:
-    return _min_determining_set(automorphism_group(g), budget)
+    if aut is None:
+        aut = automorphism_group(g)
+    return _min_determining_set(aut, budget)
 
 
-def cost_number(g: Graph, budget: config.Budget = config.DEFAULT_BUDGET):
+def cost_number(
+    g: Graph,
+    budget: config.Budget = config.DEFAULT_BUDGET,
+    aut: PermGroup | None = None,
+):
     """(rho, witness class) for 2-distinguishable g, else None. A graph with
     trivial group gets the degenerate (0, empty set)."""
-    return _min_distinguishing_class(automorphism_group(g), budget)
+    if aut is None:
+        aut = automorphism_group(g)
+    return _min_distinguishing_class(aut, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +365,7 @@ class SymmetryReport:
     def rho_in_2_4(self):
         """True/False when the D=2, Det=2 case applies and rho is known;
         None otherwise."""
-        if not self.det2_d2_case or isinstance(self.rho, _Unknown):
+        if not self.det2_d2_case or self.rho is UNKNOWN:
             return None
         return self.rho is not None and 2 <= self.rho <= 4
 
@@ -374,7 +405,7 @@ class SymmetryReport:
 
 
 def _fmt_count(v) -> str:
-    if isinstance(v, _Unknown):
+    if v is UNKNOWN:
         return "?"
     if v is None:
         return "-"
@@ -392,7 +423,7 @@ def _fmt_vertices(s) -> str:
 
 
 def _obj_count(v):
-    return "unknown" if isinstance(v, _Unknown) else v
+    return "unknown" if v is UNKNOWN else v
 
 
 def _obj_vertices(s):
@@ -408,14 +439,12 @@ def analyze(
     affected field to UNKNOWN instead of failing the whole report."""
     if aut is None:
         aut = automorphism_group(g)
-    try:
-        found = _min_distinguishing_class(aut, budget)
-        rho, rho_witness = found if found is not None else (None, None)
-    except BudgetExceededError:
-        rho, rho_witness = UNKNOWN, None
+    det, rho = _min_sets(aut, budget)
+    det, det_witness = det if isinstance(det, tuple) else (det, None)
+    rho, rho_witness = rho if isinstance(rho, tuple) else (rho, None)
     if aut.is_trivial:
         d, d_witness = 1, Coloring((0,) * g.n, 1)
-    elif isinstance(rho, _Unknown):
+    elif rho is UNKNOWN:
         d, d_witness = UNKNOWN, None
     elif rho is not None:
         d, d_witness = 2, Coloring.from_class(g.n, rho_witness)
@@ -424,10 +453,6 @@ def analyze(
             d, d_witness = _distinguishing_ge3(aut, budget)
         except BudgetExceededError:
             d, d_witness = UNKNOWN, None
-    try:
-        det, det_witness = _min_determining_set(aut, budget)
-    except BudgetExceededError:
-        det, det_witness = UNKNOWN, None
     return SymmetryReport(
         graph6=encode_graph6(g),
         n=g.n,

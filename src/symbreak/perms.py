@@ -8,7 +8,7 @@ rotated to start at its least member, singleton cycles included.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import permutations
 
 from .errors import DegreeError
@@ -99,6 +99,16 @@ def inverse(p: Perm) -> Perm:
     return Perm(tuple(images))
 
 
+def apply_mask(images: tuple[int, ...], mask: int) -> int:
+    """Image of the vertex bitmask mask under the permutation images."""
+    img = 0
+    while mask:
+        low = mask & -mask
+        img |= 1 << images[low.bit_length() - 1]
+        mask ^= low
+    return img
+
+
 def cycle_type(p: Perm) -> tuple[int, ...]:
     """Multiset of cycle lengths, sorted descending; lengths sum to the degree."""
     return tuple(sorted((len(c) for c in p.cycles()), reverse=True))
@@ -142,7 +152,9 @@ class PermGroup:
 
     Elements are kept sorted by image tuple, which puts the identity first.
     Construction does not verify closure (see validate); the cheap degree
-    check always runs.
+    check always runs. The views derived from the elements (images,
+    image_set, cycle_types, non_identity) are built once, on first use;
+    images and cycle_types are aligned with elements.
     """
 
     degree: int
@@ -180,28 +192,34 @@ class PermGroup:
         return len(self.elements) == 1
 
     def __contains__(self, p: Perm) -> bool:
-        return p.images in self._images_set()
+        return p.images in self.image_set
 
     def __iter__(self):
         return iter(self.elements)
 
-    def _images_set(self) -> frozenset:
-        cached = getattr(self, "_images_cache", None)
-        if cached is None:
-            cached = frozenset(p.images for p in self.elements)
-            object.__setattr__(self, "_images_cache", cached)
-        return cached
+    @cached_property
+    def images(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(p.images for p in self.elements)
 
-    def non_identity(self) -> tuple[Perm, ...]:
+    @cached_property
+    def image_set(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(self.images)
+
+    @cached_property
+    def cycle_types(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(cycle_type(p) for p in self.elements)
+
+    @cached_property
+    def _non_identity(self) -> tuple[Perm, ...]:
         return tuple(p for p in self.elements if not p.is_identity)
 
-    def cycle_type_multiset(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(cycle_type(p) for p in self.elements))
+    def non_identity(self) -> tuple[Perm, ...]:
+        return self._non_identity
 
     def validate(self) -> None:
         """Check identity membership, closure, inverses, and Lagrange
         divisibility. Quadratic in the order; meant for tests."""
-        images = self._images_set()
+        images = self.image_set
         if tuple(range(self.degree)) not in images:
             raise ValueError("identity missing")
         if len(images) != len(self.elements):

@@ -24,6 +24,7 @@ from symbreak.graphs import (
     Graph,
     clique_with_tails,
     complement,
+    encode_graph6,
     enumerate_graphs,
     generate_family,
 )
@@ -306,6 +307,15 @@ def test_scan_all_pairs_mode():
 def test_scan_records_skips_under_tiny_budget():
     report = scan_corpus([fam("cycle", 8)], ScanOptions(budget=Budget(subset_tests=2)))
     assert report.skipped and report.skipped[0][1] == "budget exceeded"
+
+
+def test_scan_skips_a_graph_too_large_for_the_automorphism_search():
+    big = Graph(63, (0,) * 63)
+    report = scan_corpus([fam("path", 3), big])
+    assert report.corpus_size == 2 and len(report.graph_reports) == 1
+    assert report.skipped == (
+        (encode_graph6(big), "automorphism group: automorphism search supports n <= 40, got 63"),
+    )
 
 
 def test_rule_reports_cover_every_rule():

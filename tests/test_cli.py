@@ -1,7 +1,12 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from symbreak.cli import main
-from symbreak.graphs import FamilySpec, encode_graph6, generate_family
+from symbreak.graphs import FamilySpec, encode_graph6, enumerate_graphs, generate_family
+
+GOLDENS = Path(__file__).resolve().parent / "goldens"
 
 
 def run_cli(capsys, *argv):
@@ -172,3 +177,35 @@ def test_scan_json_format(capsys):
     assert code == 0
     for line in out.strip().splitlines():
         json.loads(line)
+
+
+@pytest.mark.parametrize(
+    "option", [["--jobs", "0"], ["--jobs", "-2"], ["--budget", "0"], ["--budget", "-5"]]
+)
+def test_scan_rejects_counts_below_one(capsys, option):
+    code, out, err = run_cli(capsys, "scan", "--enumerate", "3", *option)
+    assert code == 2 and not out
+    assert "must be at least 1" in err
+
+
+# Goldens captured before Det and rho shared one subset walk: under a tight
+# budget each of D, Det and rho must turn into "?" exactly where it did when
+# each had a walk of its own.
+@pytest.mark.parametrize("budget", [1, 2, 5, 50])
+def test_budget_limited_scan_matches_golden(capsys, budget):
+    code, out, _ = run_cli(
+        capsys, "scan", "--enumerate", "5", "--budget", str(budget), "--jobs", "1"
+    )
+    assert code == 0
+    assert out == (GOLDENS / f"scan5_budget{budget}.out").read_text()
+
+
+@pytest.mark.parametrize("budget", [1, 2, 5, 50])
+def test_budget_limited_analyze_matches_golden(tmp_path, capsys, budget):
+    path = tmp_path / "graphs6.g6"
+    path.write_text(
+        "".join(encode_graph6(g) + "\n" for n in range(1, 7) for g in enumerate_graphs(n))
+    )
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--budget", str(budget))
+    assert code == 0
+    assert out == (GOLDENS / f"analyze6_budget{budget}.out").read_text()

@@ -77,9 +77,16 @@ def test_eight_byte_size_form_unsupported():
         parse_graph6("~~?????")
 
 
-def test_encode_rejects_n_above_62():
+@pytest.mark.parametrize("n", [63, 100])
+def test_long_size_form_round_trips(n):
+    g = Graph.from_edges(n, [(v, (3 * v + 1) % n) for v in range(n) if (3 * v + 1) % n != v])
+    record = encode_graph6(g)
+    assert record.startswith("~") and parse_graph6(record) == g
+
+
+def test_encode_rejects_n_above_512():
     with pytest.raises(UnsupportedSizeError):
-        encode_graph6(Graph(63, (0,) * 63))
+        encode_graph6(Graph(513, (0,) * 513))
 
 
 @given(graphs(max_n=10))

@@ -1,0 +1,29 @@
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "symbreak"
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore-prefixed names a module imports from another symbreak module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        internal = node.level > 0 or (node.module or "").split(".")[0] == "symbreak"
+        if internal:
+            found += [alias.name for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+def test_checker_flags_a_private_import():
+    assert private_imports("from .metrics import UNKNOWN, _Unknown") == ["_Unknown"]
+    assert private_imports("from symbreak.metrics import _apply_mask") == ["_apply_mask"]
+    assert private_imports("from __future__ import annotations") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_another_modules_private_names(path):
+    assert private_imports(path.read_text()) == []

@@ -16,7 +16,13 @@ from helpers import (
 from symbreak.autgroup import automorphism_group
 from symbreak.config import Budget
 from symbreak.errors import BudgetExceededError, DegreeError
-from symbreak.graphs import FamilySpec, Graph, clique_with_tails, generate_family
+from symbreak.graphs import (
+    FamilySpec,
+    Graph,
+    clique_with_tails,
+    enumerate_graphs,
+    generate_family,
+)
 from symbreak.metrics import (
     UNKNOWN,
     Coloring,
@@ -324,6 +330,16 @@ def test_analyze_report_consistency(g):
         assert is_distinguishing(aut, rep.d_witness)
     if rep.det2_d2_case:
         assert rep.rho_in_2_4 is True
+
+
+def test_analyze_det_matches_det_only_walk():
+    corpus = [Graph(0, ())] + [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    for g in corpus:
+        aut = automorphism_group(g)
+        rep = analyze(g, aut=aut)
+        assert (rep.det, rep.det_witness) == determining_number(g, aut=aut)
+        cost = cost_number(g, aut=aut)
+        assert (rep.rho, rep.rho_witness) == (cost if cost is not None else (None, None))
 
 
 def test_report_line_golden():
