@@ -316,10 +316,13 @@ def check_shared_distinguishing_number(
     g1: Graph, g2: Graph, budget: config.Budget = config.DEFAULT_BUDGET
 ) -> bool:
     """Equivalent graphs must have equal distinguishing numbers."""
-    sigma = distinguishably_equivalent(g1, g2, budget)
-    if sigma is None:
+    if g1.n != g2.n:
         raise NotApplicableError("graphs are not distinguishably equivalent")
-    return distinguishing_number(g1, budget)[0] == distinguishing_number(g2, budget)[0]
+    aut1, aut2 = automorphism_group(g1), automorphism_group(g2)
+    if distinguishably_equivalent(g1, g2, budget, aut1=aut1, aut2=aut2) is None:
+        raise NotApplicableError("graphs are not distinguishably equivalent")
+    d1 = distinguishing_number(g1, budget, aut=aut1)[0]
+    return d1 == distinguishing_number(g2, budget, aut=aut2)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,16 @@ def _read_records(path: str):
             stream.close()
 
 
+def _read_all(path: str) -> list:
+    """Every graph of a graph6 file or stdin; the first bad record raises."""
+    graphs = []
+    for lineno, item in _read_records(path):
+        if isinstance(item, Exception):
+            raise SymbreakError(f"line {lineno}: {item}") from item
+        graphs.append(item)
+    return graphs
+
+
 def _emit_report(report, fmt: str):
     if fmt == "json":
         print(json.dumps(report.to_obj(), sort_keys=True))
@@ -95,12 +105,7 @@ def cmd_family(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    graphs = []
-    for lineno, item in _read_records(args.input):
-        if isinstance(item, Exception):
-            print(f"error: line {lineno}: {item}", file=sys.stderr)
-            return 1
-        graphs.append(item)
+    graphs = _read_all(args.input)
     if len(graphs) != 2:
         print(f"usage error: need exactly 2 records, got {len(graphs)}", file=sys.stderr)
         return 2
@@ -108,13 +113,13 @@ def cmd_equiv(args) -> int:
     if g1.n != g2.n:
         print(f"not-equivalent vertex-count {g1.n} != {g2.n}")
         return 0
+    a1, a2 = automorphism_group(g1), automorphism_group(g2)
     try:
-        sigma = distinguishably_equivalent(g1, g2, _budget(args))
+        sigma = distinguishably_equivalent(g1, g2, _budget(args), aut1=a1, aut2=a2)
     except BudgetExceededError as exc:
         print(f"not-equivalent search-exhausted {exc}")
         return 1
     if sigma is None:
-        a1, a2 = automorphism_group(g1), automorphism_group(g2)
         if a1.order != a2.order:
             reason = f"aut-order {a1.order} != {a2.order}"
         elif sorted(a1.cycle_types) != sorted(a2.cycle_types):
@@ -135,12 +140,7 @@ def cmd_scan(args) -> int:
             return 2
         graphs = [g for n in range(1, args.enumerate + 1) for g in enumerate_graphs(n)]
     elif args.input is not None:
-        graphs = []
-        for lineno, item in _read_records(args.input):
-            if isinstance(item, Exception):
-                print(f"error: line {lineno}: {item}", file=sys.stderr)
-                return 1
-            graphs.append(item)
+        graphs = _read_all(args.input)
     else:
         print("usage error: give a corpus file or --enumerate n", file=sys.stderr)
         return 2

@@ -4,9 +4,10 @@ Two graphs are equivalent when some bijection of their vertex sets conjugates
 the automorphism group of one onto the other, element for element; that is the
 same as the two groups having equal labeled cycle representations under
 suitable labelings. The search backtracks over vertex images, filtered by
-per-vertex statistics (the multiset, over all group elements, of the cycle
-length through the vertex paired with the element's cycle type) and by
-per-element candidate lists that shrink as images are fixed.
+per-vertex statistics (PermGroup.vertex_signatures: the multiset, over all
+group elements, of the cycle length through the vertex paired with the
+element's cycle type) and by per-element candidate lists that shrink as
+images are fixed.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from __future__ import annotations
 from . import config
 from .autgroup import automorphism_group, search_bijections
 from .errors import BudgetExceededError
-from .graphs import Graph, encode_graph6
-from .metrics import distinguishing_number
+from .graphs import Graph
 from .perms import Perm, PermGroup, inverse
 
 # per-element candidate lists are only maintained for groups up to this order;
@@ -40,18 +40,6 @@ def conjugate_group(aut: PermGroup, sigma: Perm) -> PermGroup:
     return PermGroup.from_elements(aut.degree, out)
 
 
-def _vertex_signatures(aut: PermGroup) -> list[tuple]:
-    """For each vertex, the sorted multiset over elements of
-    (element cycle type, length of the cycle through the vertex)."""
-    n = aut.degree
-    sigs: list[list] = [[] for _ in range(n)]
-    for p, ct in zip(aut.elements, aut.cycle_types):
-        for cyc in p.cycles():
-            for v in cyc:
-                sigs[v].append((ct, len(cyc)))
-    return [tuple(sorted(s)) for s in sigs]
-
-
 def _conjugating_bijection(autA: PermGroup, autB: PermGroup, budget: config.Budget):
     """A vertex bijection sigma with sigma.autA.sigma^-1 == autB, or None."""
     n = autA.degree
@@ -61,8 +49,8 @@ def _conjugating_bijection(autA: PermGroup, autB: PermGroup, budget: config.Budg
         return Perm.identity(n)
     if sorted(autA.cycle_types) != sorted(autB.cycle_types):
         return None
-    sigA = _vertex_signatures(autA)
-    sigB = _vertex_signatures(autB)
+    sigA = autA.vertex_signatures
+    sigB = autB.vertex_signatures
     if sorted(sigA) != sorted(sigB):
         return None
 
@@ -153,16 +141,23 @@ def _conjugating_bijection(autA: PermGroup, autB: PermGroup, budget: config.Budg
 
 
 def distinguishably_equivalent(
-    g1: Graph, g2: Graph, budget: config.Budget = config.DEFAULT_BUDGET
+    g1: Graph,
+    g2: Graph,
+    budget: config.Budget = config.DEFAULT_BUDGET,
+    aut1: PermGroup | None = None,
+    aut2: PermGroup | None = None,
 ):
     """A bijection conjugating Aut(g1) onto Aut(g2) if the graphs are
-    equivalent, else None. Raises BudgetExceededError when the search cannot
-    be exhausted within budget."""
+    equivalent, else None; aut1 and aut2 are groups the caller already has.
+    Raises BudgetExceededError when the search cannot be exhausted within
+    budget."""
     if g1.n != g2.n:
         return None
-    return _conjugating_bijection(
-        automorphism_group(g1), automorphism_group(g2), budget
-    )
+    if aut1 is None:
+        aut1 = automorphism_group(g1)
+    if aut2 is None:
+        aut2 = automorphism_group(g2)
+    return _conjugating_bijection(aut1, aut2, budget)
 
 
 def isomorphism(g1: Graph, g2: Graph):
@@ -170,20 +165,6 @@ def isomorphism(g1: Graph, g2: Graph):
     found: list[tuple[int, ...]] = []
     search_bijections(g1, g2, found.append)  # append returns None: stop at one
     return Perm(found[0]) if found else None
-
-
-def format_class_report(
-    graphs, partition, budget: config.Budget = config.DEFAULT_BUDGET
-) -> list[str]:
-    """One line per class: id, member graph6 strings, shared group order and
-    distinguishing number (computed on the class representative)."""
-    lines = []
-    for cid, members in enumerate(partition):
-        aut = automorphism_group(graphs[members[0]])
-        d = distinguishing_number(graphs[members[0]], budget, aut=aut)[0]
-        g6 = ",".join(encode_graph6(graphs[i]) for i in members)
-        lines.append(f"class={cid} members={g6} aut={aut.order} D={d}")
-    return lines
 
 
 def equivalence_classes(

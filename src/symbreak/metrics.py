@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import config
-from .autgroup import automorphism_group, pointwise_stabilizer, setwise_stabilizer
+from .autgroup import automorphism_group
 from .errors import BudgetExceededError, DegreeError
 from .graphs import Graph, encode_graph6
 from .perms import Perm, PermGroup, apply_mask
@@ -105,18 +105,17 @@ def is_distinguishing(aut: PermGroup, c: Coloring) -> bool:
 
 def is_determining_set(aut: PermGroup, s) -> bool:
     """True iff only the identity fixes every member of s."""
-    return pointwise_stabilizer(aut, s).is_trivial
+    s = set(s)
+    return not any(all(p.images[v] == v for v in s) for p in aut.non_identity())
 
 
 def is_distinguishing_class(aut: PermGroup, s) -> bool:
-    """True iff s is a determining set and every element fixing s setwise
-    fixes it pointwise."""
-    if not is_determining_set(aut, s):
-        return False
-    s = set(s)
-    return all(
-        all(p.images[v] == v for v in s) for p in setwise_stabilizer(aut, s).elements
-    )
+    """True iff only the identity maps s onto itself, so that coloring s red
+    and the rest blue is distinguishing."""
+    mask = 0
+    for v in s:
+        mask |= 1 << v
+    return all(apply_mask(p.images, mask) != mask for p in aut.non_identity())
 
 
 def nn_pairs(g: Graph, v1: int, v2: int) -> list[tuple[int, int]]:
@@ -291,9 +290,16 @@ def distinguishing_number(
 ) -> tuple[int, Coloring]:
     if aut is None:
         aut = automorphism_group(g)
+    return _distinguishing(aut, budget, lambda: _min_distinguishing_class(aut, budget))
+
+
+def _distinguishing(aut: PermGroup, budget: config.Budget, smallest_class):
+    """D with a witness coloring: 1 for a trivial group, else 2 when
+    smallest_class() (rho as _min_sets gives it) finds a class, else the
+    k >= 3 search. Raises BudgetExceededError when either is unsettled."""
     if aut.is_trivial:
         return 1, Coloring((0,) * aut.degree, 1)
-    found = _min_distinguishing_class(aut, budget)
+    found = _settled(smallest_class(), budget)
     if found is not None:
         return 2, Coloring.from_class(aut.degree, found[1])
     return _distinguishing_ge3(aut, budget)
@@ -440,19 +446,12 @@ def analyze(
     if aut is None:
         aut = automorphism_group(g)
     det, rho = _min_sets(aut, budget)
+    try:
+        d, d_witness = _distinguishing(aut, budget, lambda: rho)
+    except BudgetExceededError:
+        d, d_witness = UNKNOWN, None
     det, det_witness = det if isinstance(det, tuple) else (det, None)
     rho, rho_witness = rho if isinstance(rho, tuple) else (rho, None)
-    if aut.is_trivial:
-        d, d_witness = 1, Coloring((0,) * g.n, 1)
-    elif rho is UNKNOWN:
-        d, d_witness = UNKNOWN, None
-    elif rho is not None:
-        d, d_witness = 2, Coloring.from_class(g.n, rho_witness)
-    else:
-        try:
-            d, d_witness = _distinguishing_ge3(aut, budget)
-        except BudgetExceededError:
-            d, d_witness = UNKNOWN, None
     return SymmetryReport(
         graph6=encode_graph6(g),
         n=g.n,

@@ -153,8 +153,8 @@ class PermGroup:
     Elements are kept sorted by image tuple, which puts the identity first.
     Construction does not verify closure (see validate); the cheap degree
     check always runs. The views derived from the elements (images,
-    image_set, cycle_types, non_identity) are built once, on first use;
-    images and cycle_types are aligned with elements.
+    image_set, cycle_types, vertex_signatures, non_identity) are built once,
+    on first use; images and cycle_types are aligned with elements.
     """
 
     degree: int
@@ -208,6 +208,17 @@ class PermGroup:
     @cached_property
     def cycle_types(self) -> tuple[tuple[int, ...], ...]:
         return tuple(cycle_type(p) for p in self.elements)
+
+    @cached_property
+    def vertex_signatures(self) -> tuple[tuple, ...]:
+        """Per vertex, the sorted multiset over elements of (cycle type,
+        length of the cycle through the vertex); conjugation preserves it."""
+        sigs: list[list] = [[] for _ in range(self.degree)]
+        for p, ct in zip(self.elements, self.cycle_types):
+            for cyc in p.cycles():
+                for v in cyc:
+                    sigs[v].append((ct, len(cyc)))
+        return tuple(tuple(sorted(s)) for s in sigs)
 
     @cached_property
     def _non_identity(self) -> tuple[Perm, ...]:

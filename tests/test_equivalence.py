@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,9 @@ from symbreak.equivalence import (
     isomorphism,
     representations_equal,
 )
-from symbreak.errors import BudgetExceededError
+from symbreak.checks import check_shared_distinguishing_number
+from symbreak.cli import main
+from symbreak.errors import BudgetExceededError, NotApplicableError
 from symbreak.config import Budget
 from symbreak.graphs import (
     FamilySpec,
@@ -189,18 +192,6 @@ def test_classes_on_three_vertex_graphs():
     assert {0, 3} in named and {1, 2} in named
 
 
-def test_class_report_lines():
-    from symbreak.equivalence import format_class_report
-
-    all3 = list(enumerate_graphs(3))
-    partition, _ = equivalence_classes(all3)
-    lines = format_class_report(all3, partition)
-    assert len(lines) == 2
-    assert all(line.startswith("class=") for line in lines)
-    assert any("aut=6 D=3" in line for line in lines)
-    assert any("aut=2 D=2" in line for line in lines)
-
-
 def test_single_graph_corpus():
     partition, unresolved = equivalence_classes([net_graph()])
     assert partition == [[0]] and not unresolved
@@ -240,3 +231,48 @@ def test_isomorphism_finds_correct_mapping():
 
 def test_isomorphism_distinguishes_non_isomorphic():
     assert isomorphism(fam("path", 4), Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])) is None
+
+
+# -- each group is searched once ---------------------------------------------
+
+
+@pytest.fixture
+def aut_calls(monkeypatch):
+    """Graphs handed to automorphism_group through any package module."""
+    calls = []
+
+    def counted(g, *args, **kwargs):
+        calls.append(g)
+        return automorphism_group(g, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.partition(".")[0] == "symbreak":
+            if getattr(mod, "automorphism_group", None) is automorphism_group:
+                monkeypatch.setattr(mod, "automorphism_group", counted)
+    return calls
+
+
+def test_equiv_command_searches_each_group_once(aut_calls, tmp_path, capsys):
+    path = tmp_path / "pair.g6"
+    path.write_text("Bg\nBw\n")
+    assert main(["equiv", str(path)]) == 0
+    assert capsys.readouterr().out == "not-equivalent aut-order 2 != 6\n"
+    assert len(aut_calls) == 2
+
+
+def test_shared_d_searches_each_group_once(aut_calls):
+    g = fam("path", 4)
+    with pytest.raises(NotApplicableError):
+        check_shared_distinguishing_number(g, fam("path", 5))
+    assert aut_calls == []
+    assert check_shared_distinguishing_number(g, complement(g))
+    assert len(aut_calls) == 2
+
+
+def test_equivalence_reuses_given_groups(aut_calls):
+    g, h = fam("path", 4), complement(fam("path", 4))
+    a, b = automorphism_group(g), automorphism_group(h)
+    assert distinguishably_equivalent(g, h, aut1=a, aut2=b) is not None
+    assert aut_calls == []
+    assert distinguishably_equivalent(g, fam("cycle", 4), aut1=a) is None
+    assert len(aut_calls) == 1

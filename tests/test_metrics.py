@@ -13,7 +13,11 @@ from helpers import (
     brute_distinguishing_number,
     net_graph,
 )
-from symbreak.autgroup import automorphism_group
+from symbreak.autgroup import (
+    automorphism_group,
+    pointwise_stabilizer,
+    setwise_stabilizer,
+)
 from symbreak.config import Budget
 from symbreak.errors import BudgetExceededError, DegreeError
 from symbreak.graphs import (
@@ -200,6 +204,11 @@ def test_class_equals_two_coloring_route_exhaustively():
                         aut, Coloring.from_class(n, s)
                     )
                     assert direct == via_coloring, (g, s)
+                    # the stabilizer groups are the definitions' oracle
+                    assert direct == setwise_stabilizer(aut, s).is_trivial, (g, s)
+                    assert is_determining_set(aut, s) == (
+                        pointwise_stabilizer(aut, s).is_trivial
+                    ), (g, s)
 
 
 def test_class_coloring_equality_sampled_larger_graphs(graphs7_path):
