@@ -12,16 +12,24 @@ Search strategy notes:
   equivalent under the group are pruned by visiting each subset orbit once.
   Since a class and its complement have the same setwise stabilizer, sizes
   above n/2 never need scanning. analyze settles Det in the same walk.
+* The walk sweeps all group elements at once, column-wise: PermGroup's
+  bit_columns holds, per vertex v, 1 << p(v) for every element p, so the
+  elementwise OR of the columns of S's members lists the image of S under
+  every element. That list gives S's orbit (which prunes later candidates)
+  and, by counting S in it, the order of its setwise stabilizer.
 * For three or more colors, D falls back to a depth-first search over
   colorings in canonical form (a color id may appear only after all smaller
   ids), pruning a partial coloring as soon as some group element is fully
-  contained in the colored prefix and preserves it.
+  contained in the colored prefix and preserves it. The elements' moved
+  points, grouped by their largest moved point, are tabulated once per group
+  and serve the search for every k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import or_
 
 from . import config
 from .autgroup import automorphism_group
@@ -103,9 +111,17 @@ def is_distinguishing(aut: PermGroup, c: Coloring) -> bool:
     return all(is_broken(p, c) for p in aut.non_identity())
 
 
+def _vertex_set(aut: PermGroup, s) -> set[int]:
+    s = set(s)
+    for v in s:
+        if not 0 <= v < aut.degree:
+            raise IndexError(f"vertex {v} out of range for n={aut.degree}")
+    return s
+
+
 def is_determining_set(aut: PermGroup, s) -> bool:
     """True iff only the identity fixes every member of s."""
-    s = set(s)
+    s = _vertex_set(aut, s)
     return not any(all(p.images[v] == v for v in s) for p in aut.non_identity())
 
 
@@ -113,7 +129,7 @@ def is_distinguishing_class(aut: PermGroup, s) -> bool:
     """True iff only the identity maps s onto itself, so that coloring s red
     and the rest blue is distinguishing."""
     mask = 0
-    for v in s:
+    for v in _vertex_set(aut, s):
         mask |= 1 << v
     return all(apply_mask(p.images, mask) != mask for p in aut.non_identity())
 
@@ -157,12 +173,16 @@ class _SubsetScan:
     """Shared machinery: subsets by increasing size, one visit per orbit."""
 
     def __init__(self, aut: PermGroup, budget: config.Budget):
+        self.aut = aut
         self.n = aut.degree
         self.images = aut.images
         self.tests = 0
         self.cap = budget.subset_tests
 
     def representatives(self, sizes):
+        """(k, mask, |setwise stabilizer|) for the first subset of each orbit
+        of each size k, subsets taken in combinations order."""
+        columns = None
         for k in sizes:
             seen: set[int] = set()
             for comb in combinations(range(self.n), k):
@@ -176,15 +196,17 @@ class _SubsetScan:
                     raise BudgetExceededError(
                         f"subset search exceeded {self.cap} candidate tests"
                     )
-                orbit = set()
-                stab = 0
-                for images in self.images:
-                    img = apply_mask(images, mask)
-                    orbit.add(img)
-                    if img == mask:
-                        stab += 1
-                seen.update(orbit)
-                yield k, mask, stab
+                if not comb:
+                    yield k, mask, len(self.images)
+                    continue
+                if columns is None:
+                    columns = self.aut.bit_columns
+                imgs = columns[comb[0]]
+                for v in comb[1:]:
+                    imgs = map(or_, imgs, columns[v])
+                imgs = list(imgs)
+                seen.update(imgs)
+                yield k, mask, imgs.count(mask)
 
 
 def _min_sets(aut: PermGroup, budget: config.Budget, det=UNKNOWN, rho=UNKNOWN):
@@ -243,13 +265,20 @@ def _min_determining_set(aut: PermGroup, budget: config.Budget):
 # ---------------------------------------------------------------------------
 
 
-def _search_coloring(aut: PermGroup, k: int, budget: config.Budget):
-    """A distinguishing k-coloring in canonical form, or None."""
-    n = aut.degree
-    by_last: list[list[tuple[tuple[int, int], ...]]] = [[] for _ in range(n)]
+def _moves_by_last(aut: PermGroup) -> list[list[tuple[tuple[int, int], ...]]]:
+    """Per vertex v, the (u, p(u)) pairs over the moved points u of each
+    non-identity element p whose largest moved point is v."""
+    by_last = [[] for _ in range(aut.degree)]
     for p in aut.non_identity():
-        moved = [(v, p.images[v]) for v in range(n) if p.images[v] != v]
-        by_last[max(v for v, _ in moved)].append(tuple(moved))
+        moved = tuple((v, w) for v, w in enumerate(p.images) if v != w)
+        by_last[moved[-1][0]].append(moved)
+    return by_last
+
+
+def _search_coloring(by_last, k: int, budget: config.Budget):
+    """A distinguishing k-coloring in canonical form, or None; by_last is
+    the group's move table from _moves_by_last."""
+    n = len(by_last)
     colors = [-1] * n
     nodes = 0
 
@@ -306,8 +335,9 @@ def _distinguishing(aut: PermGroup, budget: config.Budget, smallest_class):
 
 
 def _distinguishing_ge3(aut: PermGroup, budget: config.Budget):
+    by_last = _moves_by_last(aut)
     for k in range(3, aut.degree + 1):
-        colors = _search_coloring(aut, k, budget)
+        colors = _search_coloring(by_last, k, budget)
         if colors is not None:
             return k, Coloring(colors, k)
     raise AssertionError("n distinct colors always distinguish")

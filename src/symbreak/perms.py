@@ -153,8 +153,9 @@ class PermGroup:
     Elements are kept sorted by image tuple, which puts the identity first.
     Construction does not verify closure (see validate); the cheap degree
     check always runs. The views derived from the elements (images,
-    image_set, cycle_types, vertex_signatures, non_identity) are built once,
-    on first use; images and cycle_types are aligned with elements.
+    image_set, bit_columns, cycle_types, vertex_signatures, non_identity) are
+    built once, on first use; images, cycle_types and each column of
+    bit_columns are aligned with elements.
     """
 
     degree: int
@@ -204,6 +205,14 @@ class PermGroup:
     @cached_property
     def image_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.images)
+
+    @cached_property
+    def bit_columns(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex v, the tuple of 1 << p(v) over the elements p, so the
+        image of a vertex set under every element at once is the elementwise
+        OR of its members' columns."""
+        bits = [1 << w for w in range(self.degree)]
+        return tuple(tuple(map(bits.__getitem__, col)) for col in zip(*self.images))
 
     @cached_property
     def cycle_types(self) -> tuple[tuple[int, ...], ...]:

@@ -8,7 +8,7 @@ the fast paths are checked against.
 
 from itertools import combinations, permutations, product
 
-from symbreak.graphs import Graph
+from symbreak.graphs import FamilySpec, Graph, generate_family
 from symbreak.perms import Perm, PermGroup
 
 
@@ -130,3 +130,31 @@ def net_graph() -> Graph:
 def random_graph(rng, n: int) -> Graph:
     edges = [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.5]
     return Graph.from_edges(n, edges)
+
+
+def disjoint_cliques(copies: int, size: int) -> Graph:
+    """copies disjoint copies of K_size."""
+    edges = [
+        (i * size + u, i * size + v)
+        for i in range(copies)
+        for u, v in combinations(range(size), 2)
+    ]
+    return Graph.from_edges(copies * size, edges)
+
+
+def mid_group_graphs() -> dict[str, Graph]:
+    """Graphs whose groups (order 48 to 5040) are larger than any on a few
+    vertices but small enough to sweep in a test."""
+    rook = [(u, v) for v in range(9) for u in range(v) if u // 3 == v // 3 or u % 3 == v % 3]
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return {
+        "K3xK3": Graph.from_edges(9, rook),
+        "Q3": generate_family(FamilySpec("hypercube", 3)),
+        "Petersen": Graph.from_edges(10, outer + spokes + inner),
+        "2K4": disjoint_cliques(2, 4),
+        "3K3": disjoint_cliques(3, 3),
+        "Q4": generate_family(FamilySpec("hypercube", 4)),
+        "K7": generate_family(FamilySpec("complete", 7)),
+    }

@@ -1,11 +1,12 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import graphs
-from helpers import brute_automorphisms, random_graph
+from helpers import brute_automorphisms, mid_group_graphs, random_graph
 from symbreak.autgroup import (
     automorphism_group,
     orbits,
@@ -14,7 +15,8 @@ from symbreak.autgroup import (
     setwise_stabilizer,
 )
 from symbreak.errors import GroupTooLargeError, UnsupportedSizeError
-from symbreak.graphs import FamilySpec, Graph, generate_family
+from symbreak.graphs import FamilySpec, Graph, enumerate_graphs, generate_family
+from symbreak.perms import apply_mask
 
 
 def fam(kind, p):
@@ -106,6 +108,28 @@ def test_setwise_stabilizer_examples():
     p3 = fam("path", 3)
     assert setwise_stabilizer(automorphism_group(p3), {0, 2}).order == 2
     assert setwise_stabilizer(aut, set(range(4))).order == aut.order
+
+
+def test_bit_columns_sweep_every_element_at_once():
+    """The OR of a subset's bit columns lists its image under every element,
+    and counting the subset itself in that list gives its setwise stabilizer."""
+    mid = mid_group_graphs()
+    cases = [(g, g.n) for n in range(1, 6) for g in enumerate_graphs(n)]
+    cases += [(mid[name], 4) for name in ("Q3", "K3xK3", "Petersen", "2K4")]
+    for g, max_size in cases:
+        aut = automorphism_group(g)
+        columns = aut.bit_columns
+        assert len(columns) == g.n
+        for v in range(g.n):
+            assert list(columns[v]) == [1 << t[v] for t in aut.images]
+        for k in range(max_size + 1):
+            for s in combinations(range(g.n), k):
+                mask = sum(1 << v for v in s)
+                swept = [0] * aut.order
+                for v in s:
+                    swept = [a | b for a, b in zip(swept, columns[v])]
+                assert swept == [apply_mask(t, mask) for t in aut.images], (g, s)
+                assert swept.count(mask) == setwise_stabilizer(aut, s).order, (g, s)
 
 
 def test_pointwise_subset_of_setwise():

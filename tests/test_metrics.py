@@ -1,6 +1,7 @@
 import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from helpers import (
     brute_cost_number,
     brute_determining_number,
     brute_distinguishing_number,
+    mid_group_graphs,
     net_graph,
 )
 from symbreak.autgroup import (
@@ -44,8 +46,15 @@ from symbreak.metrics import (
 from symbreak.perms import Perm, compose, inverse
 
 
+GOLDENS = Path(__file__).resolve().parent / "goldens"
+
+
 def fam(kind, p):
     return generate_family(FamilySpec(kind, p))
+
+
+# only the identity preserves it
+RIGID6 = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 3), (1, 4)])
 
 
 # -- breaking ----------------------------------------------------------------
@@ -153,8 +162,20 @@ def test_is_determining_set_examples():
     assert is_determining_set(k3, {0, 1})
 
 
+@pytest.mark.parametrize("predicate", [is_determining_set, is_distinguishing_class])
+@pytest.mark.parametrize("g", [fam("path", 3), RIGID6])
+def test_vertex_outside_range_is_rejected(predicate, g):
+    aut = automorphism_group(g)
+    assert aut.is_trivial == (g is RIGID6)
+    for v in (-1, g.n):
+        with pytest.raises(IndexError, match=f"vertex {v} out of range for n={g.n}"):
+            predicate(aut, {0, v})
+        with pytest.raises(IndexError, match=f"vertex {v} out of range for n={g.n}"):
+            predicate(aut, {v})
+
+
 def test_determining_number_goldens():
-    asym = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 3), (1, 4)])
+    asym = RIGID6
     if automorphism_group(asym).is_trivial:
         assert determining_number(asym) == (0, frozenset())
     assert determining_number(clique_with_tails(2))[0] == 3
@@ -379,3 +400,18 @@ def test_budget_exhaustion_marks_unknown():
 def test_budget_error_raised_directly():
     with pytest.raises(BudgetExceededError):
         determining_number(fam("cycle", 8), Budget(subset_tests=2))
+
+
+# Captured before the subset walk swept all group elements column-wise and
+# before the coloring search built its move table once per group: on groups of
+# order 48 to 5040 each field turns into "?" exactly where it did, and K7 runs
+# the coloring search for every k from 3 to 7.
+def test_analyze_midgroups_matches_golden():
+    named = mid_group_graphs()
+    auts = {name: automorphism_group(g) for name, g in named.items()}
+    lines = []
+    for cap in ("default", 5, 10, 20, 50, 100):
+        budget = Budget() if cap == "default" else Budget.uniform(cap)
+        lines.append(f"# budget {cap}")
+        lines += [analyze(g, budget, aut=auts[name]).to_line() for name, g in named.items()]
+    assert lines == (GOLDENS / "analyze_midgroups.out").read_text().splitlines()
