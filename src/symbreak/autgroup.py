@@ -77,14 +77,12 @@ def automorphism_elements(g: Graph, element_cap: int | None = None):
 
 
 def automorphism_group(
-    g: Graph,
-    max_vertices: int = config.MAX_AUT_VERTICES,
-    element_cap: int = config.MAX_AUT_ELEMENTS,
+    g: Graph, element_cap: int = config.MAX_AUT_ELEMENTS
 ) -> PermGroup:
     """Aut(g) as an explicit PermGroup."""
-    if g.n > max_vertices:
+    if g.n > config.MAX_AUT_VERTICES:
         raise UnsupportedSizeError(
-            f"automorphism search supports n <= {max_vertices}, got {g.n}"
+            f"automorphism search supports n <= {config.MAX_AUT_VERTICES}, got {g.n}"
         )
     elements = automorphism_elements(g, element_cap=element_cap)
     return PermGroup.from_elements(g.n, (Perm(t) for t in elements))
@@ -99,27 +97,10 @@ def preserves_adjacency(g: Graph, p: Perm) -> bool:
 
 
 def orbits(group: PermGroup) -> tuple[frozenset[int], ...]:
-    """Vertex orbits, as a partition sorted by least member."""
-    n = group.degree
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for p in group.elements:
-        for v, w in enumerate(p.images):
-            ra, rb = find(v), find(w)
-            if ra != rb:
-                parent[rb] = ra
-    blocks: dict[int, set[int]] = {}
-    for v in range(n):
-        blocks.setdefault(find(v), set()).add(v)
-    return tuple(
-        frozenset(b) for b in sorted(blocks.values(), key=min)
-    )
+    """Vertex orbits, as a partition sorted by least member: the orbit of u
+    is the set of images x whose maps_to[u][x] is not empty."""
+    blocks = {frozenset(x for x, b in enumerate(row) if b) for row in group.maps_to}
+    return tuple(sorted(blocks, key=min))
 
 
 def pointwise_stabilizer(group: PermGroup, s) -> PermGroup:

@@ -330,12 +330,15 @@ def check_shared_distinguishing_number(
 # ---------------------------------------------------------------------------
 
 
+# the scan cross-checks rho by direct enumeration of all subsets up to this n
+VERIFY_SMALLER_CLASS_UPTO = 10
+
+
 @dataclass(frozen=True)
 class ScanOptions:
     jobs: int = 1
     budget: config.Budget = config.DEFAULT_BUDGET
     all_pairs: bool = False  # run pair rules on every size-2 determining pair
-    verify_smaller_class_upto: int = 10  # cross-check rho by direct enumeration
 
 
 @dataclass(frozen=True)
@@ -434,7 +437,7 @@ def _scan_one(g: Graph, options: ScanOptions):
             Violation("det_le_rho", g6, f"Det={report.det} > rho={report.rho}")
         )
 
-    if g.n <= options.verify_smaller_class_upto:
+    if g.n <= VERIFY_SMALLER_CLASS_UPTO:
         brute = _brute_min_class_size(aut, g.n)
         if brute != report.rho:
             violations.append(

@@ -19,10 +19,11 @@ Search strategy notes:
   and, by counting S in it, the order of its setwise stabilizer.
 * For three or more colors, D falls back to a depth-first search over
   colorings in canonical form (a color id may appear only after all smaller
-  ids), pruning a partial coloring as soon as some group element is fully
-  contained in the colored prefix and preserves it. The elements' moved
-  points, grouped by their largest moved point, are tabulated once per group
-  and serve the search for every k.
+  ids), pruning a partial coloring as soon as some group element moving
+  only colored vertices preserves it. The test combines PermGroup's maps_to
+  bitsets (per vertex u and image x, the elements sending u to x), as do the
+  predicates and the walk's Det test; it is the same predicate as testing
+  the elements one by one, so the node counts do not depend on it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from . import config
 from .autgroup import automorphism_group
 from .errors import BudgetExceededError, DegreeError
 from .graphs import Graph, encode_graph6
-from .perms import Perm, PermGroup, apply_mask
+from .perms import Perm, PermGroup
 
 
 class _Unknown:
@@ -83,17 +84,8 @@ class Coloring:
 
 
 def is_broken(p: Perm, c: Coloring) -> bool:
-    """True iff some cycle of p of length >= 2 carries two distinct colors."""
-    if p.degree != c.degree:
-        raise DegreeError(f"degree mismatch: {p.degree} vs {c.degree}")
-    colors = c.colors
-    for cyc in p.cycles():
-        if len(cyc) < 2:
-            continue
-        first = colors[cyc[0]]
-        if any(colors[v] != first for v in cyc[1:]):
-            return True
-    return False
+    """True iff some cycle of p carries two distinct colors."""
+    return not preserves_coloring(p, c)
 
 
 def preserves_coloring(p: Perm, c: Coloring) -> bool:
@@ -104,11 +96,25 @@ def preserves_coloring(p: Perm, c: Coloring) -> bool:
     return all(colors[img] == colors[v] for v, img in enumerate(p.images))
 
 
+def _preservers(aut: PermGroup, sets, among: int | None = None) -> int:
+    """The elements among `among` (all by default) sending each u of each
+    vertex set M in sets into M, which maps M onto itself. The entries of a
+    maps_to row are disjoint bitsets, so their sum is their union."""
+    maps_to = aut.maps_to
+    keep = (1 << aut.order) - 1 if among is None else among
+    for m in sets:
+        for u in m:
+            if not keep:
+                return 0
+            keep &= sum(map(maps_to[u].__getitem__, m))
+    return keep
+
+
 def is_distinguishing(aut: PermGroup, c: Coloring) -> bool:
     """True iff every non-identity element of aut is broken by c."""
     if aut.degree != c.degree:
         raise DegreeError(f"degree mismatch: {aut.degree} vs {c.degree}")
-    return all(is_broken(p, c) for p in aut.non_identity())
+    return _preservers(aut, c.color_classes()) == aut.identity_bits
 
 
 def _vertex_set(aut: PermGroup, s) -> set[int]:
@@ -121,17 +127,14 @@ def _vertex_set(aut: PermGroup, s) -> set[int]:
 
 def is_determining_set(aut: PermGroup, s) -> bool:
     """True iff only the identity fixes every member of s."""
-    s = _vertex_set(aut, s)
-    return not any(all(p.images[v] == v for v in s) for p in aut.non_identity())
+    singletons = [(v,) for v in _vertex_set(aut, s)]
+    return _preservers(aut, singletons) == aut.identity_bits
 
 
 def is_distinguishing_class(aut: PermGroup, s) -> bool:
     """True iff only the identity maps s onto itself, so that coloring s red
     and the rest blue is distinguishing."""
-    mask = 0
-    for v in _vertex_set(aut, s):
-        mask |= 1 << v
-    return all(apply_mask(p.images, mask) != mask for p in aut.non_identity())
+    return _preservers(aut, [_vertex_set(aut, s)]) == aut.identity_bits
 
 
 def nn_pairs(g: Graph, v1: int, v2: int) -> list[tuple[int, int]]:
@@ -219,7 +222,6 @@ def _min_sets(aut: PermGroup, budget: config.Budget, det=UNKNOWN, rho=UNKNOWN):
     n = aut.degree
     if det is UNKNOWN and aut.is_trivial:
         det = 0, frozenset()
-    fixed = [p.fixed_mask() for p in aut.non_identity()] if det is UNKNOWN else []
 
     def sizes():
         nonlocal rho
@@ -232,7 +234,7 @@ def _min_sets(aut: PermGroup, budget: config.Budget, det=UNKNOWN, rho=UNKNOWN):
 
     try:
         for k, mask, stab in _SubsetScan(aut, budget).representatives(sizes()):
-            if det is UNKNOWN and all(mask & ~fm for fm in fixed):
+            if det is UNKNOWN and is_determining_set(aut, _mask_vertices(mask)):
                 det = k, _mask_vertices(mask)
             if rho is UNKNOWN and stab == 1:
                 rho = k, _mask_vertices(mask)
@@ -265,46 +267,35 @@ def _min_determining_set(aut: PermGroup, budget: config.Budget):
 # ---------------------------------------------------------------------------
 
 
-def _moves_by_last(aut: PermGroup) -> list[list[tuple[tuple[int, int], ...]]]:
-    """Per vertex v, the (u, p(u)) pairs over the moved points u of each
-    non-identity element p whose largest moved point is v."""
-    by_last = [[] for _ in range(aut.degree)]
-    for p in aut.non_identity():
-        moved = tuple((v, w) for v, w in enumerate(p.images) if v != w)
-        by_last[moved[-1][0]].append(moved)
-    return by_last
-
-
-def _search_coloring(by_last, k: int, budget: config.Budget):
-    """A distinguishing k-coloring in canonical form, or None; by_last is
-    the group's move table from _moves_by_last."""
-    n = len(by_last)
-    colors = [-1] * n
+def _search_coloring(aut: PermGroup, last_moved, k: int, budget: config.Budget):
+    """A distinguishing k-coloring in canonical form, or None. Coloring
+    vertex v is doomed iff an element of last_moved[v], which fixes every
+    vertex above v, preserves the color classes of vertices 0..v."""
+    n = aut.degree
+    colors: list[int] = []
+    classes: list[list[int]] = [[] for _ in range(k)]
     nodes = 0
-
-    def assign(v: int, maxc: int) -> bool:
-        nonlocal nodes
-        if v == n:
-            return True
-        for c in range(min(maxc + 1, k - 1) + 1):
+    c = 0  # next color to try at vertex len(colors)
+    while len(colors) < n:
+        v = len(colors)
+        if c <= min(max(colors, default=-1) + 1, k - 1):
             nodes += 1
             if nodes > budget.coloring_nodes:
                 raise BudgetExceededError(
                     f"coloring search exceeded {budget.coloring_nodes} nodes"
                 )
-            colors[v] = c
-            doomed = any(
-                all(colors[w] == colors[u] for u, w in moved_pairs)
-                for moved_pairs in by_last[v]
-            )
-            if not doomed and assign(v + 1, max(maxc, c)):
-                return True
-        colors[v] = -1
-        return False
-
-    if assign(0, -1):
-        return tuple(colors)
-    return None
+            colors.append(c)
+            classes[c].append(v)
+            if not _preservers(aut, classes, last_moved[v]):
+                c = 0
+                continue
+        elif not colors:
+            return None
+        # doomed, or every color tried at v: take the next color of the last vertex
+        c = colors.pop()
+        classes[c].pop()
+        c += 1
+    return tuple(colors)
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +326,14 @@ def _distinguishing(aut: PermGroup, budget: config.Budget, smallest_class):
 
 
 def _distinguishing_ge3(aut: PermGroup, budget: config.Budget):
-    by_last = _moves_by_last(aut)
+    last_moved = [0] * aut.degree
+    fix_above = (1 << aut.order) - 1
+    for v in reversed(range(aut.degree)):
+        fixes_v = aut.maps_to[v][v]
+        last_moved[v] = fix_above & ~fixes_v
+        fix_above &= fixes_v
     for k in range(3, aut.degree + 1):
-        colors = _search_coloring(by_last, k, budget)
+        colors = _search_coloring(aut, last_moved, k, budget)
         if colors is not None:
             return k, Coloring(colors, k)
     raise AssertionError("n distinct colors always distinguish")

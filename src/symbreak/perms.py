@@ -72,13 +72,6 @@ class Perm:
     def moved(self) -> tuple[int, ...]:
         return tuple(v for v, img in enumerate(self.images) if img != v)
 
-    def fixed_mask(self) -> int:
-        m = 0
-        for v, img in enumerate(self.images):
-            if img == v:
-                m |= 1 << v
-        return m
-
     def __mul__(self, other: "Perm") -> "Perm":
         return compose(self, other)
 
@@ -153,9 +146,10 @@ class PermGroup:
     Elements are kept sorted by image tuple, which puts the identity first.
     Construction does not verify closure (see validate); the cheap degree
     check always runs. The views derived from the elements (images,
-    image_set, bit_columns, cycle_types, vertex_signatures, non_identity) are
-    built once, on first use; images, cycle_types and each column of
-    bit_columns are aligned with elements.
+    image_set, bit_columns, maps_to, identity_bits, cycle_types,
+    vertex_signatures, non_identity) are built once, on first use; images,
+    cycle_types and each column of bit_columns are aligned with elements,
+    and bit i of a maps_to or identity_bits bitset stands for elements[i].
     """
 
     degree: int
@@ -213,6 +207,30 @@ class PermGroup:
         OR of its members' columns."""
         bits = [1 << w for w in range(self.degree)]
         return tuple(tuple(map(bits.__getitem__, col)) for col in zip(*self.images))
+
+    @cached_property
+    def maps_to(self) -> tuple[tuple[int, ...], ...]:
+        """maps_to[u][x] is the bitset of the elements sending u to x, so
+        each row partitions the elements by the image of one vertex."""
+        n = self.degree
+        rows = []
+        for col in zip(*self.images):
+            # one character per element, the last element first: translated
+            # to "1" at x and "0" elsewhere it spells maps_to[u][x] in binary
+            spelled = "".join(map(chr, reversed(col)))
+            row = [0] * n
+            for x in set(col):
+                row[x] = int(spelled.translate("0" * x + "1" + "0" * (n - 1 - x)), 2)
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    @cached_property
+    def identity_bits(self) -> int:
+        """The bitset of the elements that fix every vertex."""
+        bits = (1 << len(self.elements)) - 1
+        for u, row in enumerate(self.maps_to):
+            bits &= row[u]
+        return bits
 
     @cached_property
     def cycle_types(self) -> tuple[tuple[int, ...], ...]:

@@ -39,6 +39,49 @@ def brute_is_distinguishing(g: Graph, colors: tuple[int, ...]) -> bool:
     return True
 
 
+def closure_orbits(group: PermGroup) -> tuple[frozenset[int], ...]:
+    """Orbits by closing each vertex under the elements step by step, sorted
+    by least member."""
+    blocks = set()
+    for v in range(group.degree):
+        orbit, frontier = {v}, [v]
+        while frontier:
+            u = frontier.pop()
+            for p in group.elements:
+                if p.images[u] not in orbit:
+                    orbit.add(p.images[u])
+                    frontier.append(p.images[u])
+        blocks.add(frozenset(orbit))
+    return tuple(sorted(blocks, key=min))
+
+
+# The predicates' definitions, one element at a time, over whatever element
+# list the group holds (not necessarily closed, duplicate-free or containing
+# the identity): each holds iff no non-identity element survives.
+
+
+def cycle_broken(p: Perm, colors) -> bool:
+    """Some cycle of p carries two distinct colors."""
+    return any(len({colors[v] for v in cyc}) > 1 for cyc in p.cycles())
+
+
+def per_element_is_determining_set(group: PermGroup, s) -> bool:
+    return not any(
+        all(p.images[v] == v for v in s) for p in group.elements if not p.is_identity
+    )
+
+
+def per_element_is_distinguishing_class(group: PermGroup, s) -> bool:
+    s = set(s)
+    return not any(
+        {p.images[v] for v in s} == s for p in group.elements if not p.is_identity
+    )
+
+
+def per_element_is_distinguishing(group: PermGroup, colors) -> bool:
+    return all(cycle_broken(p, colors) for p in group.elements if not p.is_identity)
+
+
 def brute_distinguishing_number(g: Graph) -> int:
     for k in range(1, g.n + 1):
         for colors in product(range(k), repeat=g.n):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import graphs
-from helpers import brute_automorphisms, mid_group_graphs, random_graph
+from helpers import brute_automorphisms, closure_orbits, mid_group_graphs, random_graph
 from symbreak.autgroup import (
     automorphism_group,
     orbits,
@@ -16,7 +16,7 @@ from symbreak.autgroup import (
 )
 from symbreak.errors import GroupTooLargeError, UnsupportedSizeError
 from symbreak.graphs import FamilySpec, Graph, enumerate_graphs, generate_family
-from symbreak.perms import apply_mask
+from symbreak.perms import Perm, PermGroup, apply_mask
 
 
 def fam(kind, p):
@@ -130,6 +130,36 @@ def test_bit_columns_sweep_every_element_at_once():
                     swept = [a | b for a, b in zip(swept, columns[v])]
                 assert swept == [apply_mask(t, mask) for t in aut.images], (g, s)
                 assert swept.count(mask) == setwise_stabilizer(aut, s).order, (g, s)
+
+
+def test_maps_to_marks_each_element_at_its_images():
+    cases = [g for n in range(1, 6) for g in enumerate_graphs(n)]
+    cases += mid_group_graphs().values()
+    for g in cases:
+        aut = automorphism_group(g)
+        assert len(aut.maps_to) == g.n
+        for u, row in enumerate(aut.maps_to):
+            assert len(row) == g.n
+            for x, bits in enumerate(row):
+                assert bits >> aut.order == 0
+                marks = [bits >> i & 1 == 1 for i in range(aut.order)]
+                assert marks == [t[u] == x for t in aut.images], (g, u, x)
+        assert aut.identity_bits == 1  # the identity sorts first
+
+
+def test_identity_bits_on_hand_built_element_lists():
+    ident, swap = Perm.identity(3), Perm.transposition(3, 0, 2)
+    assert PermGroup(3, (swap, ident, swap, ident)).identity_bits == 0b1010
+    assert PermGroup(3, (swap,)).identity_bits == 0
+    assert PermGroup(0, (Perm(()),)).identity_bits == 1
+
+
+def test_orbits_match_closure_oracle():
+    cases = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    cases += mid_group_graphs().values()
+    for g in cases:
+        aut = automorphism_group(g)
+        assert orbits(aut) == closure_orbits(aut), g
 
 
 def test_pointwise_subset_of_setwise():

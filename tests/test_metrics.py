@@ -12,8 +12,12 @@ from helpers import (
     brute_cost_number,
     brute_determining_number,
     brute_distinguishing_number,
+    cycle_broken,
     mid_group_graphs,
     net_graph,
+    per_element_is_determining_set,
+    per_element_is_distinguishing,
+    per_element_is_distinguishing_class,
 )
 from symbreak.autgroup import (
     automorphism_group,
@@ -28,6 +32,7 @@ from symbreak.graphs import (
     clique_with_tails,
     enumerate_graphs,
     generate_family,
+    parse_graph6,
 )
 from symbreak.metrics import (
     UNKNOWN,
@@ -43,7 +48,7 @@ from symbreak.metrics import (
     nn_pairs,
     preserves_coloring,
 )
-from symbreak.perms import Perm, compose, inverse
+from symbreak.perms import Perm, PermGroup, compose, inverse
 
 
 GOLDENS = Path(__file__).resolve().parent / "goldens"
@@ -102,6 +107,36 @@ def test_distinguishing_equals_no_preserver(g, seed):
         not preserves_coloring(p, c) for p in aut.non_identity()
     )
     assert is_distinguishing(aut, c) == direct
+
+
+@st.composite
+def element_lists(draw):
+    """A hand-built PermGroup of degree <= 6 whose elements need not form a
+    group: some repeat an element, some lack the identity."""
+    n = draw(st.integers(0, 6))
+    count = draw(st.integers(1, 5))
+    perms = [Perm(tuple(draw(st.permutations(range(n))))) for _ in range(count)]
+    perms += draw(st.lists(st.sampled_from(perms), max_size=2))
+    if draw(st.booleans()):
+        perms.append(Perm.identity(n))
+    return PermGroup(n, tuple(draw(st.permutations(perms))))
+
+
+@settings(max_examples=200)
+@given(element_lists(), st.data())
+def test_predicates_match_per_element_definitions(aut, data):
+    n = aut.degree
+    s = data.draw(st.sets(st.integers(0, n - 1)) if n else st.just(set()))
+    k = data.draw(st.integers(1, 3))
+    colors = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    c = Coloring(tuple(colors), k)
+    assert is_determining_set(aut, s) == per_element_is_determining_set(aut, s)
+    assert is_distinguishing_class(aut, s) == (
+        per_element_is_distinguishing_class(aut, s)
+    )
+    assert is_distinguishing(aut, c) == per_element_is_distinguishing(aut, c.colors)
+    for p in aut.elements:
+        assert is_broken(p, c) == cycle_broken(p, c.colors)
 
 
 # -- D -----------------------------------------------------------------------
@@ -415,3 +450,32 @@ def test_analyze_midgroups_matches_golden():
         lines.append(f"# budget {cap}")
         lines += [analyze(g, budget, aut=auts[name]).to_line() for name, g in named.items()]
     assert lines == (GOLDENS / "analyze_midgroups.out").read_text().splitlines()
+
+
+# Captured before the k >= 3 search tested its nodes through the element
+# bitsets: per graph on <= 7 vertices with D >= 3, and K8, the graph6, D and
+# the smallest coloring_nodes budget at which D settles (the budget counts
+# the nodes of one k, so this is the largest count over k = 3..D).
+def test_coloring_node_counts_match_golden():
+    for line in (GOLDENS / "coloring_nodes.txt").read_text().splitlines():
+        g6, d, nodes = line.split()
+        g = parse_graph6(g6)
+        aut = automorphism_group(g)
+        nodes = int(nodes)
+        assert distinguishing_number(g, Budget(coloring_nodes=nodes), aut=aut)[0] == int(d)
+        with pytest.raises(BudgetExceededError):
+            distinguishing_number(g, Budget(coloring_nodes=nodes - 1), aut=aut)
+
+
+def test_coloring_search_leaves_no_reference_cycles():
+    import gc
+
+    g = fam("complete", 6)
+    aut = automorphism_group(g)
+    gc.collect()
+    gc.disable()
+    try:
+        assert distinguishing_number(g, aut=aut)[0] == 6
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
