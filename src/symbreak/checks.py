@@ -578,7 +578,7 @@ def family_bounds_check(
     The expected values: a minimum determining set drops one clique vertex
     (size 2**n - 1), and the binary-string coloring class of size n * 2**(n-1)
     is a distinguishing class. Exact minimality is verified for n <= 2 by
-    default; pass exact=True to force the n=3 exhaustive search (slow).
+    default; pass exact=True to force the n=3 exhaustive search.
     """
     if not 1 <= n <= 3:
         raise UnsupportedSizeError("family check supports n in 1..3")

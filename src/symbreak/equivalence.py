@@ -135,9 +135,9 @@ def _conjugating_bijection(autA: PermGroup, autB: PermGroup, budget: config.Budg
             sigma[v] = -1
         return False
 
-    if extend(0):
-        return Perm(tuple(sigma))
-    return None
+    found = extend(0)
+    del extend  # it refers to itself: free the search now, not at the next gc
+    return Perm(tuple(sigma)) if found else None
 
 
 def distinguishably_equivalent(

@@ -12,25 +12,26 @@ Search strategy notes:
   equivalent under the group are pruned by visiting each subset orbit once.
   Since a class and its complement have the same setwise stabilizer, sizes
   above n/2 never need scanning. analyze settles Det in the same walk.
-* The walk sweeps all group elements at once, column-wise: PermGroup's
-  bit_columns holds, per vertex v, 1 << p(v) for every element p, so the
-  elementwise OR of the columns of S's members lists the image of S under
-  every element. That list gives S's orbit (which prunes later candidates)
-  and, by counting S in it, the order of its setwise stabilizer.
+* The walk visits the first subset of each orbit in combinations order, the
+  orbit's smallest image. If an element maps S minus its largest member to
+  an earlier subset, it maps S to an earlier subset too, so each first
+  subset extends a first subset one smaller by a vertex above its largest
+  member (orderly generation). A candidate is tested greedily on PermGroup's
+  maps_to bitsets (per vertex u and image x, the elements sending u to x):
+  walking x upward, keep the elements that send S's members onto exactly
+  its members below x; S is not first if a kept element sends a member to
+  a non-member x. The elements kept to the end are S's setwise stabilizer.
 * For three or more colors, D falls back to a depth-first search over
   colorings in canonical form (a color id may appear only after all smaller
   ids), pruning a partial coloring as soon as some group element moving
-  only colored vertices preserves it. The test combines PermGroup's maps_to
-  bitsets (per vertex u and image x, the elements sending u to x), as do the
-  predicates and the walk's Det test; it is the same predicate as testing
-  the elements one by one, so the node counts do not depend on it.
+  only colored vertices preserves it. The test combines maps_to bitsets, as
+  do the predicates and the walk's Det test; it is the same predicate as
+  testing the elements one by one, so the node counts do not depend on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from operator import or_
 
 from . import config
 from .autgroup import automorphism_group
@@ -178,38 +179,46 @@ class _SubsetScan:
     def __init__(self, aut: PermGroup, budget: config.Budget):
         self.aut = aut
         self.n = aut.degree
-        self.images = aut.images
-        self.tests = 0
+        self.tests = 0  # representatives, which the budget caps
+        self.candidates = 0  # at most n per representative, plus the empty set
         self.cap = budget.subset_tests
 
     def representatives(self, sizes):
         """(k, mask, |setwise stabilizer|) for the first subset of each orbit
-        of each size k, subsets taken in combinations order."""
-        columns = None
+        of each size k, subsets taken in combinations order; sizes count up
+        from 0. A first subset minus its largest member is a first subset, so
+        the candidates of size k extend those of size k - 1 by one vertex
+        above their largest member."""
+        into = tuple(zip(*self.aut.maps_to))  # into[x][u] = maps_to[u][x]
+        everything = (1 << self.aut.order) - 1
+        candidates = [((), 0)]  # (members, mask)
         for k in sizes:
-            seen: set[int] = set()
-            for comb in combinations(range(self.n), k):
-                mask = 0
-                for v in comb:
-                    mask |= 1 << v
-                if mask in seen:
-                    continue
-                self.tests += 1
-                if self.tests > self.cap:
-                    raise BudgetExceededError(
-                        f"subset search exceeded {self.cap} candidate tests"
-                    )
-                if not comb:
-                    yield k, mask, len(self.images)
-                    continue
-                if columns is None:
-                    columns = self.aut.bit_columns
-                imgs = columns[comb[0]]
-                for v in comb[1:]:
-                    imgs = map(or_, imgs, columns[v])
-                imgs = list(imgs)
-                seen.update(imgs)
-                yield k, mask, imgs.count(mask)
+            firsts = []
+            for s, mask in candidates:
+                self.candidates += 1
+                # kept: the elements g with g(s) and s equal below x; a kept g
+                # with x in g(s) but not in s maps s to an earlier subset. One
+                # element sends one vertex to x, so the sum is a union.
+                kept = everything
+                for x in range(mask.bit_length()):
+                    reaching = sum(map(into[x].__getitem__, s))
+                    if mask >> x & 1:
+                        kept &= reaching
+                    elif kept & reaching:
+                        break
+                else:
+                    self.tests += 1
+                    if self.tests > self.cap:
+                        raise BudgetExceededError(
+                            f"subset search exceeded {self.cap} candidate tests"
+                        )
+                    firsts.append((s, mask))
+                    yield k, mask, kept.bit_count()
+            candidates = (
+                (s + (v,), mask | 1 << v)
+                for s, mask in firsts
+                for v in range(mask.bit_length(), self.n)
+            )
 
 
 def _min_sets(aut: PermGroup, budget: config.Budget, det=UNKNOWN, rho=UNKNOWN):

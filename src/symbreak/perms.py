@@ -69,9 +69,6 @@ class Perm:
             out.append(tuple(cyc))
         return tuple(out)
 
-    def moved(self) -> tuple[int, ...]:
-        return tuple(v for v, img in enumerate(self.images) if img != v)
-
     def __mul__(self, other: "Perm") -> "Perm":
         return compose(self, other)
 
@@ -146,10 +143,10 @@ class PermGroup:
     Elements are kept sorted by image tuple, which puts the identity first.
     Construction does not verify closure (see validate); the cheap degree
     check always runs. The views derived from the elements (images,
-    image_set, bit_columns, maps_to, identity_bits, cycle_types,
-    vertex_signatures, non_identity) are built once, on first use; images,
-    cycle_types and each column of bit_columns are aligned with elements,
-    and bit i of a maps_to or identity_bits bitset stands for elements[i].
+    image_set, maps_to, identity_bits, cycle_types, vertex_signatures,
+    non_identity) are built once, on first use; images and cycle_types are
+    aligned with elements, and bit i of a maps_to or identity_bits bitset
+    stands for elements[i].
     """
 
     degree: int
@@ -199,14 +196,6 @@ class PermGroup:
     @cached_property
     def image_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.images)
-
-    @cached_property
-    def bit_columns(self) -> tuple[tuple[int, ...], ...]:
-        """Per vertex v, the tuple of 1 << p(v) over the elements p, so the
-        image of a vertex set under every element at once is the elementwise
-        OR of its members' columns."""
-        bits = [1 << w for w in range(self.degree)]
-        return tuple(tuple(map(bits.__getitem__, col)) for col in zip(*self.images))
 
     @cached_property
     def maps_to(self) -> tuple[tuple[int, ...], ...]:

@@ -82,6 +82,19 @@ def per_element_is_distinguishing(group: PermGroup, colors) -> bool:
     return all(cycle_broken(p, colors) for p in group.elements if not p.is_identity)
 
 
+def first_subsets(group: PermGroup, max_size: int) -> list[tuple[int, int, int]]:
+    """(k, mask, |setwise stabilizer|) for each subset of size k <= max_size,
+    in combinations order, that no element maps to an earlier subset of its
+    size, with the number of elements mapping it onto itself."""
+    out = []
+    for k in range(max_size + 1):
+        for s in combinations(range(group.degree), k):
+            images = [tuple(sorted(p.images[v] for v in s)) for p in group.elements]
+            if min(images) == s:
+                out.append((k, sum(1 << v for v in s), images.count(s)))
+    return out
+
+
 def brute_distinguishing_number(g: Graph) -> int:
     for k in range(1, g.n + 1):
         for colors in product(range(k), repeat=g.n):

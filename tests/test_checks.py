@@ -355,6 +355,13 @@ def test_family_check_n3_certificates():
     assert fc.det_exact is None and fc.rho_exact is None  # exact mode off
 
 
+def test_family_check_n3_exact():
+    fc = family_bounds_check(3, exact=True)
+    assert fc.ok
+    assert fc.det_exact == 7 == fc.det_target
+    assert fc.rho_exact == 12 == fc.rho_target
+
+
 def test_family_check_range():
     with pytest.raises(UnsupportedSizeError):
         family_bounds_check(4)

@@ -276,3 +276,18 @@ def test_equivalence_reuses_given_groups(aut_calls):
     assert aut_calls == []
     assert distinguishably_equivalent(g, fam("cycle", 4), aut1=a) is None
     assert len(aut_calls) == 1
+
+
+def test_bijection_search_leaves_no_reference_cycles():
+    import gc
+
+    g = fam("complete", 6)
+    h = complement(g)
+    a, b = automorphism_group(g), automorphism_group(h)
+    gc.collect()
+    gc.disable()
+    try:
+        assert distinguishably_equivalent(g, h, aut1=a, aut2=b) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

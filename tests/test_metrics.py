@@ -13,6 +13,8 @@ from helpers import (
     brute_determining_number,
     brute_distinguishing_number,
     cycle_broken,
+    disjoint_cliques,
+    first_subsets,
     mid_group_graphs,
     net_graph,
     per_element_is_determining_set,
@@ -37,6 +39,7 @@ from symbreak.graphs import (
 from symbreak.metrics import (
     UNKNOWN,
     Coloring,
+    _SubsetScan,
     analyze,
     cost_number,
     determining_number,
@@ -435,6 +438,50 @@ def test_budget_exhaustion_marks_unknown():
 def test_budget_error_raised_directly():
     with pytest.raises(BudgetExceededError):
         determining_number(fam("cycle", 8), Budget(subset_tests=2))
+
+
+def test_subset_walk_yields_the_first_subset_of_each_orbit():
+    """The walk yields, in combinations order, each subset that no element
+    maps to an earlier one, with the order of its setwise stabilizer."""
+    mid = mid_group_graphs()
+    cases = [(g, g.n) for n in range(1, 6) for g in enumerate_graphs(n)]
+    cases += [(mid[name], 4) for name in ("Q3", "K3xK3", "Petersen", "2K4")]
+    for g, max_size in cases:
+        aut = automorphism_group(g)
+        walked = list(_SubsetScan(aut, Budget()).representatives(range(max_size + 1)))
+        assert walked == first_subsets(aut, max_size), g
+        for _k, mask, stab in walked:
+            members = {v for v in range(g.n) if mask >> v & 1}
+            assert stab == setwise_stabilizer(aut, members).order, (g, members)
+
+
+# Captured before the walk extended first subsets instead of looping over all
+# C(n, k) masks: the smallest subset_tests budget at which rho and Det settle,
+# and the number of first subsets of every size.
+SUBSET_TRIP_POINTS = {"4K3": (20, 28, 35), "K3xK3": (13, 6, 26), "Q3": (14, 6, 22)}
+
+
+def test_subset_budget_trips_where_it_did_and_bounds_the_walk():
+    named = {"4K3": disjoint_cliques(4, 3), **mid_group_graphs()}
+    for name, (rho_tests, det_tests, firsts) in SUBSET_TRIP_POINTS.items():
+        g = named[name]
+        aut = automorphism_group(g)
+        for f, tests in ((cost_number, rho_tests), (determining_number, det_tests)):
+            f(g, Budget(subset_tests=tests), aut=aut)
+            with pytest.raises(BudgetExceededError):
+                f(g, Budget(subset_tests=tests - 1), aut=aut)
+        for b in (0, 1, 5, det_tests, rho_tests, firsts - 1, firsts):
+            scan = _SubsetScan(aut, Budget(subset_tests=b))
+            walk = scan.representatives(range(g.n + 1))
+            if b < firsts:
+                with pytest.raises(BudgetExceededError):
+                    for _ in walk:
+                        pass
+            else:
+                assert sum(1 for _ in walk) == firsts
+            assert scan.tests == min(b + 1, firsts)
+            # each first subset spawns at most n candidates
+            assert scan.tests <= scan.candidates <= g.n * (b + 1), (name, b)
 
 
 # Captured before the subset walk swept all group elements column-wise and
