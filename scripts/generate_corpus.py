@@ -2,8 +2,10 @@
 """Regenerate data/graphs7.g6: one graph6 record per isomorphism class of
 graphs on 7 vertices, in canonical-mask order.
 
-The class count is cross-checked against an independent Burnside count
-(average of 2**(pair orbits) over all vertex permutations) before writing.
+The classes come from the subset-orbit walk over the action of S_7 on the 21
+vertex pairs (see symbreak.graphs). The class count is cross-checked against
+an independent Burnside count (average of 2**(pair orbits) over all vertex
+permutations), and the records against duplicates, before writing.
 
 Usage:
     python scripts/generate_corpus.py [outfile]

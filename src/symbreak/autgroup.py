@@ -59,8 +59,10 @@ def search_bijections(g1: Graph, g2: Graph, visit) -> None:
             img[v] = -1
         return True
 
-    extend(0)
-    del extend  # it refers to itself: free the search now, not at the next gc
+    try:
+        extend(0)
+    finally:
+        del extend  # it refers to itself: free the search now, not at the next gc
 
 
 def automorphism_elements(g: Graph, element_cap: int | None = None):

@@ -28,6 +28,7 @@ from .errors import (
     UnsupportedSizeError,
 )
 from .graphs import (
+    ENUM_MAX_N,
     FAMILY_KINDS,
     FamilySpec,
     encode_graph6,
@@ -135,8 +136,8 @@ def cmd_equiv(args) -> int:
 
 def cmd_scan(args) -> int:
     if args.enumerate is not None:
-        if not 1 <= args.enumerate <= 6:
-            print("usage error: --enumerate takes n in 1..6", file=sys.stderr)
+        if not 1 <= args.enumerate <= ENUM_MAX_N:
+            print(f"usage error: --enumerate takes n in 1..{ENUM_MAX_N}", file=sys.stderr)
             return 2
         graphs = [g for n in range(1, args.enumerate + 1) for g in enumerate_graphs(n)]
     elif args.input is not None:

@@ -135,8 +135,10 @@ def _conjugating_bijection(autA: PermGroup, autB: PermGroup, budget: config.Budg
             sigma[v] = -1
         return False
 
-    found = extend(0)
-    del extend  # it refers to itself: free the search now, not at the next gc
+    try:
+        found = extend(0)
+    finally:
+        del extend  # it refers to itself: free the search now, not at the next gc
     return Perm(tuple(sigma)) if found else None
 
 

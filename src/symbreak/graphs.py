@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
+from .config import DEFAULT_BUDGET
 from .errors import FamilySpecError, ParseError, UnsupportedSizeError
-from .perms import Perm
+from .perms import Perm, PermGroup
 
 GRAPH6_HEADER = ">>graph6<<"
 GRAPH6_MAX_N = 512
@@ -288,78 +289,55 @@ def string_color_class(n: int) -> frozenset[int]:
 # exhaustive enumeration up to isomorphism
 # ---------------------------------------------------------------------------
 #
-# A graph on 0..n-1 is packed into a bitmask over pair slots in colex order
-# ((0,1),(0,2),(1,2),(0,3),...), slot 0 most significant. The canonical form
-# of a mask is the minimum over all vertex permutations; representatives are
-# the masks equal to their own canonical form. Because slots among 0..n-2
-# occupy the high bits, the first-(n-1)-vertex prefix of a canonical n-mask
-# is itself canonical, so the representatives on n vertices are found among
-# one-vertex extensions of the representatives on n-1.
+# A graph on 0..n-1 is packed into a bitmask over its C(n, 2) pair slots in
+# colex order ((0,1),(0,2),(1,2),(0,3),...), slot 0 most significant, which is
+# the graph6 bit order. The canonical mask of a graph is its least image over
+# all vertex relabellings. Relabelling permutes the slots, so the isomorphism
+# classes are the orbits of S_n on slot sets, and metrics' subset-orbit walk
+# yields the first slot set of each orbit in combinations order. Walked over
+# non-edge sets, that first set is the complement of the canonical mask: for
+# slot sets S and T of one size, mask(S) < mask(T) exactly when min(S ^ T) is
+# in T, which is exactly when the complement of S comes first in
+# combinations order.
 
 ENUM_MAX_N = 6
 
 _mask_reps_cache: dict[int, tuple[int, ...]] = {}
-_slot_maps_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
 
 
 def _pair_slots(n: int) -> list[tuple[int, int]]:
     return [(u, v) for v in range(1, n) for u in range(v)]
 
 
-def _slot_maps(n: int) -> tuple[tuple[int, ...], ...]:
-    """For each non-identity permutation of range(n), the bit-position map:
-    entry k sends the bit at position k to its position in the permuted mask."""
-    if n in _slot_maps_cache:
-        return _slot_maps_cache[n]
-    pairs = _pair_slots(n)
-    nslots = len(pairs)
-    pos = {}
-    for idx, (u, v) in enumerate(pairs):
-        pos[(u, v)] = nslots - 1 - idx
-        pos[(v, u)] = nslots - 1 - idx
-    maps = []
-    for perm in permutations(range(n)):
-        if perm == tuple(range(n)):
-            continue
-        maps.append(
-            tuple(pos[(perm[u], perm[v])] for (u, v) in pairs[::-1])
-        )
-    _slot_maps_cache[n] = tuple(maps)
-    return _slot_maps_cache[n]
-
-
-def _is_canonical_mask(mask: int, maps) -> bool:
-    for m in maps:
-        img = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            img |= 1 << m[low.bit_length() - 1]
-            rest ^= low
-        if img < mask:
-            return False
-    return True
-
-
 def _mask_representatives(n: int) -> tuple[int, ...]:
     """Canonical masks of all isomorphism classes on n vertices, ascending."""
     if n in _mask_reps_cache:
         return _mask_reps_cache[n]
-    if n <= 1:
-        reps: tuple[int, ...] = (0,)
-    else:
-        maps = _slot_maps(n)
-        found = []
-        width = n - 1
-        for base in _mask_representatives(n - 1):
-            shifted = base << width
-            for attach in range(1 << width):
-                cand = shifted | attach
-                if _is_canonical_mask(cand, maps):
-                    found.append(cand)
-        reps = tuple(sorted(found))
-    _mask_reps_cache[n] = reps
-    return reps
+    from .metrics import subset_orbit_representatives  # metrics imports graphs
+
+    pairs = _pair_slots(n)
+    nslots = len(pairs)
+    slot = {}
+    for idx, (u, v) in enumerate(pairs):
+        slot[(u, v)] = slot[(v, u)] = idx
+    slot_action = PermGroup.from_elements(
+        nslots,
+        (
+            Perm(tuple(slot[(perm[u], perm[v])] for u, v in pairs))
+            for perm in permutations(range(n))
+        ),
+    )
+    full = (1 << nslots) - 1
+    reps = []
+    walk = subset_orbit_representatives(slot_action, range(nslots + 1), DEFAULT_BUDGET)
+    for _, non_edges, _ in walk:
+        # walk bit idx is slot idx, which is mask bit nslots - 1 - idx
+        reversed_bits = sum(
+            1 << (nslots - 1 - idx) for idx in range(nslots) if non_edges >> idx & 1
+        )
+        reps.append(full ^ reversed_bits)
+    _mask_reps_cache[n] = tuple(sorted(reps))
+    return _mask_reps_cache[n]
 
 
 def _mask_to_graph(n: int, mask: int) -> Graph:

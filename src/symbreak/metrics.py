@@ -21,6 +21,8 @@ Search strategy notes:
   walking x upward, keep the elements that send S's members onto exactly
   its members below x; S is not first if a kept element sends a member to
   a non-member x. The elements kept to the end are S's setwise stabilizer.
+  subset_orbit_representatives is the walk's one entry: graphs enumerates
+  the isomorphism classes with it, as the orbits of S_n on pair slots.
 * For three or more colors, D falls back to a depth-first search over
   colorings in canonical form (a color id may appear only after all smaller
   ids), pruning a partial coloring as soon as some group element moving
@@ -221,6 +223,14 @@ class _SubsetScan:
             )
 
 
+def subset_orbit_representatives(aut: PermGroup, sizes, budget: config.Budget):
+    """(k, mask, |setwise stabilizer|) for the first subset, in combinations
+    order, of each orbit of aut on the k-subsets of 0..degree-1, for each k
+    of sizes (counting up from 0). Raises BudgetExceededError instead of
+    yielding more than budget.subset_tests of them."""
+    return _SubsetScan(aut, budget).representatives(sizes)
+
+
 def _min_sets(aut: PermGroup, budget: config.Budget, det=UNKNOWN, rho=UNKNOWN):
     """(Det, rho) from one walk over the subset orbits, each as (size,
     vertices), rho None when no class has at most n/2 vertices, UNKNOWN when
@@ -242,7 +252,7 @@ def _min_sets(aut: PermGroup, budget: config.Budget, det=UNKNOWN, rho=UNKNOWN):
             yield k
 
     try:
-        for k, mask, stab in _SubsetScan(aut, budget).representatives(sizes()):
+        for k, mask, stab in subset_orbit_representatives(aut, sizes(), budget):
             if det is UNKNOWN and is_determining_set(aut, _mask_vertices(mask)):
                 det = k, _mask_vertices(mask)
             if rho is UNKNOWN and stab == 1:

@@ -95,6 +95,29 @@ def first_subsets(group: PermGroup, max_size: int) -> list[tuple[int, int, int]]
     return out
 
 
+def slot_mask(g: Graph) -> int:
+    """The pair slots (0,1),(0,2),(1,2),(0,3),... of g as bits, the first
+    slot most significant: the graph6 bit string read as a binary number."""
+    mask = 0
+    for v in range(1, g.n):
+        for u in range(v):
+            mask = mask << 1 | (g.adj[v] >> u & 1)
+    return mask
+
+
+def canonical_mask(n: int, mask: int) -> int:
+    """The least slot mask over all n! relabellings of the graph on n
+    vertices whose slot mask is mask."""
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    bit = {p: len(pairs) - 1 - i for i, p in enumerate(pairs)}
+    edges = [p for p in pairs if mask >> bit[p] & 1]
+    least = mask
+    for per in permutations(range(n)):
+        img = sum(1 << bit[min(per[u], per[v]), max(per[u], per[v])] for u, v in edges)
+        least = min(least, img)
+    return least
+
+
 def brute_distinguishing_number(g: Graph) -> int:
     for k in range(1, g.n + 1):
         for colors in product(range(k), repeat=g.n):

@@ -170,5 +170,8 @@ def test_automorphism_search_leaves_no_reference_cycles():
     try:
         assert automorphism_group(fam("complete", 6)).order == 720
         assert gc.collect() == 0
+        with pytest.raises(GroupTooLargeError):
+            automorphism_group(fam("complete", 6), element_cap=10)
+        assert gc.collect() == 0
     finally:
         gc.enable()

@@ -284,10 +284,16 @@ def test_bijection_search_leaves_no_reference_cycles():
     g = fam("complete", 6)
     h = complement(g)
     a, b = automorphism_group(g), automorphism_group(h)
+    c = fam("cycle", 6)
+    d = complement(c)
+    c_aut, d_aut = automorphism_group(c), automorphism_group(d)
     gc.collect()
     gc.disable()
     try:
         assert distinguishably_equivalent(g, h, aut1=a, aut2=b) is not None
+        assert gc.collect() == 0
+        with pytest.raises(BudgetExceededError):
+            distinguishably_equivalent(c, d, Budget.uniform(1), aut1=c_aut, aut2=d_aut)
         assert gc.collect() == 0
     finally:
         gc.enable()

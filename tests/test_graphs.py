@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 
 from conftest import graphs
+from helpers import canonical_mask, slot_mask
 from symbreak.errors import FamilySpecError, UnsupportedSizeError
 from symbreak.graphs import (
     FamilySpec,
@@ -138,6 +139,15 @@ def test_enumeration_has_no_isomorphic_pair():
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):
                 assert isomorphism(reps[i], reps[j]) is None, (n, i, j)
+
+
+def test_enumeration_yields_the_masks_that_are_their_own_canonical_form():
+    for n in range(1, 6):
+        least = [m for m in range(1 << n * (n - 1) // 2) if canonical_mask(n, m) == m]
+        assert [slot_mask(g) for g in enumerate_graphs(n)] == least, n
+    masks = [slot_mask(g) for g in enumerate_graphs(6)]
+    assert len(masks) == 156
+    assert all(canonical_mask(6, m) == m for m in masks)
 
 
 def test_enumeration_range_check():
