@@ -91,14 +91,6 @@ def automorphism_group(
     return PermGroup.from_elements(g.n, (Perm(t) for t in elements))
 
 
-def preserves_adjacency(g: Graph, p: Perm) -> bool:
-    for v in range(g.n):
-        for u in range(v):
-            if (g.adj[v] >> u & 1) != (g.adj[p.images[v]] >> p.images[u] & 1):
-                return False
-    return True
-
-
 def orbits(group: PermGroup) -> tuple[frozenset[int], ...]:
     """Vertex orbits, as a partition sorted by least member: the orbit of u
     is the set of images x whose maps_to[u][x] is not empty."""

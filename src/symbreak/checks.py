@@ -391,7 +391,7 @@ def _brute_min_class_size(aut: PermGroup, n: int):
     """Smallest size over all 2-colorings of the smaller color class of a
     distinguishing 2-coloring; direct enumeration, no orbit pruning. Used as
     an independent cross-check of the subset search."""
-    non_id = [p.images for p in aut.non_identity()]
+    non_id = [t for t in aut.images if t != tuple(range(n))]
     for k in range(n // 2 + 1):
         for comb in combinations(range(n), k):
             mask = 0

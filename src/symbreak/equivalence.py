@@ -6,8 +6,12 @@ same as the two groups having equal labeled cycle representations under
 suitable labelings. The search backtracks over vertex images, filtered by
 per-vertex statistics (PermGroup.vertex_signatures: the multiset, over all
 group elements, of the cycle length through the vertex paired with the
-element's cycle type) and by per-element candidate lists that shrink as
-images are fixed.
+element's cycle type). It conjugates only a generating set of the first group,
+the transversal representatives of its point-stabilizer chain, read from
+PermGroup.maps_to. Each generator keeps a bitset of its possible images in the
+second group, ANDed with a maps_to row as each vertex image is fixed; an empty
+bitset prunes the branch, and a full bijection whose bitsets are all non-empty
+conjugates the whole group.
 """
 
 from __future__ import annotations
@@ -16,11 +20,7 @@ from . import config
 from .autgroup import automorphism_group, search_bijections
 from .errors import BudgetExceededError
 from .graphs import Graph
-from .perms import Perm, PermGroup, inverse
-
-# per-element candidate lists are only maintained for groups up to this order;
-# beyond it the search relies on signatures plus the exact leaf check
-_LIST_LIMIT = 3000
+from .perms import Perm, PermGroup
 
 
 def representations_equal(a: PermGroup, b: PermGroup) -> bool:
@@ -28,16 +28,19 @@ def representations_equal(a: PermGroup, b: PermGroup) -> bool:
     return a.degree == b.degree and a.image_set == b.image_set
 
 
-def conjugate_group(aut: PermGroup, sigma: Perm) -> PermGroup:
-    """sigma . aut . sigma^-1 as an explicit group on the image labels."""
-    out = []
-    s = sigma.images
-    for p in aut.elements:
-        img = [0] * aut.degree
-        for v in range(aut.degree):
-            img[s[v]] = s[p.images[v]]
-        out.append(Perm(tuple(img)))
-    return PermGroup.from_elements(aut.degree, out)
+def _chain_generators(aut: PermGroup) -> list[int]:
+    """For each i and each x != i that an element fixing 0..i-1 sends i to,
+    the index of the first such element: transversal representatives of the
+    point-stabilizer chain, which generate aut (Sims)."""
+    stab = (1 << aut.order) - 1
+    gens = []
+    for i, row in enumerate(aut.maps_to):
+        for x, bits in enumerate(row):
+            hit = stab & bits
+            if x != i and hit:
+                gens.append((hit & -hit).bit_length() - 1)
+        stab &= row[i]
+    return gens
 
 
 def _conjugating_bijection(autA: PermGroup, autB: PermGroup, budget: config.Budget):
@@ -54,64 +57,37 @@ def _conjugating_bijection(autA: PermGroup, autB: PermGroup, budget: config.Budg
     if sorted(sigA) != sorted(sigB):
         return None
 
-    A = autA.images
-    Ainv = [inverse(p).images for p in autA.elements]
-    Bset = autB.image_set
     cand_vertices = {
         sig: [w for w in range(n) if sigB[w] == sig] for sig in set(sigA)
     }
     order = sorted(range(n), key=lambda v: (len(cand_vertices[sigA[v]]), v))
 
-    track_lists = autA.order <= _LIST_LIMIT
-    if track_lists:
-        by_type: dict[tuple, list] = {}
-        for images, ct in zip(autB.images, autB.cycle_types):
-            by_type.setdefault(ct, []).append(images)
-        cand_elems = [list(by_type[ct]) for ct in autA.cycle_types]
+    # per generator a of autA (with its inverse), the elements of autB that
+    # can still be sigma.a.sigma^-1: those of a's cycle type that send
+    # sigma(u) to sigma(a(u)) wherever u and a(u) are both mapped
+    of_type: dict[tuple, int] = {}
+    for i, ct in enumerate(autB.cycle_types):
+        of_type[ct] = of_type.get(ct, 0) | 1 << i
+    gens = _chain_generators(autA)
+    pairs = [
+        (autA.images[i], sorted(range(n), key=autA.images[i].__getitem__)) for i in gens
+    ]
+    B = autB.maps_to
 
     sigma = [-1] * n
     used = [False] * n
     nodes = 0
-
-    def leaf_ok() -> bool:
-        for a in A:
-            img = [0] * n
-            for v in range(n):
-                img[sigma[v]] = sigma[a[v]]
-            if tuple(img) not in Bset:
-                return False
-        return True
-
-    def filter_lists(v: int, w: int):
-        """Shrink element candidate lists for the new point sigma[v] = w.
-        Returns an undo trail, or None when some list empties."""
-        trail = []
-        for i, a in enumerate(A):
-            lst = cand_elems[i]
-            u1 = a[v]
-            t1 = sigma[u1]  # b must map w -> t1 when known
-            u0 = Ainv[i][v]
-            s0 = sigma[u0]  # b must map s0 -> w when known
-            kept = [
-                b
-                for b in lst
-                if (t1 < 0 or b[w] == t1) and (s0 < 0 or b[s0] == w)
-            ]
-            if len(kept) != len(lst):
-                trail.append((i, lst))
-                cand_elems[i] = kept
-                if not kept:
-                    for j, old in trail:
-                        cand_elems[j] = old
-                    return None
-        return trail
-
-    def extend(pos: int) -> bool:
-        nonlocal nodes
-        if pos == n:
-            return leaf_ok()
+    # bits[pos]: the generators' candidate bitsets once order[:pos] is mapped;
+    # tries[pos]: the candidate vertices order[pos] has not yet been tried at
+    bits = [[of_type[autA.cycle_types[i]] for i in gens]]
+    tries = [iter(cand_vertices[sigA[order[0]]])]
+    while tries:
+        pos = len(tries) - 1
         v = order[pos]
-        for w in cand_vertices[sigA[v]]:
+        if sigma[v] >= 0:  # back from the subtree under sigma[v]
+            used[sigma[v]] = False
+            bits.pop()
+        for w in tries[-1]:
             if used[w]:
                 continue
             nodes += 1
@@ -120,26 +96,29 @@ def _conjugating_bijection(autA: PermGroup, autB: PermGroup, budget: config.Budg
                     f"bijection search exceeded {budget.equivalence_nodes} nodes"
                 )
             sigma[v] = w
-            used[w] = True
-            if track_lists:
-                trail = filter_lists(v, w)
-                if trail is not None:
-                    if extend(pos + 1):
-                        return True
-                    for j, old in trail:
-                        cand_elems[j] = old
+            kept = []
+            for b, (a, inv) in zip(bits[-1], pairs):
+                if sigma[a[v]] >= 0:
+                    b &= B[w][sigma[a[v]]]
+                if sigma[inv[v]] >= 0:
+                    b &= B[sigma[inv[v]]][w]
+                if not b:
+                    break  # pruned: try the next w
+                kept.append(b)
             else:
-                if extend(pos + 1):
-                    return True
-            used[w] = False
+                break  # every bitset kept a candidate: descend under w
+        else:  # no candidate left for v: back up one level
             sigma[v] = -1
-        return False
-
-    try:
-        found = extend(0)
-    finally:
-        del extend  # it refers to itself: free the search now, not at the next gc
-    return Perm(tuple(sigma)) if found else None
+            tries.pop()
+            continue
+        # at a full leaf each bitset is exactly {sigma.a.sigma^-1}, so
+        # sigma.autA.sigma^-1 lies in autB, and the orders are equal
+        if pos + 1 == n:
+            return Perm(tuple(sigma))
+        used[w] = True
+        bits.append(kept)
+        tries.append(iter(cand_vertices[sigA[order[pos + 1]]]))
+    return None
 
 
 def distinguishably_equivalent(

@@ -143,10 +143,10 @@ class PermGroup:
     Elements are kept sorted by image tuple, which puts the identity first.
     Construction does not verify closure (see validate); the cheap degree
     check always runs. The views derived from the elements (images,
-    image_set, maps_to, identity_bits, cycle_types, vertex_signatures,
-    non_identity) are built once, on first use; images and cycle_types are
-    aligned with elements, and bit i of a maps_to or identity_bits bitset
-    stands for elements[i].
+    image_set, maps_to, identity_bits, cycle_types, vertex_signatures) are
+    built once, on first use; images and cycle_types are aligned with
+    elements, and bit i of a maps_to or identity_bits bitset stands for
+    elements[i].
     """
 
     degree: int
@@ -235,13 +235,6 @@ class PermGroup:
                 for v in cyc:
                     sigs[v].append((ct, len(cyc)))
         return tuple(tuple(sorted(s)) for s in sigs)
-
-    @cached_property
-    def _non_identity(self) -> tuple[Perm, ...]:
-        return tuple(p for p in self.elements if not p.is_identity)
-
-    def non_identity(self) -> tuple[Perm, ...]:
-        return self._non_identity
 
     def validate(self) -> None:
         """Check identity membership, closure, inverses, and Lagrange

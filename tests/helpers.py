@@ -29,6 +29,27 @@ def brute_group(g: Graph) -> PermGroup:
     return PermGroup.from_elements(g.n, (Perm(t) for t in brute_automorphisms(g)))
 
 
+def preserves_adjacency(g: Graph, p: Perm) -> bool:
+    """p sends every pair of vertices to a pair with the same adjacency."""
+    for v in range(g.n):
+        for u in range(v):
+            if (g.adj[v] >> u & 1) != (g.adj[p.images[v]] >> p.images[u] & 1):
+                return False
+    return True
+
+
+def conjugate_group(aut: PermGroup, sigma: Perm) -> PermGroup:
+    """sigma . aut . sigma^-1 as an explicit group on the image labels."""
+    out = []
+    s = sigma.images
+    for p in aut.elements:
+        img = [0] * aut.degree
+        for v in range(aut.degree):
+            img[s[v]] = s[p.images[v]]
+        out.append(Perm(tuple(img)))
+    return PermGroup.from_elements(aut.degree, out)
+
+
 def brute_is_distinguishing(g: Graph, colors: tuple[int, ...]) -> bool:
     """No non-identity automorphism preserves the coloring."""
     for per in brute_automorphisms(g):

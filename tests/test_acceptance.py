@@ -7,10 +7,10 @@ import random
 import time
 from itertools import combinations
 
-from helpers import brute_automorphisms, net_graph, random_graph
+from helpers import brute_automorphisms, conjugate_group, net_graph, random_graph
 from symbreak.autgroup import automorphism_group
 from symbreak.checks import ScanOptions, scan_corpus
-from symbreak.equivalence import conjugate_group, distinguishably_equivalent, representations_equal
+from symbreak.equivalence import distinguishably_equivalent, representations_equal
 from symbreak.graphs import (
     FamilySpec,
     clique_with_tails,

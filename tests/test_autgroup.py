@@ -5,12 +5,17 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import graphs
-from helpers import brute_automorphisms, closure_orbits, mid_group_graphs, random_graph
+from helpers import (
+    brute_automorphisms,
+    closure_orbits,
+    mid_group_graphs,
+    preserves_adjacency,
+    random_graph,
+)
 from symbreak.autgroup import (
     automorphism_group,
     orbits,
     pointwise_stabilizer,
-    preserves_adjacency,
     setwise_stabilizer,
 )
 from symbreak.errors import GroupTooLargeError, UnsupportedSizeError

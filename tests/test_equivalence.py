@@ -1,15 +1,23 @@
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
-from helpers import brute_equivalent, net_graph, random_graph
+from helpers import (
+    brute_equivalent,
+    conjugate_group,
+    mid_group_graphs,
+    net_graph,
+    preserves_adjacency,
+    random_graph,
+)
 from symbreak.autgroup import automorphism_group
 from symbreak.equivalence import (
-    conjugate_group,
+    _conjugating_bijection,
     distinguishably_equivalent,
     equivalence_classes,
     isomorphism,
@@ -23,12 +31,15 @@ from symbreak.graphs import (
     FamilySpec,
     Graph,
     complement,
+    encode_graph6,
     enumerate_graphs,
     generate_family,
     permuted,
 )
 from symbreak.metrics import distinguishing_number
 from symbreak.perms import Perm, PermGroup, cycle_type, inverse
+
+GOLDENS = Path(__file__).resolve().parent / "goldens"
 
 
 def fam(kind, p):
@@ -168,6 +179,78 @@ def test_relation_is_symmetric_and_transitive_by_conjugation():
         conjugate_group(automorphism_group(h), inverse(sigma)),
         automorphism_group(g),
     )
+
+
+def test_vertex_transitive_group_above_old_list_limit_settles():
+    """Q5 (|Aut| = 3840) against a relabelled Q5 settles within 1000 nodes,
+    and the bijection found conjugates the one group onto the other."""
+    g = fam("hypercube", 5)
+    pi = Perm(tuple(random.Random(0).sample(range(32), 32)))
+    h = permuted(g, pi)
+    a = automorphism_group(g)
+    # Aut(h) is pi.Aut(g).pi^-1: the automorphism search on this relabelling
+    # of Q5 takes tens of seconds, and is not what this test is about
+    b = conjugate_group(a, pi)
+    assert all(preserves_adjacency(h, p) for p in b.elements[::64])
+    sigma = distinguishably_equivalent(
+        g, h, Budget(equivalence_nodes=1000), aut1=a, aut2=b
+    )
+    assert sigma is not None
+    assert representations_equal(conjugate_group(a, sigma), b)
+
+
+def test_bijection_conjugates_cyclic_groups_exactly():
+    """A cyclic group on up to 8 points against its image under a relabelling.
+    In the first case, a search that tests each point pair (u, a(u)) of a
+    generator a only when a(u) is mapped before u accepts a wrong bijection."""
+    rng = random.Random(0)
+    cases = [((2, 7, 0, 4, 1, 6, 3, 5), (2, 5, 0, 7, 1, 4, 3, 6))]
+    for _ in range(300):
+        n = rng.randint(3, 8)
+        cases.append((tuple(rng.sample(range(n), n)), tuple(rng.sample(range(n), n))))
+    for a, pi in cases:
+        powers, x = [], a
+        while x not in powers:
+            powers.append(x)
+            x = tuple(a[v] for v in x)
+        group = PermGroup.from_elements(len(a), map(Perm, powers))
+        image = conjugate_group(group, Perm(pi))
+        sigma = _conjugating_bijection(group, image, Budget())
+        assert representations_equal(conjugate_group(group, sigma), image), (a, pi)
+
+
+def _complement_pairs():
+    """Each graph on at most 6 vertices, then each mid-group graph, against
+    its complement relabelled by one seeded stream."""
+    rng = random.Random(0)
+    graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    for g in graphs + list(mid_group_graphs().values()):
+        images = list(range(g.n))
+        rng.shuffle(images)
+        yield g, permuted(complement(g), Perm(tuple(images)))
+
+
+# Captured before the search conjugated only a generating set of the first
+# group: per pair, both graph6 strings, the bijection found and the smallest
+# equivalence_nodes budget at which the search settles.
+def test_bijection_node_counts_match_golden():
+    lines = (GOLDENS / "equivalence_nodes.txt").read_text().splitlines()
+    pairs = list(_complement_pairs())
+    assert len(lines) == len(pairs)
+    for (g, h), line in zip(pairs, lines):
+        g6, h6, sigma, nodes = line.split()
+        assert (encode_graph6(g), encode_graph6(h)) == (g6, h6)
+        a, b = automorphism_group(g), automorphism_group(h)
+        nodes = int(nodes)
+        found = distinguishably_equivalent(
+            g, h, Budget(equivalence_nodes=nodes), aut1=a, aut2=b
+        )
+        assert found.images == tuple(map(int, sigma.split(","))), line
+        if nodes:  # a trivial group settles before the search
+            with pytest.raises(BudgetExceededError):
+                distinguishably_equivalent(
+                    g, h, Budget(equivalence_nodes=nodes - 1), aut1=a, aut2=b
+                )
 
 
 def test_budget_exceeded_raised():

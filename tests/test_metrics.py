@@ -107,7 +107,7 @@ def test_distinguishing_equals_no_preserver(g, seed):
     c = Coloring(tuple(rng.randrange(k) for _ in range(g.n)), k)
     aut = automorphism_group(g)
     direct = all(
-        not preserves_coloring(p, c) for p in aut.non_identity()
+        not preserves_coloring(p, c) for p in aut.elements if not p.is_identity
     )
     assert is_distinguishing(aut, c) == direct
 
