@@ -1,13 +1,16 @@
 """Exact automorphism groups of small graphs, orbits, and stabilizers.
 
-search_bijections is the one backtracking search for adjacency-preserving
-bijections g1 -> g2 (automorphisms when g1 = g2). Vertices of g1 are mapped
-in descending-degree then index order, to vertices of g2 with the same
-(degree, sorted neighbor degrees) invariant that are adjacency-consistent
-with everything already mapped, so every such bijection is a leaf.
+_first_leaf is the one search for adjacency-preserving bijections g1 -> g2:
+g1's vertices, by descending degree then index, go to vertices of g2 with the
+same (degree, sorted neighbor degrees) that fit all those already mapped. On
+one walk of g -> g down the identity path, the first leaf under order[i] -> x
+represents a coset of the stabilizer of order[:i+1] in that of order[:i]
+(Sims), and Aut(g) is every product of one such leaf or the identity per i.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 from . import config
 from .errors import GroupTooLargeError, UnsupportedSizeError
@@ -23,60 +26,64 @@ def _vertex_invariants(g: Graph) -> list[tuple]:
     ]
 
 
-def search_bijections(g1: Graph, g2: Graph, visit) -> None:
-    """Pass the image tuple of each adjacency-preserving bijection g1 -> g2
-    to visit, in discovery order, for as long as visit returns True."""
-    n = g1.n
+def _plan(g1: Graph, g2: Graph):
+    """g1's search order, each vertex's neighbors placed before it, its
+    candidate images in g2, and g2's rows; None if the invariants differ."""
     inv1 = _vertex_invariants(g1)
     inv2 = inv1 if g2 is g1 else _vertex_invariants(g2)
     if sorted(inv1) != sorted(inv2):
-        return
-    adj1, adj2 = g1.adj, g2.adj
-    order = sorted(range(n), key=lambda v: (-adj1[v].bit_count(), v))
-    candidates = [[w for w in range(n) if inv2[w] == inv1[v]] for v in order]
-    img = [-1] * n
-    used = 0  # bitmask of taken images
+        return None
+    order = sorted(range(g1.n), key=lambda v: (-g1.adj[v].bit_count(), v))
+    back = [[u for u in order[:pos] if g1.adj[v] >> u & 1] for pos, v in enumerate(order)]
+    candidates = [[w for w in range(g1.n) if inv2[w] == inv1[v]] for v in order]
+    return order, back, candidates, g2.adj
 
-    def extend(pos: int) -> bool:  # False once visit has stopped the search
-        nonlocal used
-        if pos == n:
-            return visit(tuple(img))
-        v = order[pos]
-        # images of the already-mapped neighbors of v
-        need = 0
-        for j in range(pos):
-            u = order[j]
-            if adj1[v] >> u & 1:
-                need |= 1 << img[u]
-        for w in candidates[pos]:
-            if used >> w & 1 or adj2[w] & used != need:
-                continue
-            img[v] = w
-            used |= 1 << w
-            if not extend(pos + 1):
-                return False
-            used ^= 1 << w
-            img[v] = -1
-        return True
 
-    try:
-        extend(0)
-    finally:
-        del extend  # it refers to itself: free the search now, not at the next gc
+def _first_leaf(order, back, candidates, adj2, img: list[int], used: int, pos: int):
+    """The first bijection extending img, which maps order[:pos] onto used."""
+    if pos == len(order):
+        return tuple(img)
+    need = 0  # images of the neighbors placed before order[pos]
+    for u in back[pos]:
+        need |= 1 << img[u]
+    for w in candidates[pos]:
+        if not used >> w & 1 and adj2[w] & used == need:
+            img[order[pos]] = w
+            leaf = _first_leaf(order, back, candidates, adj2, img, used | 1 << w, pos + 1)
+            if leaf is not None:
+                return leaf
+    return None
+
+
+def isomorphism(g1: Graph, g2: Graph):
+    """A vertex bijection g1 -> g2 preserving adjacency, or None."""
+    plan = _plan(g1, g2)
+    leaf = None if plan is None else _first_leaf(*plan, [0] * g1.n, 0, 0)
+    return None if leaf is None else Perm(leaf)
 
 
 def automorphism_elements(g: Graph, element_cap: int | None = None):
-    """Image tuples of every adjacency-preserving bijection, in discovery order."""
-    found: list[tuple[int, ...]] = []
-
-    def collect(images: tuple[int, ...]) -> bool:
-        found.append(images)
-        if element_cap is not None and len(found) > element_cap:
-            raise GroupTooLargeError(element_cap)
-        return True
-
-    search_bijections(g, g, collect)
-    return found
+    """Every automorphism's image tuple; GroupTooLargeError if over element_cap."""
+    order, _, candidates, adj = plan = _plan(g, g)
+    img = list(range(g.n))
+    used = 0  # order[:pos], fixed by the identity path
+    levels = []  # per position, the coset representatives besides the identity
+    for pos, v in enumerate(order):
+        levels.append(reps := [])
+        for w in candidates[pos]:
+            if w != v and not used >> w & 1 and adj[w] & used == adj[v] & used:
+                img[v] = w
+                leaf = _first_leaf(*plan, img, used | 1 << w, pos + 1)
+                if leaf is not None:
+                    reps.append(leaf)
+        img[v] = v
+        used |= 1 << v
+    if element_cap is not None and prod(len(r) + 1 for r in levels) > element_cap:
+        raise GroupTooLargeError(element_cap)
+    elements = [tuple(img)]
+    for reps in reversed(levels):  # elements: the stabilizer of order[:pos], pos = n..0
+        elements += [tuple(map(t.__getitem__, h)) for t in reps for h in elements]
+    return elements
 
 
 def automorphism_group(

@@ -17,7 +17,7 @@ conjugates the whole group.
 from __future__ import annotations
 
 from . import config
-from .autgroup import automorphism_group, search_bijections
+from .autgroup import automorphism_group, isomorphism  # isomorphism: re-exported
 from .errors import BudgetExceededError
 from .graphs import Graph
 from .perms import Perm, PermGroup
@@ -139,13 +139,6 @@ def distinguishably_equivalent(
     if aut2 is None:
         aut2 = automorphism_group(g2)
     return _conjugating_bijection(aut1, aut2, budget)
-
-
-def isomorphism(g1: Graph, g2: Graph):
-    """A vertex bijection g1 -> g2 preserving adjacency, or None."""
-    found: list[tuple[int, ...]] = []
-    search_bijections(g1, g2, found.append)  # append returns None: stop at one
-    return Perm(found[0]) if found else None
 
 
 def equivalence_classes(

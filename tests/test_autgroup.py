@@ -8,18 +8,26 @@ from conftest import graphs
 from helpers import (
     brute_automorphisms,
     closure_orbits,
+    conjugate_group,
     mid_group_graphs,
     preserves_adjacency,
     random_graph,
 )
 from symbreak.autgroup import (
     automorphism_group,
+    isomorphism,
     orbits,
     pointwise_stabilizer,
     setwise_stabilizer,
 )
 from symbreak.errors import GroupTooLargeError, UnsupportedSizeError
-from symbreak.graphs import FamilySpec, Graph, enumerate_graphs, generate_family
+from symbreak.graphs import (
+    FamilySpec,
+    Graph,
+    enumerate_graphs,
+    generate_family,
+    permuted,
+)
 from symbreak.perms import Perm, PermGroup
 
 
@@ -165,6 +173,28 @@ def test_vertex_ceiling():
 def test_element_cap():
     with pytest.raises(GroupTooLargeError):
         automorphism_group(fam("complete", 8), element_cap=1000)
+    assert automorphism_group(fam("complete", 8), element_cap=40320).order == 40320
+    with pytest.raises(GroupTooLargeError):
+        automorphism_group(fam("complete", 8), element_cap=40319)
+    # 10! elements: refused from the group's order alone, before any is formed
+    with pytest.raises(GroupTooLargeError):
+        automorphism_group(fam("complete", 10))
+
+
+def test_relabelled_graph_has_conjugate_group():
+    """Aut(pi(g)) = pi.Aut(g).pi^-1: the group the search builds does not
+    depend on the labelling it walks."""
+    rng = random.Random(3)
+    for name, g in mid_group_graphs().items():
+        aut = automorphism_group(g)
+        if aut.order <= 384:
+            aut.validate()
+        for _ in range(3):
+            pi = Perm(tuple(rng.sample(range(g.n), g.n)))
+            image = automorphism_group(permuted(g, pi))
+            assert image.image_set == conjugate_group(aut, pi).image_set, (name, pi)
+            if image.order <= 384:
+                image.validate()
 
 
 def test_automorphism_search_leaves_no_reference_cycles():
@@ -177,6 +207,10 @@ def test_automorphism_search_leaves_no_reference_cycles():
         assert gc.collect() == 0
         with pytest.raises(GroupTooLargeError):
             automorphism_group(fam("complete", 6), element_cap=10)
+        assert gc.collect() == 0
+        q4 = fam("hypercube", 4)
+        pi = Perm(tuple(random.Random(0).sample(range(16), 16)))
+        assert isomorphism(q4, permuted(q4, pi)) is not None  # stops at its first leaf
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -316,6 +316,29 @@ def test_isomorphism_distinguishes_non_isomorphic():
     assert isomorphism(fam("path", 4), Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])) is None
 
 
+def _isomorphism_pairs():
+    """Each graph on at most 6 vertices against itself (the same object), a
+    relabelling drawn from one seeded stream, and its complement."""
+    rng = random.Random(0)
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            yield g, g
+            yield g, permuted(g, Perm(tuple(rng.sample(range(n), n))))
+            yield g, complement(g)
+
+
+# Captured before automorphism groups were built from coset representatives:
+# per pair, both graph6 strings and the first bijection found, or None.
+def test_isomorphism_matches_first_leaf_golden():
+    lines = (GOLDENS / "isomorphism_first_leaf.txt").read_text().splitlines()
+    pairs = list(_isomorphism_pairs())
+    assert len(lines) == len(pairs)
+    for (g, h), line in zip(pairs, lines):
+        found = isomorphism(g, h)
+        sigma = "None" if found is None else ",".join(map(str, found.images))
+        assert f"{encode_graph6(g)} {encode_graph6(h)} {sigma}" == line
+
+
 # -- each group is searched once ---------------------------------------------
 
 
