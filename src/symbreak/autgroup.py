@@ -11,11 +11,12 @@ represents a coset of the stabilizer of order[:i+1] in that of order[:i]
 from __future__ import annotations
 
 from math import prod
+from operator import itemgetter
 
 from . import config
 from .errors import GroupTooLargeError, UnsupportedSizeError
 from .graphs import Graph
-from .perms import Perm, PermGroup, apply_mask
+from .perms import Perm, PermGroup, check_bijection
 
 
 def _vertex_invariants(g: Graph) -> list[tuple]:
@@ -75,14 +76,18 @@ def automorphism_elements(g: Graph, element_cap: int | None = None):
                 img[v] = w
                 leaf = _first_leaf(*plan, img, used | 1 << w, pos + 1)
                 if leaf is not None:
+                    check_bijection(leaf)  # so every product is one too
                     reps.append(leaf)
         img[v] = v
         used |= 1 << v
     if element_cap is not None and prod(len(r) + 1 for r in levels) > element_cap:
         raise GroupTooLargeError(element_cap)
     elements = [tuple(img)]
+    getters = []  # itemgetter(*h)(t) is t after h, a tuple as reps need n >= 2
     for reps in reversed(levels):  # elements: the stabilizer of order[:pos], pos = n..0
-        elements += [tuple(map(t.__getitem__, h)) for t in reps for h in elements]
+        if reps:
+            getters += [itemgetter(*h) for h in elements[len(getters) :]]
+            elements += [get(t) for t in reps for get in getters]
     return elements
 
 
@@ -94,8 +99,7 @@ def automorphism_group(
         raise UnsupportedSizeError(
             f"automorphism search supports n <= {config.MAX_AUT_VERTICES}, got {g.n}"
         )
-    elements = automorphism_elements(g, element_cap=element_cap)
-    return PermGroup.from_elements(g.n, (Perm(t) for t in elements))
+    return PermGroup.from_images(g.n, automorphism_elements(g, element_cap=element_cap))
 
 
 def orbits(group: PermGroup) -> tuple[frozenset[int], ...]:
@@ -105,17 +109,24 @@ def orbits(group: PermGroup) -> tuple[frozenset[int], ...]:
     return tuple(sorted(blocks, key=min))
 
 
+def _vertex_set(group: PermGroup, s) -> set[int]:
+    """s as a set; IndexError for a vertex outside 0..degree-1."""
+    s = set(s)
+    for v in s:
+        if not 0 <= v < group.degree:
+            raise IndexError(f"vertex {v} out of range for n={group.degree}")
+    return s
+
+
 def pointwise_stabilizer(group: PermGroup, s) -> PermGroup:
     """Elements fixing every member of s."""
-    s = set(s)
-    kept = [p for p in group.elements if all(p.images[v] == v for v in s)]
+    s = _vertex_set(group, s)
+    kept = [t for t in group.images if all(t[v] == v for v in s)]
     return PermGroup(group.degree, tuple(kept))
 
 
 def setwise_stabilizer(group: PermGroup, s) -> PermGroup:
     """Elements mapping s onto itself as a set."""
-    mask = 0
-    for v in s:
-        mask |= 1 << v
-    kept = [p for p in group.elements if apply_mask(p.images, mask) == mask]
+    s = _vertex_set(group, s)
+    kept = [t for t in group.images if all(t[v] in s for v in s)]
     return PermGroup(group.degree, tuple(kept))

@@ -35,6 +35,7 @@ offending permutations so it can be re-verified directly.
 
 from __future__ import annotations
 
+import logging
 import math
 import random
 from dataclasses import dataclass, field
@@ -333,6 +334,9 @@ def check_shared_distinguishing_number(
 # the scan cross-checks rho by direct enumeration of all subsets up to this n
 VERIFY_SMALLER_CLASS_UPTO = 10
 
+# skip reason of a record whose scan raised; such a skip fails the scan
+ERROR_SKIP = "error: "
+
 
 @dataclass(frozen=True)
 class ScanOptions:
@@ -362,8 +366,13 @@ class ScanReport:
     graph_reports: tuple[SymmetryReport, ...]
 
     @property
+    def errors(self) -> tuple[tuple[str, str], ...]:
+        """The skips of records whose scan raised."""
+        return tuple(s for s in self.skipped if s[1].startswith(ERROR_SKIP))
+
+    @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.violations and not self.errors
 
     def summary_obj(self) -> dict:
         return {
@@ -411,8 +420,19 @@ def _determining_pairs(aut: PermGroup):
 
 
 def _scan_one(g: Graph, options: ScanOptions):
-    """Per-graph work: report, witness re-verification, pair rules."""
+    """Per-graph work, inline or in a worker. Any exception becomes an
+    error skip with its type and message (and its traceback goes to the
+    log), so one bad record never aborts the scan but still fails it."""
     g6 = encode_graph6(g)
+    try:
+        return _scan_record(g, g6, options)
+    except Exception as exc:
+        logging.getLogger(__name__).exception("scan of %s failed", g6)
+        return {"graph6": g6, "skip": f"{ERROR_SKIP}{type(exc).__name__}: {exc}"}
+
+
+def _scan_record(g: Graph, g6: str, options: ScanOptions):
+    """Report, witness re-verification, pair rules."""
     try:
         aut = automorphism_group(g)
     except (GroupTooLargeError, UnsupportedSizeError) as exc:

@@ -320,10 +320,10 @@ def _mask_representatives(n: int) -> tuple[int, ...]:
     slot = {}
     for idx, (u, v) in enumerate(pairs):
         slot[(u, v)] = slot[(v, u)] = idx
-    slot_action = PermGroup.from_elements(
+    slot_action = PermGroup.from_images(
         nslots,
         (
-            Perm(tuple(slot[(perm[u], perm[v])] for u, v in pairs))
+            tuple(slot[(perm[u], perm[v])] for u, v in pairs)
             for perm in permutations(range(n))
         ),
     )

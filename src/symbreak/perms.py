@@ -7,9 +7,10 @@ rotated to start at its least member, singleton cycles included.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import permutations
+from itertools import chain, permutations, repeat
 
 from .errors import DegreeError
 
@@ -21,9 +22,7 @@ class Perm:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(n)):
-            raise ValueError(f"not a bijection on 0..{n - 1}: {self.images}")
+        check_bijection(self.images)
 
     @classmethod
     def identity(cls, n: int) -> "Perm":
@@ -99,9 +98,34 @@ def apply_mask(images: tuple[int, ...], mask: int) -> int:
     return img
 
 
+def check_bijection(images: tuple[int, ...]) -> None:
+    """ValueError unless images is a bijection on 0..len(images)-1."""
+    n = len(images)
+    if sorted(images) != list(range(n)):
+        raise ValueError(f"not a bijection on 0..{n - 1}: {images}")
+
+
+def _cycle_structure(images: tuple[int, ...]):
+    """The cycle type of images and, per vertex, the length of its cycle."""
+    lengths = [0] * len(images)
+    cycle_lengths = []
+    for start in range(len(images)):
+        if lengths[start]:
+            continue
+        cyc = [start]
+        v = images[start]
+        while v != start:
+            cyc.append(v)
+            v = images[v]
+        cycle_lengths.append(len(cyc))
+        for v in cyc:
+            lengths[v] = len(cyc)
+    return tuple(sorted(cycle_lengths, reverse=True)), tuple(lengths)
+
+
 def cycle_type(p: Perm) -> tuple[int, ...]:
     """Multiset of cycle lengths, sorted descending; lengths sum to the degree."""
-    return tuple(sorted((len(c) for c in p.cycles()), reverse=True))
+    return _cycle_structure(p.images)[0]
 
 
 @dataclass(frozen=True)
@@ -138,50 +162,55 @@ def relabel(p: Perm, labeling: Labeling) -> str:
 
 @dataclass(frozen=True)
 class PermGroup:
-    """A permutation group as an explicit, duplicate-free element list.
+    """A permutation group whose data is images, its elements' image tuples.
 
-    Elements are kept sorted by image tuple, which puts the identity first.
-    Construction does not verify closure (see validate); the cheap degree
-    check always runs. The views derived from the elements (images,
-    image_set, maps_to, identity_bits, cycle_types, vertex_signatures) are
-    built once, on first use; images and cycle_types are aligned with
-    elements, and bit i of a maps_to or identity_bits bitset stands for
-    elements[i].
+    from_images keeps them sorted and duplicate-free, which puts the
+    identity first. Construction does not verify closure or that each tuple
+    is a bijection (see validate); the cheap degree check always runs. The
+    views (elements, image_set, maps_to, identity_bits, cycle_types,
+    vertex_signatures) are built once, on first use; elements holds the
+    same elements as Perm objects, and is built only for callers that ask
+    for it. elements and cycle_types are aligned with images, and bit i of
+    a maps_to or identity_bits bitset stands for images[i].
     """
 
     degree: int
-    elements: tuple[Perm, ...]
+    images: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        for p in self.elements:
-            if p.degree != self.degree:
-                raise DegreeError(
-                    f"element of degree {p.degree} in group of degree {self.degree}"
-                )
+        wrong = set(map(len, self.images)) - {self.degree}
+        if wrong:
+            raise DegreeError(
+                f"element of degree {min(wrong)} in group of degree {self.degree}"
+            )
+
+    @classmethod
+    def from_images(cls, degree: int, images) -> "PermGroup":
+        """The group of the given image tuples, duplicates dropped, the
+        identity added, sorted."""
+        uniq = dict.fromkeys(images)
+        uniq[tuple(range(degree))] = None
+        return cls(degree, tuple(sorted(uniq)))
 
     @classmethod
     def from_elements(cls, degree: int, elements) -> "PermGroup":
-        uniq = {p.images: p for p in elements}
-        ident = tuple(range(degree))
-        if ident not in uniq:
-            uniq[ident] = Perm(ident)
-        return cls(degree, tuple(uniq[k] for k in sorted(uniq)))
+        return cls.from_images(degree, (p.images for p in elements))
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
-        return cls(degree, (Perm.identity(degree),))
+        return cls(degree, (tuple(range(degree)),))
 
     @classmethod
     def symmetric(cls, degree: int) -> "PermGroup":
-        return cls(degree, tuple(Perm(imgs) for imgs in permutations(range(degree))))
+        return cls(degree, tuple(permutations(range(degree))))
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.images)
 
     @property
     def is_trivial(self) -> bool:
-        return len(self.elements) == 1
+        return len(self.images) == 1
 
     def __contains__(self, p: Perm) -> bool:
         return p.images in self.image_set
@@ -190,8 +219,8 @@ class PermGroup:
         return iter(self.elements)
 
     @cached_property
-    def images(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(p.images for p in self.elements)
+    def elements(self) -> tuple[Perm, ...]:
+        return tuple(map(Perm, self.images))
 
     @cached_property
     def image_set(self) -> frozenset[tuple[int, ...]]:
@@ -216,33 +245,54 @@ class PermGroup:
     @cached_property
     def identity_bits(self) -> int:
         """The bitset of the elements that fix every vertex."""
-        bits = (1 << len(self.elements)) - 1
+        bits = (1 << len(self.images)) - 1
         for u, row in enumerate(self.maps_to):
             bits &= row[u]
         return bits
 
-    @cached_property
+    @property
     def cycle_types(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(cycle_type(p) for p in self.elements)
+        return self._cycle_views[0]
 
-    @cached_property
+    @property
     def vertex_signatures(self) -> tuple[tuple, ...]:
         """Per vertex, the sorted multiset over elements of (cycle type,
         length of the cycle through the vertex); conjugation preserves it."""
-        sigs: list[list] = [[] for _ in range(self.degree)]
-        for p, ct in zip(self.elements, self.cycle_types):
-            for cyc in p.cycles():
-                for v in cyc:
-                    sigs[v].append((ct, len(cyc)))
-        return tuple(tuple(sorted(s)) for s in sigs)
+        return self._cycle_views[1]
+
+    @cached_property
+    def _cycle_views(self):
+        """cycle_types and vertex_signatures from one cycle decomposition
+        per element; elements with the same (cycle type, cycle length per
+        vertex) are counted once per vertex, with their multiplicity, which
+        sorts a few keys per vertex instead of one entry per element. Equal
+        cycle types share one tuple, which keeps Aut(K9)'s list small."""
+        types: dict[tuple, tuple] = {}
+        cycle_types = []
+        structures: Counter = Counter()
+        for t in self.images:
+            ct, lengths = _cycle_structure(t)
+            ct = types.setdefault(ct, ct)
+            cycle_types.append(ct)
+            structures[ct, lengths] += 1
+        per_vertex = [Counter() for _ in range(self.degree)]
+        for (ct, lengths), count in structures.items():
+            for v, k in enumerate(lengths):
+                per_vertex[v][ct, k] += count
+        signatures = tuple(
+            tuple(chain.from_iterable(repeat(key, c) for key, c in sorted(sig.items())))
+            for sig in per_vertex
+        )
+        return tuple(cycle_types), signatures
 
     def validate(self) -> None:
-        """Check identity membership, closure, inverses, and Lagrange
-        divisibility. Quadratic in the order; meant for tests."""
+        """Check that every element is a bijection, identity membership,
+        closure, inverses, and Lagrange divisibility. Quadratic in the order;
+        meant for tests."""
         images = self.image_set
         if tuple(range(self.degree)) not in images:
             raise ValueError("identity missing")
-        if len(images) != len(self.elements):
+        if len(images) != len(self.images):
             raise ValueError("duplicate elements")
         for p in self.elements:
             if inverse(p).images not in images:
@@ -251,5 +301,5 @@ class PermGroup:
                 if compose(p, q).images not in images:
                     raise ValueError(f"product {p.images}*{q.images} missing")
         fact = reduce(lambda a, b: a * b, range(1, self.degree + 1), 1)
-        if fact % len(self.elements) != 0:
+        if fact % len(self.images) != 0:
             raise ValueError("order does not divide degree factorial")

@@ -103,6 +103,24 @@ def per_element_is_distinguishing(group: PermGroup, colors) -> bool:
     return all(cycle_broken(p, colors) for p in group.elements if not p.is_identity)
 
 
+def per_element_cycle_types(group: PermGroup) -> tuple[tuple[int, ...], ...]:
+    """Each element's cycle lengths, sorted descending, from Perm.cycles()."""
+    return tuple(
+        tuple(sorted((len(c) for c in p.cycles()), reverse=True)) for p in group.elements
+    )
+
+
+def per_element_vertex_signatures(group: PermGroup) -> tuple[tuple, ...]:
+    """Per vertex, the sorted (cycle type, length of the cycle through the
+    vertex) over the elements, from Perm.cycles()."""
+    sigs: list[list] = [[] for _ in range(group.degree)]
+    for p, ct in zip(group.elements, per_element_cycle_types(group)):
+        for cyc in p.cycles():
+            for v in cyc:
+                sigs[v].append((ct, len(cyc)))
+    return tuple(tuple(sorted(s)) for s in sigs)
+
+
 def first_subsets(group: PermGroup, max_size: int) -> list[tuple[int, int, int]]:
     """(k, mask, |setwise stabilizer|) for each subset of size k <= max_size,
     in combinations order, that no element maps to an earlier subset of its

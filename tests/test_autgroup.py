@@ -13,6 +13,7 @@ from helpers import (
     preserves_adjacency,
     random_graph,
 )
+from symbreak import autgroup, checks, equivalence
 from symbreak.autgroup import (
     automorphism_group,
     isomorphism,
@@ -20,6 +21,8 @@ from symbreak.autgroup import (
     pointwise_stabilizer,
     setwise_stabilizer,
 )
+from symbreak.checks import ScanOptions, scan_corpus
+from symbreak.equivalence import distinguishably_equivalent
 from symbreak.errors import GroupTooLargeError, UnsupportedSizeError
 from symbreak.graphs import (
     FamilySpec,
@@ -28,6 +31,7 @@ from symbreak.graphs import (
     generate_family,
     permuted,
 )
+from symbreak.metrics import analyze
 from symbreak.perms import Perm, PermGroup
 
 
@@ -138,10 +142,10 @@ def test_maps_to_marks_each_element_at_its_images():
 
 
 def test_identity_bits_on_hand_built_element_lists():
-    ident, swap = Perm.identity(3), Perm.transposition(3, 0, 2)
+    ident, swap = (0, 1, 2), (2, 1, 0)
     assert PermGroup(3, (swap, ident, swap, ident)).identity_bits == 0b1010
     assert PermGroup(3, (swap,)).identity_bits == 0
-    assert PermGroup(0, (Perm(()),)).identity_bits == 1
+    assert PermGroup(0, ((),)).identity_bits == 1
 
 
 def test_orbits_match_closure_oracle():
@@ -163,6 +167,62 @@ def test_pointwise_subset_of_setwise():
         assert set(p.images for p in pw.elements) <= set(p.images for p in sw.elements)
         pw.validate()
         sw.validate()
+
+
+def test_stabilizers_match_per_element_definitions():
+    rng = random.Random(11)
+    for g in mid_group_graphs().values():
+        aut = automorphism_group(g)
+        for _ in range(6):
+            s = set(rng.sample(range(g.n), rng.randint(0, g.n)))
+            fixing = tuple(t for t in aut.images if all(t[v] == v for v in s))
+            onto = tuple(t for t in aut.images if {t[v] for v in s} == s)
+            assert pointwise_stabilizer(aut, s).images == fixing, (g, s)
+            assert setwise_stabilizer(aut, s).images == onto, (g, s)
+        assert "elements" not in vars(aut)
+        for v in (-1, g.n):
+            with pytest.raises(IndexError):
+                pointwise_stabilizer(aut, {0, v})
+            with pytest.raises(IndexError):
+                setwise_stabilizer(aut, {0, v})
+
+
+def test_analysis_builds_no_perm_objects(monkeypatch):
+    cases = [fam("hypercube", 5), fam("complete", 8), *mid_group_graphs().values()]
+    for g in cases:
+        aut = automorphism_group(g)
+        analyze(g, aut=aut)
+        assert "elements" not in vars(aut), g
+
+    built = []
+
+    def recorded(g, *args, **kwargs):
+        built.append(automorphism_group(g, *args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(checks, "automorphism_group", recorded)
+    monkeypatch.setattr(equivalence, "automorphism_group", recorded)
+    scan_corpus(cases, ScanOptions(jobs=1))
+    assert len(built) >= len(cases)
+    assert not any("elements" in vars(aut) for aut in built)
+
+    q4 = fam("hypercube", 4)
+    q4b = permuted(q4, Perm(tuple(random.Random(0).sample(range(16), 16))))
+    aut1, aut2 = automorphism_group(q4), automorphism_group(q4b)
+    assert distinguishably_equivalent(q4, q4b, aut1=aut1, aut2=aut2) is not None
+    assert "elements" not in vars(aut1) and "elements" not in vars(aut2)
+
+
+def test_non_bijective_representative_is_rejected(monkeypatch):
+    first_leaf = autgroup._first_leaf
+
+    def broken(*args):
+        leaf = first_leaf(*args)
+        return None if leaf is None else (leaf[0],) * len(leaf)
+
+    monkeypatch.setattr(autgroup, "_first_leaf", broken)
+    with pytest.raises(ValueError, match="not a bijection"):
+        automorphism_group(fam("path", 3))
 
 
 def test_vertex_ceiling():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import net_graph, random_graph
+from symbreak import checks
 from symbreak.autgroup import automorphism_group
 from symbreak.checks import (
     RULES,
@@ -38,9 +39,9 @@ def fam(kind, p):
 
 def synthetic_group(n, *cycle_lists):
     """Element list for rule-detector tests; not necessarily closed."""
-    perms = [Perm.identity(n)]
-    perms += [Perm.from_cycles(n, cycles) for cycles in cycle_lists]
-    return PermGroup(n, tuple(perms))
+    images = [tuple(range(n))]
+    images += [Perm.from_cycles(n, cycles).images for cycles in cycle_lists]
+    return PermGroup(n, tuple(images))
 
 
 # -- rule detectors on synthetic element lists -------------------------------
@@ -316,6 +317,30 @@ def test_scan_skips_a_graph_too_large_for_the_automorphism_search():
     assert report.skipped == (
         (encode_graph6(big), "automorphism group: automorphism search supports n <= 40, got 63"),
     )
+
+
+def test_scan_skips_a_record_whose_analysis_raises(monkeypatch):
+    corpus = [g for n in range(1, 6) for g in enumerate_graphs(n)]
+    clean = scan_corpus(corpus, ScanOptions(jobs=1))
+    assert clean.ok and not clean.errors
+    bad = corpus[30]
+    real_analyze = checks.analyze
+
+    def analyze(g, *args, **kwargs):
+        if g is bad:
+            raise RuntimeError("injected fault")
+        return real_analyze(g, *args, **kwargs)
+
+    monkeypatch.setattr(checks, "analyze", analyze)
+    report = scan_corpus(corpus, ScanOptions(jobs=1))
+    assert report.corpus_size == len(corpus)
+    assert report.skipped == ((encode_graph6(bad), "error: RuntimeError: injected fault"),)
+    assert report.graph_reports == tuple(
+        r for r in clean.graph_reports if r.graph6 != encode_graph6(bad)
+    )
+    assert not report.violations
+    assert report.errors == report.skipped
+    assert not report.ok
 
 
 def test_rule_reports_cover_every_rule():

@@ -140,6 +140,20 @@ def test_scan_deterministic_across_jobs(capsys):
     assert out1 == out2
 
 
+def test_scan_exits_1_when_a_record_raises(capsys, monkeypatch):
+    from symbreak import checks
+
+    def analyze(g, *args, **kwargs):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(checks, "analyze", analyze)
+    code, out, _ = run_cli(capsys, "scan", "--enumerate", "3", "--jobs", "1")
+    assert code == 1
+    summary = json.loads(out.strip().splitlines()[-1])
+    assert summary["violations"] == []
+    assert len(summary["skipped"]) == summary["corpus_size"] == 7
+
+
 def test_scan_props_flag(capsys):
     code, out, _ = run_cli(capsys, "scan", "--enumerate", "4", "--props", "--jobs", "1")
     assert code == 0

@@ -122,7 +122,7 @@ def element_lists(draw):
     perms += draw(st.lists(st.sampled_from(perms), max_size=2))
     if draw(st.booleans()):
         perms.append(Perm.identity(n))
-    return PermGroup(n, tuple(draw(st.permutations(perms))))
+    return PermGroup(n, tuple(p.images for p in draw(st.permutations(perms))))
 
 
 @settings(max_examples=200)

@@ -2,7 +2,14 @@ import pytest
 from hypothesis import given
 
 from conftest import perm_lists
+from helpers import (
+    mid_group_graphs,
+    per_element_cycle_types,
+    per_element_vertex_signatures,
+)
+from symbreak.autgroup import automorphism_group
 from symbreak.errors import DegreeError
+from symbreak.graphs import FamilySpec, enumerate_graphs, generate_family
 from symbreak.perms import (
     Labeling,
     Perm,
@@ -123,9 +130,18 @@ def test_permgroup_validate_accepts_symmetric_group():
 
 
 def test_permgroup_validate_rejects_non_closed():
-    bad = PermGroup(3, (Perm.identity(3), Perm((1, 2, 0))))
+    bad = PermGroup(3, ((0, 1, 2), (1, 2, 0)))
     with pytest.raises(ValueError):
         bad.validate()
+
+
+def test_cycle_views_match_per_element_oracle():
+    cases = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    cases += [*mid_group_graphs().values(), generate_family(FamilySpec("hypercube", 5))]
+    for g in cases:
+        aut = automorphism_group(g)
+        assert aut.cycle_types == per_element_cycle_types(aut), g
+        assert aut.vertex_signatures == per_element_vertex_signatures(aut), g
 
 
 def test_permgroup_from_elements_sorts_and_dedupes():
