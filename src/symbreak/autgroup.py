@@ -1,9 +1,26 @@
 """Exact automorphism groups of small graphs, orbits, and stabilizers.
 
 _first_leaf is the one search for adjacency-preserving bijections g1 -> g2:
-g1's vertices, by descending degree then index, go to vertices of g2 with the
-same (degree, sorted neighbor degrees) that fit all those already mapped. On
-one walk of g -> g down the identity path, the first leaf under order[i] -> x
+g1's vertices, by descending degree then index, go in ascending order to the
+vertices of g2 that fit all those already mapped, taken from the cell of an
+ordered partition of g2 matched to the vertex's cell in one of g1.
+
+The partitions come from colour refinement (_refine): a cell is split until
+each of its vertices has as many neighbors in every cell as the others, the
+coarsest equitable partition (1-dimensional Weisfeiler-Leman; McKay and
+Piperno, "Practical graph isomorphism, II", 2014). Refinement commutes with
+relabelling, so an isomorphism that maps the vertices individualized in g1 to
+those in g2 maps each refined cell onto its counterpart, with the same trace
+of splits. A branch whose trace differs thus has no leaf, and matched cells
+hold every image a leaf can use: pruning drops only branches without a leaf,
+and the first leaf is the one the unpruned walk finds. A discrete partition
+leaves one candidate per vertex, its one possible leaf.
+
+Refinement runs at the root of each branch order[i] -> x, with order[i]
+individualized on one side and x on the other; below it the walk only reads
+the cells. isomorphism refines the two unit partitions, then each branch
+order[0] -> x. automorphism_elements walks g -> g down the identity path,
+refined with order[:i] individualized; the first leaf under order[i] -> x
 represents a coset of the stabilizer of order[:i+1] in that of order[:i]
 (Sims), and Aut(g) is every product of one such leaf or the identity per i.
 """
@@ -19,70 +36,214 @@ from .graphs import Graph
 from .perms import Perm, PermGroup, check_bijection
 
 
-def _vertex_invariants(g: Graph) -> list[tuple]:
-    degs = [g.adj[v].bit_count() for v in range(g.n)]
-    return [
-        (degs[v], tuple(sorted(degs[u] for u in range(g.n) if g.adj[v] >> u & 1)))
-        for v in range(g.n)
-    ]
+def _plan(g: Graph):
+    """g's search order, descending degree then index, and per position the
+    neighbors placed before it."""
+    order = sorted(range(g.n), key=[-row.bit_count() for row in g.adj].__getitem__)
+    back = []
+    placed = 0
+    for v in order:
+        nbrs, earlier = g.adj[v] & placed, []
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            earlier.append(low.bit_length() - 1)
+        back.append(earlier)
+        placed |= 1 << v
+    return order, back
 
 
-def _plan(g1: Graph, g2: Graph):
-    """g1's search order, each vertex's neighbors placed before it, its
-    candidate images in g2, and g2's rows; None if the invariants differ."""
-    inv1 = _vertex_invariants(g1)
-    inv2 = inv1 if g2 is g1 else _vertex_invariants(g2)
-    if sorted(inv1) != sorted(inv2):
+def _refine(adj, cells: list[int], splitters: list[int], trace: list[int], ref=None):
+    """cells, an ordered partition into vertex bitmasks, made equitable.
+
+    A cell whose vertices have different numbers of neighbors in a splitter
+    (a vertex bitmask) is replaced by its pieces, by ascending number; every
+    piece but the first largest becomes a splitter (the largest's numbers
+    follow from its cell's and the others'). Each split appends its position
+    and its pieces' sizes to trace, and for a splitter of several vertices
+    the numbers too. Given ref, another partition's trace, this returns None
+    as soon as trace differs from it. A discrete partition is equitable, so
+    refinement stops there. Every step depends on positions and sizes only,
+    never on vertex labels.
+    """
+    n = len(adj)
+    for s in splitters:  # grows as cells split
+        if len(cells) == n:
+            break
+        out = None  # the refined cells, once one splits
+        if not s & (s - 1):  # one vertex: split each cell into non-neighbors, neighbors
+            nbrs = adj[s.bit_length() - 1]
+            for i, cell in enumerate(cells):
+                hit = cell & nbrs
+                if hit and hit != cell:
+                    if out is None:
+                        out = cells[:i]
+                    rest = cell ^ hit
+                    t = len(trace)
+                    trace += (len(out), hit.bit_count())
+                    if ref is not None and ref[t : t + 2] != trace[t:]:
+                        return None
+                    out += (rest, hit)
+                    splitters.append(hit if 2 * trace[-1] <= cell.bit_count() else rest)
+                elif out is not None:
+                    out.append(cell)
+        else:
+            touched = 0  # the vertices with a neighbor in s
+            rest = s
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                touched |= adj[low.bit_length() - 1]
+            for i, cell in enumerate(cells):
+                hit = cell & touched
+                if hit and cell & (cell - 1):
+                    # number of neighbors in s -> those vertices of cell
+                    by_count = {0: cell ^ hit} if hit != cell else {}
+                    while hit:
+                        low = hit & -hit
+                        hit ^= low
+                        k = (adj[low.bit_length() - 1] & s).bit_count()
+                        by_count[k] = by_count.get(k, 0) | low
+                    if len(by_count) > 1:
+                        if out is None:
+                            out = cells[:i]
+                        t = len(trace)
+                        trace.append(len(out))
+                        parts = []
+                        big = size = 0
+                        for k in sorted(by_count):
+                            parts.append(m := by_count[k])
+                            trace += (k, m.bit_count())
+                            if trace[-1] > size:
+                                big, size = m, trace[-1]
+                        if ref is not None and ref[t : len(trace)] != trace[t:]:
+                            return None
+                        out += parts
+                        splitters += [m for m in parts if m != big]
+                        continue
+                if out is not None:
+                    out.append(cell)
+        if out is not None:
+            cells = out
+    if ref is not None and len(trace) != len(ref):
         return None
-    order = sorted(range(g1.n), key=lambda v: (-g1.adj[v].bit_count(), v))
-    back = [[u for u in order[:pos] if g1.adj[v] >> u & 1] for pos, v in enumerate(order)]
-    candidates = [[w for w in range(g1.n) if inv2[w] == inv1[v]] for v in order]
-    return order, back, candidates, g2.adj
+    return cells
 
 
-def _first_leaf(order, back, candidates, adj2, img: list[int], used: int, pos: int):
-    """The first bijection extending img, which maps order[:pos] onto used."""
+def _unit_refined(g: Graph, trace: list[int], ref=None):
+    """The coarsest equitable partition of g's vertices (see _refine)."""
+    every = (1 << g.n) - 1
+    return _refine(g.adj, [every] if every else [], [every], trace, ref)
+
+
+def _slots(cells: list[int], order: list[int]) -> list[int]:
+    """Per position, the index of the cell holding order[pos]."""
+    where = [0] * len(order)
+    for i, cell in enumerate(cells):
+        while cell:
+            low = cell & -cell
+            cell ^= low
+            where[low.bit_length() - 1] = i
+    return [where[v] for v in order]
+
+
+def _first_leaf(order, back, slot, cells2, adj2, img: list[int], used: int, pos: int):
+    """The first bijection extending img, which maps order[:pos] onto used;
+    order[pos] goes into cells2[slot[pos]], a vertex bitmask."""
     if pos == len(order):
         return tuple(img)
     need = 0  # images of the neighbors placed before order[pos]
     for u in back[pos]:
         need |= 1 << img[u]
-    for w in candidates[pos]:
-        if not used >> w & 1 and adj2[w] & used == need:
+    free = cells2[slot[pos]] & ~used
+    while free:
+        low = free & -free  # ascending
+        free ^= low
+        w = low.bit_length() - 1
+        if adj2[w] & used == need:
             img[order[pos]] = w
-            leaf = _first_leaf(order, back, candidates, adj2, img, used | 1 << w, pos + 1)
+            leaf = _first_leaf(order, back, slot, cells2, adj2, img, used | low, pos + 1)
             if leaf is not None:
                 return leaf
     return None
 
 
+def _individualized(adj, cells: list[int], i: int, bit: int, trace: list[int], ref=None):
+    """cells with the vertex bit, a member of cells[i], split off in front of
+    the rest of its cell, refined (see _refine); cells if it is alone there."""
+    if cells[i] == bit:
+        return cells
+    split = [*cells[:i], bit, cells[i] ^ bit, *cells[i + 1 :]]
+    return _refine(adj, split, [bit], trace, ref)
+
+
 def isomorphism(g1: Graph, g2: Graph):
     """A vertex bijection g1 -> g2 preserving adjacency, or None."""
-    plan = _plan(g1, g2)
-    leaf = None if plan is None else _first_leaf(*plan, [0] * g1.n, 0, 0)
-    return None if leaf is None else Perm(leaf)
+    if g1.n != g2.n:
+        return None
+    unit: list[int] = []
+    cells1 = _unit_refined(g1, unit)
+    cells2 = _unit_refined(g2, [], unit)
+    if cells2 is None:
+        return None
+    order, back = _plan(g1)
+    if not order:
+        return Perm(())
+    v = order[0]
+    i = next(i for i, cell in enumerate(cells1) if cell >> v & 1)
+    trace: list[int] = []
+    slot = _slots(_individualized(g1.adj, cells1, i, 1 << v, trace), order)
+    img = [0] * g1.n
+    free = cells2[i]
+    while free:  # order[0] -> w, refined with w individualized
+        low = free & -free  # ascending
+        free ^= low
+        mapped = _individualized(g2.adj, cells2, i, low, [], trace)
+        if mapped is not None:
+            img[v] = low.bit_length() - 1
+            leaf = _first_leaf(order, back, slot, mapped, g2.adj, img, low, 1)
+            if leaf is not None:
+                return Perm(leaf)
+    return None
 
 
 def automorphism_elements(g: Graph, element_cap: int | None = None):
     """Every automorphism's image tuple; GroupTooLargeError if over element_cap."""
-    order, _, candidates, adj = plan = _plan(g, g)
-    img = list(range(g.n))
+    n, adj = g.n, g.adj
+    order, back = _plan(g)
+    cells = _unit_refined(g, [])  # refined with order[:pos] individualized
+    img = list(range(n))
     used = 0  # order[:pos], fixed by the identity path
     levels = []  # per position, the coset representatives besides the identity
     for pos, v in enumerate(order):
+        if len(cells) == n:  # discrete: no automorphism moves order[pos:]
+            break
         levels.append(reps := [])
-        for w in candidates[pos]:
-            if w != v and not used >> w & 1 and adj[w] & used == adj[v] & used:
-                img[v] = w
-                leaf = _first_leaf(*plan, img, used | 1 << w, pos + 1)
+        if 1 << v not in cells:
+            i = next(i for i, cell in enumerate(cells) if cell >> v & 1)
+            trace: list[int] = []
+            fixed = _individualized(adj, cells, i, 1 << v, trace)
+            slot = None
+            others = cells[i] ^ 1 << v
+            while others:  # order[pos] -> w, refined with w individualized
+                low = others & -others  # ascending
+                others ^= low
+                mapped = _individualized(adj, cells, i, low, [], trace)
+                if mapped is None:
+                    continue
+                if slot is None:
+                    slot = _slots(fixed, order)
+                img[v] = low.bit_length() - 1
+                leaf = _first_leaf(order, back, slot, mapped, adj, img, used | low, pos + 1)
                 if leaf is not None:
                     check_bijection(leaf)  # so every product is one too
                     reps.append(leaf)
+            cells = fixed
         img[v] = v
         used |= 1 << v
     if element_cap is not None and prod(len(r) + 1 for r in levels) > element_cap:
         raise GroupTooLargeError(element_cap)
-    elements = [tuple(img)]
+    elements = [tuple(range(n))]
     getters = []  # itemgetter(*h)(t) is t after h, a tuple as reps need n >= 2
     for reps in reversed(levels):  # elements: the stabilizer of order[:pos], pos = n..0
         if reps:

@@ -514,6 +514,7 @@ def scan_corpus(graphs, options: ScanOptions = ScanOptions()) -> ScanReport:
     rule_reports: list[RuleReport] = []
     graph_reports: list[SymmetryReport] = []
     first_by_order: dict[int, Graph] = {}
+    first_aut: dict[int, PermGroup] = {}  # their groups, searched when first compared
     evidence: tuple[str, str] | None = None
 
     for g, res in zip(graphs, results):
@@ -540,8 +541,11 @@ def scan_corpus(graphs, options: ScanOptions = ScanOptions()) -> ScanReport:
             if seen is None:
                 first_by_order[report.aut_order] = g
             else:
+                if report.aut_order not in first_aut:
+                    first_aut[report.aut_order] = automorphism_group(seen)
+                aut1 = first_aut[report.aut_order]
                 try:
-                    if distinguishably_equivalent(seen, g, options.budget) is None:
+                    if distinguishably_equivalent(seen, g, options.budget, aut1=aut1) is None:
                         evidence = (encode_graph6(seen), report.graph6)
                 except BudgetExceededError:
                     pass

@@ -276,3 +276,42 @@ def mid_group_graphs() -> dict[str, Graph]:
         "Q4": generate_family(FamilySpec("hypercube", 4)),
         "K7": generate_family(FamilySpec("complete", 7)),
     }
+
+
+def is_connected(g: Graph) -> bool:
+    reached, frontier = 1, 1  # vertex 0's component, as bitmasks
+    while frontier:
+        nbrs = 0
+        for v in range(g.n):
+            if frontier >> v & 1:
+                nbrs |= g.adj[v]
+        frontier = nbrs & ~reached
+        reached |= frontier
+    return g.n == 0 or reached == (1 << g.n) - 1
+
+
+def random_regular(rng, n: int, d: int) -> Graph:
+    """A random connected simple d-regular graph on n vertices: points are
+    paired at random, a pair that would make a loop or a repeated edge is
+    redrawn, and the whole graph is drawn again when redrawing keeps failing
+    or the result is disconnected. The same draws as the benchmark's
+    generator, so a seed gives the same graph."""
+    while True:
+        points = [v for v in range(n) for _ in range(d)]
+        edges = set()
+        while points:
+            for _ in range(100):
+                i, j = rng.sample(range(len(points)), 2)
+                u, v = sorted((points[i], points[j]))
+                if u != v and (u, v) not in edges:
+                    break
+            else:
+                break
+            edges.add((u, v))
+            for k in sorted((i, j), reverse=True):
+                points[k] = points[-1]
+                points.pop()
+        if not points:
+            g = Graph.from_edges(n, sorted(edges))
+            if is_connected(g):
+                return g

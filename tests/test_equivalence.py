@@ -23,7 +23,7 @@ from symbreak.equivalence import (
     isomorphism,
     representations_equal,
 )
-from symbreak.checks import check_shared_distinguishing_number
+from symbreak.checks import ScanOptions, check_shared_distinguishing_number, scan_corpus
 from symbreak.cli import main
 from symbreak.errors import BudgetExceededError, NotApplicableError
 from symbreak.config import Budget
@@ -34,6 +34,7 @@ from symbreak.graphs import (
     encode_graph6,
     enumerate_graphs,
     generate_family,
+    parse_graph6,
     permuted,
 )
 from symbreak.metrics import distinguishing_number
@@ -382,6 +383,15 @@ def test_equivalence_reuses_given_groups(aut_calls):
     assert aut_calls == []
     assert distinguishably_equivalent(g, fam("cycle", 4), aut1=a) is None
     assert len(aut_calls) == 1
+
+
+def test_scan_searches_a_compared_representative_once(aut_calls, graphs7_path):
+    graphs = [parse_graph6(record) for record in graphs7_path.read_text().split()]
+    report = scan_corpus(graphs, ScanOptions(jobs=1))
+    assert report.same_order_nonequivalent == ("F???W", "F??G_")
+    # one search per graph, then for the evidence one for the representative
+    # of the order and one per graph compared with it, two before they differ
+    assert len(aut_calls) == len(graphs) + 3
 
 
 def test_bijection_search_leaves_no_reference_cycles():
