@@ -38,7 +38,7 @@ from __future__ import annotations
 import logging
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import combinations
 
@@ -337,6 +337,10 @@ VERIFY_SMALLER_CLASS_UPTO = 10
 # skip reason of a record whose scan raised; such a skip fails the scan
 ERROR_SKIP = "error: "
 
+# records per task of the scan's process pool; each task keeps its own table
+# of group results
+SCAN_CHUNK = 16
+
 
 @dataclass(frozen=True)
 class ScanOptions:
@@ -419,24 +423,55 @@ def _determining_pairs(aut: PermGroup):
     return pairs
 
 
-def _scan_one(g: Graph, options: ScanOptions):
-    """Per-graph work, inline or in a worker. Any exception becomes an
-    error skip with its type and message (and its traceback goes to the
-    log), so one bad record never aborts the scan but still fails it."""
+def _scan_list(graphs: list[Graph], options: ScanOptions) -> list[dict]:
+    """The per-record results of a list of graphs, in order, inline or in a
+    worker. Everything derived from the group is computed once per distinct
+    group in the list: its table maps aut.images to the first such record's
+    result."""
+    by_group: dict[tuple, dict] = {}
+    return [_scan_one(g, options, by_group) for g in graphs]
+
+
+def _scan_one(g: Graph, options: ScanOptions, by_group: dict):
+    """Per-graph work. Any exception becomes an error skip with its type and
+    message (and its traceback goes to the log), so one bad record never
+    aborts the scan but still fails it."""
     g6 = encode_graph6(g)
     try:
-        return _scan_record(g, g6, options)
+        return _scan_record(g, g6, options, by_group)
     except Exception as exc:
         logging.getLogger(__name__).exception("scan of %s failed", g6)
         return {"graph6": g6, "skip": f"{ERROR_SKIP}{type(exc).__name__}: {exc}"}
 
 
-def _scan_record(g: Graph, g6: str, options: ScanOptions):
-    """Report, witness re-verification, pair rules."""
+def _restamp(res: dict, g: Graph, g6: str) -> dict:
+    """The result of another record with the same group, carrying the graph6,
+    n and m of this one: nothing else in it depends on the graph."""
+    out = dict(res, graph6=g6)
+    if "report" in res:
+        out["report"] = replace(res["report"], graph6=g6, n=g.n, edge_count=g.edge_count)
+    if "violations" in res:
+        out["violations"] = [replace(v, graph6=g6) for v in res["violations"]]
+        out["rule_reports"] = [replace(rr, graph6=g6) for rr in res["rule_reports"]]
+    return out
+
+
+def _scan_record(g: Graph, g6: str, options: ScanOptions, by_group: dict):
+    """A skip when the group cannot be built, else a re-stamped copy of the
+    table's result for the group, else the group results, entered in the
+    table only once they are complete."""
     try:
         aut = automorphism_group(g)
     except (GroupTooLargeError, UnsupportedSizeError) as exc:
         return {"graph6": g6, "skip": f"automorphism group: {exc}"}
+    if aut.images in by_group:
+        return _restamp(by_group[aut.images], g, g6)
+    by_group[aut.images] = _group_results(g, g6, aut, options)
+    return by_group[aut.images]
+
+
+def _group_results(g: Graph, g6: str, aut: PermGroup, options: ScanOptions):
+    """Report, witness re-verification, pair rules."""
     report = analyze(g, options.budget, aut=aut)
     violations: list[Violation] = []
     rule_reports: list[RuleReport] = []
@@ -494,16 +529,24 @@ def _scan_record(g: Graph, g6: str, options: ScanOptions):
 
 def scan_corpus(graphs, options: ScanOptions = ScanOptions()) -> ScanReport:
     """Analyze every graph, enforce the rho bound and the pair rules on the
-    D=2, Det=2 subset, and aggregate deterministically in input order."""
+    D=2, Det=2 subset, and aggregate deterministically in input order.
+
+    The group results (the report's invariants and witnesses, their
+    re-verification, the direct rho cross-check and the pair rules) are
+    computed once per distinct group per worker call, and re-stamped with the
+    graph6, n and m of each later record with that group. Inline the whole
+    list is one call; the process pool takes consecutive chunks of SCAN_CHUNK
+    records. The output is the same for any number of jobs."""
     graphs = list(graphs)
-    worker = partial(_scan_one, options=options)
+    scan = partial(_scan_list, options=options)
     if options.jobs > 1 and len(graphs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        chunks = [graphs[i : i + SCAN_CHUNK] for i in range(0, len(graphs), SCAN_CHUNK)]
         with ProcessPoolExecutor(max_workers=options.jobs) as pool:
-            results = list(pool.map(worker, graphs, chunksize=16))
+            results = [res for part in pool.map(scan, chunks) for res in part]
     else:
-        results = [worker(g) for g in graphs]
+        results = scan(graphs)
 
     skipped: list[tuple[str, str]] = []
     det2_d2 = 0

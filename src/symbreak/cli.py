@@ -135,13 +135,21 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    status = 0
     if args.enumerate is not None:
         if not 1 <= args.enumerate <= ENUM_MAX_N:
             print(f"usage error: --enumerate takes n in 1..{ENUM_MAX_N}", file=sys.stderr)
             return 2
         graphs = [g for n in range(1, args.enumerate + 1) for g in enumerate_graphs(n)]
     elif args.input is not None:
-        graphs = _read_all(args.input)
+        # a record that does not parse is reported and left out of the scan
+        graphs = []
+        for lineno, item in _read_records(args.input):
+            if isinstance(item, Exception):
+                print(f"error: line {lineno}: {item}", file=sys.stderr)
+                status = 1
+            else:
+                graphs.append(item)
     else:
         print("usage error: give a corpus file or --enumerate n", file=sys.stderr)
         return 2
@@ -151,7 +159,7 @@ def cmd_scan(args) -> int:
     for gr in report.graph_reports:
         _emit_report(gr, args.format)
     print(json.dumps(report.summary_obj(), sort_keys=True))
-    return 0 if report.ok else 1
+    return 0 if report.ok and status == 0 else 1
 
 
 def _budget(args) -> config.Budget:

@@ -12,6 +12,12 @@ PermGroup.maps_to. Each generator keeps a bitset of its possible images in the
 second group, ANDed with a maps_to row as each vertex image is fixed; an empty
 bitset prunes the branch, and a full bijection whose bitsets are all non-empty
 conjugates the whole group.
+
+equivalence_classes looks each group up before it searches: a graph whose
+group equals, element for element, one already placed joins that class
+without a search, since the identity conjugates the one group onto the other.
+Only the first graph of each distinct group pays for the cycle views and the
+bijection search.
 """
 
 from __future__ import annotations
@@ -146,27 +152,36 @@ def equivalence_classes(
 ) -> tuple[list[list[int]], list[tuple[int, int]]]:
     """Partition indices of the input list under distinguishable equivalence.
 
-    Each graph is tested against one representative per existing class, in
-    class creation order, so transitivity is exploited rather than re-derived.
-    Pairs whose search ran out of budget are returned as unresolved; the
-    graph then starts its own class.
+    A graph whose group equals, element for element, the group of a graph
+    already placed joins that graph's class at once: the identity conjugates
+    one group onto the other, so no cycle views and no search are needed.
+    Any other graph is tested against one representative per existing class,
+    in class creation order, so transitivity is exploited rather than
+    re-derived. Pairs whose search ran out of budget are returned as
+    unresolved; the graph then starts its own class. A later graph with the
+    same group as one already placed is never unresolved, even under a budget
+    too small to settle the pair by search: it joins that graph's class.
     """
     classes: list[dict] = []
     unresolved: list[tuple[int, int]] = []
+    class_of: dict[tuple, list[int]] = {}  # aut.images -> members of its class
     for i, g in enumerate(graphs):
         aut = automorphism_group(g)
-        key = (g.n, aut.order, tuple(sorted(aut.cycle_types)))
-        placed = False
-        for cls in classes:
-            if cls["key"] != key:
-                continue
-            try:
-                if _conjugating_bijection(cls["aut"], aut, budget) is not None:
-                    cls["members"].append(i)
-                    placed = True
-                    break
-            except BudgetExceededError:
-                unresolved.append((cls["members"][0], i))
-        if not placed:
-            classes.append({"key": key, "aut": aut, "members": [i]})
+        members = class_of.get(aut.images)
+        if members is None:
+            key = (g.n, aut.order, tuple(sorted(aut.cycle_types)))
+            for cls in classes:
+                if cls["key"] != key:
+                    continue
+                try:
+                    if _conjugating_bijection(cls["aut"], aut, budget) is not None:
+                        members = cls["members"]
+                        break
+                except BudgetExceededError:
+                    unresolved.append((cls["members"][0], i))
+            else:
+                members = []
+                classes.append({"key": key, "aut": aut, "members": members})
+            class_of[aut.images] = members
+        members.append(i)
     return [cls["members"] for cls in classes], unresolved

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -28,8 +29,9 @@ from symbreak.graphs import (
     encode_graph6,
     enumerate_graphs,
     generate_family,
+    permuted,
 )
-from symbreak.metrics import is_determining_set
+from symbreak.metrics import analyze, is_determining_set
 from symbreak.perms import Perm, PermGroup
 
 
@@ -288,10 +290,17 @@ def test_scan_empty_corpus():
 
 
 def test_scan_deterministic_across_jobs():
-    corpus = [g for n in range(1, 6) for g in enumerate_graphs(n)]
+    # each complement on the same labels repeats a group, and the shuffle
+    # spreads the records of one group over several of the pool's chunks
+    rng = random.Random(3)
+    base = [g for n in range(1, 6) for g in enumerate_graphs(n)]
+    corpus = base + [complement(g) for g in base]
+    corpus += [permuted(g, Perm(tuple(rng.sample(range(g.n), g.n)))) for g in corpus]
+    rng.shuffle(corpus)
+    assert len({automorphism_group(g).images for g in corpus}) < len(corpus) // 2
     r1 = scan_corpus(corpus, ScanOptions(jobs=1))
     r2 = scan_corpus(corpus, ScanOptions(jobs=2))
-    assert r1 == r2
+    assert r1.ok and r1 == r2
     lines1 = [rep.to_line() for rep in r1.graph_reports]
     lines2 = [rep.to_line() for rep in r2.graph_reports]
     assert lines1 == lines2
@@ -341,6 +350,32 @@ def test_scan_skips_a_record_whose_analysis_raises(monkeypatch):
     assert not report.violations
     assert report.errors == report.skipped
     assert not report.ok
+
+
+def test_scan_restamps_a_shared_group_with_each_record(monkeypatch):
+    g = next(g for g in enumerate_graphs(5) if analyze(g).det2_d2_case)  # has pair rules
+    h = complement(g)  # same labels, so the identical group
+    assert automorphism_group(g).images == automorphism_group(h).images
+    brute_calls = []
+
+    def brute(aut, n):
+        brute_calls.append(n)
+        return -1  # disagrees with every rho, so each record has a violation
+
+    monkeypatch.setattr(checks, "_brute_min_class_size", brute)
+    report = scan_corpus([g, h], ScanOptions(jobs=1, all_pairs=True))
+    assert len(brute_calls) == 1
+    assert [r.to_line() for r in report.graph_reports] == [
+        analyze(g).to_line(),
+        analyze(h).to_line(),
+    ]
+    own = [encode_graph6(g), encode_graph6(h)]
+    for items in (report.violations, report.rule_reports):
+        half = len(items) // 2
+        assert half and len(items) == 2 * half
+        assert [item.graph6 for item in items] == [own[0]] * half + [own[1]] * half
+        assert items[half:] == tuple(replace(item, graph6=own[1]) for item in items[:half])
+    assert "smaller_class_mismatch" in {v.kind for v in report.violations}
 
 
 def test_rule_reports_cover_every_rule():

@@ -171,6 +171,22 @@ def test_scan_corpus_file(tmp_path, capsys):
     assert summary["det2_d2_count"] == 0
 
 
+def test_scan_reports_a_bad_record_and_scans_the_rest(tmp_path, capsys):
+    path = tmp_path / "corpus.g6"
+    path.write_text("Bw\n!!bad\nBg\n?bad\n")
+    code, out, err = run_cli(capsys, "scan", str(path), "--jobs", "1")
+    assert code == 1
+    assert [line.split(":")[:2] for line in err.splitlines()] == [
+        ["error", " line 2"],
+        ["error", " line 4"],
+    ]
+    *lines, summary_line = out.splitlines()
+    assert [line.split()[0] for line in lines] == ["Bw", "Bg"]
+    summary = json.loads(summary_line)
+    assert summary["corpus_size"] == summary["analyzed"] == 2
+    assert summary["violations"] == [] and summary["skipped"] == []
+
+
 def test_scan_requires_source(capsys):
     code, out, err = run_cli(capsys, "scan")
     assert code == 2

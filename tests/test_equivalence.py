@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import graphs
 from helpers import (
     brute_equivalent,
+    brute_group,
     conjugate_group,
     mid_group_graphs,
     net_graph,
@@ -286,6 +287,71 @@ def test_asymmetric_graphs_all_one_class():
     assert len(asym) >= 2
     partition, unresolved = equivalence_classes(asym[:4])
     assert len(partition) == 1 and not unresolved
+
+
+def with_complements(base, seed):
+    """base, then each graph's complement on the same labels, then each
+    complement under a seeded relabelling."""
+    rng = random.Random(seed)
+    relabelled = [
+        permuted(complement(g), Perm(tuple(rng.sample(range(g.n), g.n)))) for g in base
+    ]
+    return base + [complement(g) for g in base] + relabelled
+
+
+def brute_partition(graphs):
+    """Classes by brute-force conjugation against one member per class of
+    equal n and group order, in input order."""
+    classes = []
+    for i, g in enumerate(graphs):
+        order = brute_group(g).order
+        for cls in classes:
+            rep = graphs[cls[0]]
+            if (rep.n, cls[1]) == (g.n, order) and brute_equivalent(rep, g) is not None:
+                cls[2].append(i)
+                break
+        else:
+            classes.append((i, order, [i]))
+    return [cls[2] for cls in classes]
+
+
+def test_classes_join_a_known_group_without_a_search(monkeypatch):
+    import symbreak.equivalence as equivalence
+
+    graphs = with_complements([g for n in range(1, 6) for g in enumerate_graphs(n)], seed=5)
+    started = []  # graphs whose group was built, in order
+    searched = []  # per search, the index of the graph being placed
+    real_group = equivalence.automorphism_group
+    real_search = equivalence._conjugating_bijection
+
+    def group(g, *args, **kwargs):
+        started.append(g)
+        return real_group(g, *args, **kwargs)
+
+    def search(*args, **kwargs):
+        searched.append(len(started) - 1)
+        return real_search(*args, **kwargs)
+
+    monkeypatch.setattr(equivalence, "automorphism_group", group)
+    monkeypatch.setattr(equivalence, "_conjugating_bijection", search)
+    partition, unresolved = equivalence_classes(graphs)
+    assert unresolved == []
+    assert partition == brute_partition(graphs)
+
+    keys = [automorphism_group(g).images for g in graphs]
+    repeated = {i for i, key in enumerate(keys) if key in keys[:i]}
+    assert len(repeated) >= len(graphs) // 3  # every same-label complement
+    assert searched and not repeated & set(searched)
+
+
+def test_a_known_group_joins_its_class_under_any_budget():
+    c = fam("cycle", 6)
+    relabelled = permuted(c, Perm((3, 1, 4, 5, 0, 2)))
+    partition, unresolved = equivalence_classes(
+        [c, complement(c), relabelled], Budget.uniform(1)
+    )
+    # the complement shares C6's group; the relabelled copy needs a search
+    assert partition == [[0, 1], [2]] and unresolved == [(0, 2)]
 
 
 def test_isomorphic_graphs_are_equivalent():
