@@ -207,7 +207,7 @@ def isomorphism(g1: Graph, g2: Graph):
     return None
 
 
-def automorphism_elements(g: Graph, element_cap: int | None = None):
+def automorphism_elements(g: Graph, element_cap: int):
     """Every automorphism's image tuple; GroupTooLargeError if over element_cap."""
     n, adj = g.n, g.adj
     order, back = _plan(g)
@@ -219,29 +219,28 @@ def automorphism_elements(g: Graph, element_cap: int | None = None):
         if len(cells) == n:  # discrete: no automorphism moves order[pos:]
             break
         levels.append(reps := [])
-        if 1 << v not in cells:
-            i = next(i for i, cell in enumerate(cells) if cell >> v & 1)
-            trace: list[int] = []
-            fixed = _individualized(adj, cells, i, 1 << v, trace)
-            slot = None
-            others = cells[i] ^ 1 << v
-            while others:  # order[pos] -> w, refined with w individualized
-                low = others & -others  # ascending
-                others ^= low
-                mapped = _individualized(adj, cells, i, low, [], trace)
-                if mapped is None:
-                    continue
-                if slot is None:
-                    slot = _slots(fixed, order)
-                img[v] = low.bit_length() - 1
-                leaf = _first_leaf(order, back, slot, mapped, adj, img, used | low, pos + 1)
-                if leaf is not None:
-                    check_bijection(leaf)  # so every product is one too
-                    reps.append(leaf)
-            cells = fixed
+        i = next(i for i, cell in enumerate(cells) if cell >> v & 1)
+        trace: list[int] = []
+        fixed = _individualized(adj, cells, i, 1 << v, trace)
+        slot = None
+        others = cells[i] ^ 1 << v
+        while others:  # order[pos] -> w, refined with w individualized
+            low = others & -others  # ascending
+            others ^= low
+            mapped = _individualized(adj, cells, i, low, [], trace)
+            if mapped is None:
+                continue
+            if slot is None:
+                slot = _slots(fixed, order)
+            img[v] = low.bit_length() - 1
+            leaf = _first_leaf(order, back, slot, mapped, adj, img, used | low, pos + 1)
+            if leaf is not None:
+                check_bijection(leaf)  # so every product is one too
+                reps.append(leaf)
+        cells = fixed
         img[v] = v
         used |= 1 << v
-    if element_cap is not None and prod(len(r) + 1 for r in levels) > element_cap:
+    if prod(len(r) + 1 for r in levels) > element_cap:
         raise GroupTooLargeError(element_cap)
     elements = [tuple(range(n))]
     getters = []  # itemgetter(*h)(t) is t after h, a tuple as reps need n >= 2

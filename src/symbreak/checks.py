@@ -40,7 +40,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import combinations
+from itertools import combinations, product
 
 from . import config
 from .autgroup import automorphism_group
@@ -252,20 +252,15 @@ def check_pair_rules(
 
 
 def check_restriction(
-    g: Graph,
-    h,
-    budget: config.Budget = config.DEFAULT_BUDGET,
-    exhaustive_limit: int = 100_000,
-    samples: int = 200,
-    seed: int = 0,
+    g: Graph, h, budget: config.Budget = config.DEFAULT_BUDGET
 ) -> bool:
     """For vertex sets h whose members all share the same neighbors outside h:
     every distinguishing coloring of g examined restricts to a distinguishing
     coloring of the subgraph induced on h.
 
     Colorings examined: the distinguishing-number witness, plus all 2- and
-    3-colorings when that is at most exhaustive_limit candidates, otherwise
-    a seeded random sample. Returns True iff no counterexample was found.
+    3-colorings when that is at most 100,000 candidates (n <= 10), otherwise
+    200 drawn with a fixed seed. Returns True iff no counterexample was found.
     """
     h = sorted(set(h))
     if not h:
@@ -290,18 +285,12 @@ def check_restriction(
 
     candidates: list[Coloring] = [distinguishing_number(g, budget, aut=aut_g)[1]]
     n = g.n
-    if 2**n + 3**n <= exhaustive_limit:
+    if 2**n + 3**n <= 100_000:
         for k in (2, 3):
-            for code in range(k**n):
-                cols = []
-                rest = code
-                for _ in range(n):
-                    cols.append(rest % k)
-                    rest //= k
-                candidates.append(Coloring(tuple(cols), k))
+            candidates += (Coloring(cols, k) for cols in product(range(k), repeat=n))
     else:
-        rng = random.Random(seed)
-        for _ in range(samples):
+        rng = random.Random(0)
+        for _ in range(200):
             k = rng.choice((2, 3))
             candidates.append(Coloring(tuple(rng.randrange(k) for _ in range(n)), k))
 
@@ -638,7 +627,6 @@ def family_bounds_check(
     n: int,
     budget: config.Budget = config.DEFAULT_BUDGET,
     exact: bool | None = None,
-    seed: int = 2024,
 ) -> FamilyCheck:
     """Verify the clique-with-tails family facts at parameter n (1..3).
 
@@ -683,7 +671,7 @@ def family_bounds_check(
         clique_ok = is_determining_set(aut, set(range(size - 1)))
         if not clique_ok:
             failures.append("clique-minus-one subset is not determining")
-        rng = random.Random(seed)
+        rng = random.Random(2024)
         rand_ok = True
         for _ in range(10):
             subset = rng.sample(range(g.n), det_target - 1)

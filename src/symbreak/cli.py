@@ -12,6 +12,7 @@ Exit codes: 0 clean, 1 data or violation errors, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -40,8 +41,15 @@ from .metrics import analyze
 
 
 def _read_records(path: str):
-    """Yield (line_number, graph-or-error) from a graph6 file or stdin."""
-    stream = sys.stdin if path == "-" else open(path, "r", encoding="ascii")
+    """Yield (line_number, graph-or-error) from a graph6 file or stdin. The
+    input is decoded as latin-1, one character per byte, so a non-ASCII byte
+    is a parse error of its own record only."""
+    if path == "-":
+        stream = sys.stdin
+        if isinstance(stream, io.TextIOWrapper):
+            stream.reconfigure(encoding="latin-1")
+    else:
+        stream = open(path, encoding="latin-1")
     try:
         yield from read_graph6_lines(stream)
     finally:
@@ -70,21 +78,16 @@ def cmd_analyze(args) -> int:
     budget = _budget(args)
     status = 0
     for lineno, item in _read_records(args.input):
-        if isinstance(item, Exception):
-            print(f"error: line {lineno}: {item}", file=sys.stderr)
-            status = 1
-            if args.fail_fast:
-                return status
-            continue
-        try:
-            report = analyze(item, budget)
-        except (GroupTooLargeError, UnsupportedSizeError) as exc:
-            print(f"error: line {lineno}: {exc}", file=sys.stderr)
-            status = 1
-            if args.fail_fast:
-                return status
-            continue
-        _emit_report(report, args.format)
+        if not isinstance(item, Exception):
+            try:
+                _emit_report(analyze(item, budget), args.format)
+                continue
+            except (GroupTooLargeError, UnsupportedSizeError) as exc:
+                item = exc
+        print(f"error: line {lineno}: {item}", file=sys.stderr)
+        status = 1
+        if args.fail_fast:
+            break
     return status
 
 
@@ -239,7 +242,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 1
-    except SymbreakError as exc:
+    except (OSError, SymbreakError) as exc:  # OSError: an unreadable input path
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

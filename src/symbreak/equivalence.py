@@ -6,12 +6,13 @@ same as the two groups having equal labeled cycle representations under
 suitable labelings. The search backtracks over vertex images, filtered by
 per-vertex statistics (PermGroup.vertex_signatures: the multiset, over all
 group elements, of the cycle length through the vertex paired with the
-element's cycle type). It conjugates only a generating set of the first group,
-the transversal representatives of its point-stabilizer chain, read from
-PermGroup.maps_to. Each generator keeps a bitset of its possible images in the
-second group, ANDed with a maps_to row as each vertex image is fixed; an empty
-bitset prunes the branch, and a full bijection whose bitsets are all non-empty
-conjugates the whole group.
+element's cycle type, held counted as its sorted (pair, multiplicity) items,
+which are only compared for equality). It conjugates only a generating set of
+the first group, the transversal representatives of its point-stabilizer
+chain, read from PermGroup.maps_to. Each generator keeps a bitset of its
+possible images in the second group, ANDed with a maps_to row as each vertex
+image is fixed; an empty bitset prunes the branch, and a full bijection whose
+bitsets are all non-empty conjugates the whole group.
 
 equivalence_classes looks each group up before it searches: a graph whose
 group equals, element for element, one already placed joins that class

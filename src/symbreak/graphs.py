@@ -196,7 +196,7 @@ def encode_graph6(g: Graph) -> str:
 def read_graph6_lines(lines):
     """Yield (line_number, Graph-or-ParseError) for each nonempty line."""
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
+        line = raw.strip(" \t\n\r\v\f")  # ASCII only: no non-ASCII byte is dropped
         if not line or line == GRAPH6_HEADER:
             continue
         try:

@@ -329,16 +329,16 @@ def distinguishing_number(
 ) -> tuple[int, Coloring]:
     if aut is None:
         aut = automorphism_group(g)
-    return _distinguishing(aut, budget, lambda: _min_distinguishing_class(aut, budget))
+    return _distinguishing(aut, budget, _min_sets(aut, budget, det=None)[1])
 
 
-def _distinguishing(aut: PermGroup, budget: config.Budget, smallest_class):
-    """D with a witness coloring: 1 for a trivial group, else 2 when
-    smallest_class() (rho as _min_sets gives it) finds a class, else the
-    k >= 3 search. Raises BudgetExceededError when either is unsettled."""
+def _distinguishing(aut: PermGroup, budget: config.Budget, rho):
+    """D with a witness coloring: 1 for a trivial group, else 2 when rho (as
+    _min_sets gives it) is a class, else the k >= 3 search. Raises
+    BudgetExceededError when either is unsettled."""
     if aut.is_trivial:
         return 1, Coloring((0,) * aut.degree, 1)
-    found = _settled(smallest_class(), budget)
+    found = _settled(rho, budget)
     if found is not None:
         return 2, Coloring.from_class(aut.degree, found[1])
     return _distinguishing_ge3(aut, budget)
@@ -492,7 +492,7 @@ def analyze(
         aut = automorphism_group(g)
     det, rho = _min_sets(aut, budget)
     try:
-        d, d_witness = _distinguishing(aut, budget, lambda: rho)
+        d, d_witness = _distinguishing(aut, budget, rho)
     except BudgetExceededError:
         d, d_witness = UNKNOWN, None
     det, det_witness = det if isinstance(det, tuple) else (det, None)

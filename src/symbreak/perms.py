@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, permutations, repeat
+from itertools import permutations
 
 from .errors import DegreeError
 
@@ -256,16 +256,17 @@ class PermGroup:
 
     @property
     def vertex_signatures(self) -> tuple[tuple, ...]:
-        """Per vertex, the sorted multiset over elements of (cycle type,
-        length of the cycle through the vertex); conjugation preserves it."""
+        """Per vertex, the multiset over elements of (cycle type, length of
+        the cycle through the vertex), held counted: its sorted ((cycle type,
+        cycle length), multiplicity) pairs. Conjugation preserves it."""
         return self._cycle_views[1]
 
     @cached_property
     def _cycle_views(self):
         """cycle_types and vertex_signatures from one cycle decomposition
         per element; elements with the same (cycle type, cycle length per
-        vertex) are counted once per vertex, with their multiplicity, which
-        sorts a few keys per vertex instead of one entry per element. Equal
+        vertex) are counted once per vertex, with their multiplicity, so a
+        signature holds a few pairs instead of one entry per element. Equal
         cycle types share one tuple, which keeps Aut(K9)'s list small."""
         types: dict[tuple, tuple] = {}
         cycle_types = []
@@ -279,10 +280,7 @@ class PermGroup:
         for (ct, lengths), count in structures.items():
             for v, k in enumerate(lengths):
                 per_vertex[v][ct, k] += count
-        signatures = tuple(
-            tuple(chain.from_iterable(repeat(key, c) for key, c in sorted(sig.items())))
-            for sig in per_vertex
-        )
+        signatures = tuple(tuple(sorted(sig.items())) for sig in per_vertex)
         return tuple(cycle_types), signatures
 
     def validate(self) -> None:

@@ -111,14 +111,14 @@ def per_element_cycle_types(group: PermGroup) -> tuple[tuple[int, ...], ...]:
 
 
 def per_element_vertex_signatures(group: PermGroup) -> tuple[tuple, ...]:
-    """Per vertex, the sorted (cycle type, length of the cycle through the
-    vertex) over the elements, from Perm.cycles()."""
-    sigs: list[list] = [[] for _ in range(group.degree)]
+    """Per vertex, the sorted ((cycle type, length of the cycle through the
+    vertex), multiplicity) pairs over the elements, from Perm.cycles()."""
+    sigs: list[dict] = [{} for _ in range(group.degree)]
     for p, ct in zip(group.elements, per_element_cycle_types(group)):
         for cyc in p.cycles():
             for v in cyc:
-                sigs[v].append((ct, len(cyc)))
-    return tuple(tuple(sorted(s)) for s in sigs)
+                sigs[v][ct, len(cyc)] = sigs[v].get((ct, len(cyc)), 0) + 1
+    return tuple(tuple(sorted(s.items())) for s in sigs)
 
 
 def first_subsets(group: PermGroup, max_size: int) -> list[tuple[int, int, int]]:

@@ -1,0 +1,93 @@
+"""The command line's handling of bad input, refused groups and the reasons
+equiv gives for a non-equivalent pair."""
+
+import io
+import sys
+
+import pytest
+
+from symbreak.cli import main
+from symbreak.graphs import FamilySpec, Graph, encode_graph6, generate_family, permuted
+from symbreak.perms import Perm
+
+GOOD, BAD = "Bw", b"\x80"  # a triangle; a byte outside ASCII
+
+
+def fam(kind, p):
+    return generate_family(FamilySpec(kind, p))
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def write_pair(tmp_path, g, h):
+    path = tmp_path / "pair.g6"
+    path.write_text(f"{encode_graph6(g)}\n{encode_graph6(h)}\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("bad", [BAD, b"\xa0" + GOOD.encode()])  # \xa0: latin-1 NBSP
+@pytest.mark.parametrize("command", ["analyze", "scan"])
+def test_non_ascii_record_is_a_parse_error_of_its_line(tmp_path, capsys, command, bad):
+    path = tmp_path / "mixed.g6"
+    path.write_bytes(GOOD.encode() + b"\n" + bad + b"\n" + GOOD.encode() + b"\n")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 1
+    char = repr(chr(bad[0]))
+    assert err == f"error: line 2: character {char} outside printable range 63..126 (byte offset 0)\n"
+    assert [line.split()[0] for line in out.splitlines()[:2]] == [GOOD, GOOD]
+
+
+def test_non_ascii_record_on_stdin(capsys, monkeypatch):
+    stdin = io.TextIOWrapper(io.BytesIO(GOOD.encode() + b"\n" + BAD + b"\n"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, err = run_cli(capsys, "analyze", "-")
+    assert code == 1
+    assert out.startswith(GOOD + " ") and err.startswith("error: line 2: ")
+
+
+@pytest.mark.parametrize("command", ["analyze", "scan", "equiv"])
+def test_missing_input_path_is_an_error_line(tmp_path, capsys, command):
+    missing = tmp_path / "missing.g6"
+    code, out, err = run_cli(capsys, command, str(missing))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(missing) in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fail_fast", [False, True])
+def test_analyze_reports_a_refused_group_and_goes_on(tmp_path, capsys, fail_fast):
+    path = tmp_path / "k10.g6"
+    path.write_text(f"{encode_graph6(fam('complete', 10))}\n{GOOD}\n")
+    code, out, err = run_cli(capsys, "analyze", str(path), *["--fail-fast"] * fail_fast)
+    assert code == 1
+    assert err == "error: line 1: group exceeds element cap of 1000000\n"
+    assert out == ("" if fail_fast else f"{GOOD} n=3 m=3 aut=6 D=3 Det=2 rho=- det2_d2=0 "
+                   "rho_in_2_4=- det_set=0,1 rho_class=- degenerate=0\n")
+
+
+def test_family_analyze_refuses_a_group_over_the_cap(capsys):
+    code, out, err = run_cli(capsys, "family", "complete", "10", "--analyze")
+    assert code == 1 and out == ""
+    assert err == "error: group exceeds element cap of 1000000\n"
+
+
+def test_equiv_reason_cycle_types(tmp_path, capsys):
+    p3_k1 = Graph.from_edges(4, [(0, 1), (1, 2)])
+    code, out, _ = run_cli(capsys, "equiv", write_pair(tmp_path, fam("path", 4), p3_k1))
+    assert (code, out) == (0, "not-equivalent cycle-type multisets differ\n")
+
+
+def test_equiv_reason_search_exhausted(tmp_path, capsys):
+    c6 = fam("cycle", 6)
+    path = write_pair(tmp_path, c6, permuted(c6, Perm((3, 1, 4, 5, 0, 2))))
+    code, out, _ = run_cli(capsys, "equiv", path, "--budget", "1")
+    assert code == 1
+    assert out == "not-equivalent search-exhausted bijection search exceeded 1 nodes\n"
+
+
+def test_equiv_reason_vertex_count(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "equiv", write_pair(tmp_path, fam("path", 3), fam("path", 4)))
+    assert (code, out) == (0, "not-equivalent vertex-count 3 != 4\n")
