@@ -1,8 +1,11 @@
 """Corpus-scale verification of the structural facts behind the invariants.
 
 Everything here runs against explicit automorphism element lists, so each
-fact is checked in its strongest executable form: scan the group for the
-hypothesis pattern, then assert the forbidden (or required) pattern.
+fact is checked exactly, in its strongest executable form, and nothing is
+sampled: the pair rules scan the group for the hypothesis pattern, then
+assert the forbidden (or required) pattern; the restriction lemma is a group
+inclusion, Aut(g[h]) extended by the identity inside Aut(g); the
+clique-with-tails family's Det and rho come from the exhaustive walk.
 
 The pair rules, checked for a graph with a two-vertex determining set
 {x, y} (the "anchors"):
@@ -37,10 +40,9 @@ from __future__ import annotations
 
 import logging
 import math
-import random
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import combinations, product
+from itertools import combinations
 
 from . import config
 from .autgroup import automorphism_group
@@ -61,7 +63,6 @@ from .graphs import (
 )
 from .metrics import (
     UNKNOWN,
-    Coloring,
     SymmetryReport,
     analyze,
     distinguishing_number,
@@ -251,16 +252,17 @@ def check_pair_rules(
 # ---------------------------------------------------------------------------
 
 
-def check_restriction(
-    g: Graph, h, budget: config.Budget = config.DEFAULT_BUDGET
-) -> bool:
+def check_restriction(g: Graph, h) -> bool:
     """For vertex sets h whose members all share the same neighbors outside h:
-    every distinguishing coloring of g examined restricts to a distinguishing
-    coloring of the subgraph induced on h.
+    every distinguishing coloring of g restricts to a distinguishing coloring
+    of the subgraph induced on h.
 
-    Colorings examined: the distinguishing-number witness, plus all 2- and
-    3-colorings when that is at most 100,000 candidates (n <= 10), otherwise
-    200 drawn with a fixed seed. Returns True iff no counterexample was found.
+    Checked as the lemma's proof step: since the members of h share their
+    outside neighbors, every automorphism of g[h], extended by the identity
+    outside h, is an automorphism of g. A non-identity automorphism of g[h]
+    that preserved the restriction would then extend to one of g preserving
+    the coloring, for any number of colors. Returns True iff every extension
+    is in Aut(g).
     """
     h = sorted(set(h))
     if not h:
@@ -272,32 +274,13 @@ def check_restriction(
     if any(o != outside[0] for o in outside):
         raise NotApplicableError("members of h differ in their outside neighborhoods")
 
-    aut_g = automorphism_group(g)
-    sub, index = induced_subgraph(g, h)
-    aut_h = automorphism_group(sub)
-
-    def restrict(c: Coloring) -> Coloring:
-        cols = [0] * len(h)
-        for v in h:
-            cols[index[v]] = c.colors[v]
-        k = max(cols, default=0) + 1
-        return Coloring(tuple(cols), k)
-
-    candidates: list[Coloring] = [distinguishing_number(g, budget, aut=aut_g)[1]]
-    n = g.n
-    if 2**n + 3**n <= 100_000:
-        for k in (2, 3):
-            candidates += (Coloring(cols, k) for cols in product(range(k), repeat=n))
-    else:
-        rng = random.Random(0)
-        for _ in range(200):
-            k = rng.choice((2, 3))
-            candidates.append(Coloring(tuple(rng.randrange(k) for _ in range(n)), k))
-
-    for c in candidates:
-        if not is_distinguishing(aut_g, c):
-            continue
-        if not is_distinguishing(aut_h, restrict(c)):
+    aut_g = automorphism_group(g).image_set
+    sub, _ = induced_subgraph(g, h)  # vertex i of sub is h[i]
+    for t in automorphism_group(sub).images:
+        extension = list(range(g.n))
+        for i, v in enumerate(h):
+            extension[v] = h[t[i]]
+        if tuple(extension) not in aut_g:
             return False
     return True
 
@@ -611,10 +594,9 @@ class FamilyCheck:
     rho_target: int
     string_class: tuple[int, ...]
     string_class_is_distinguishing: bool
-    det_exact: int | None
-    rho_exact: int | None
-    clique_subset_determining: bool | None
-    random_subsets_not_determining: bool | None
+    det_exact: int
+    rho_exact: int
+    clique_subset_determining: bool
     degenerate: bool
     failures: tuple[str, ...] = field(default=())
 
@@ -624,21 +606,17 @@ class FamilyCheck:
 
 
 def family_bounds_check(
-    n: int,
-    budget: config.Budget = config.DEFAULT_BUDGET,
-    exact: bool | None = None,
+    n: int, budget: config.Budget = config.DEFAULT_BUDGET
 ) -> FamilyCheck:
     """Verify the clique-with-tails family facts at parameter n (1..3).
 
     The expected values: a minimum determining set drops one clique vertex
     (size 2**n - 1), and the binary-string coloring class of size n * 2**(n-1)
-    is a distinguishing class. Exact minimality is verified for n <= 2 by
-    default; pass exact=True to force the n=3 exhaustive search.
+    is a distinguishing class. Det and rho are settled exactly by analyze,
+    and the clique minus its last vertex must be a determining set.
     """
     if not 1 <= n <= 3:
         raise UnsupportedSizeError("family check supports n in 1..3")
-    if exact is None:
-        exact = n <= 2
     g = clique_with_tails(n)
     size = 1 << n
     det_target = size - 1
@@ -656,28 +634,16 @@ def family_bounds_check(
     if not class_ok:
         failures.append("string class is not a distinguishing class")
 
-    det_exact = rho_exact = None
-    clique_ok = rand_ok = None
-    if exact:
-        report = analyze(g, budget, aut=aut)
-        det_exact, rho_exact = report.det, report.rho
-        if det_exact is UNKNOWN or rho_exact is UNKNOWN:
-            raise BudgetExceededError("exact Det and rho search exceeded the budget")
-        if det_exact != det_target:
-            failures.append(f"Det={det_exact} != {det_target}")
-        if rho_exact != rho_target:
-            failures.append(f"rho={rho_exact} != {rho_target}")
-    if n == 3:
-        clique_ok = is_determining_set(aut, set(range(size - 1)))
-        if not clique_ok:
-            failures.append("clique-minus-one subset is not determining")
-        rng = random.Random(2024)
-        rand_ok = True
-        for _ in range(10):
-            subset = rng.sample(range(g.n), det_target - 1)
-            if is_determining_set(aut, subset):
-                rand_ok = False
-                failures.append(f"random {det_target - 1}-subset {sorted(subset)} determines")
+    report = analyze(g, budget, aut=aut)
+    if report.det is UNKNOWN or report.rho is UNKNOWN:
+        raise BudgetExceededError("exact Det and rho search exceeded the budget")
+    if report.det != det_target:
+        failures.append(f"Det={report.det} != {det_target}")
+    if report.rho != rho_target:
+        failures.append(f"rho={report.rho} != {rho_target}")
+    clique_ok = is_determining_set(aut, set(range(size - 1)))
+    if not clique_ok:
+        failures.append("clique-minus-one subset is not determining")
 
     return FamilyCheck(
         n=n,
@@ -688,10 +654,9 @@ def family_bounds_check(
         rho_target=rho_target,
         string_class=sclass,
         string_class_is_distinguishing=class_ok,
-        det_exact=det_exact,
-        rho_exact=rho_exact,
+        det_exact=report.det,
+        rho_exact=report.rho,
         clique_subset_determining=clique_ok,
-        random_subsets_not_determining=rand_ok,
         degenerate=n == 1,
         failures=tuple(failures),
     )

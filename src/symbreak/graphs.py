@@ -302,17 +302,12 @@ def string_color_class(n: int) -> frozenset[int]:
 
 ENUM_MAX_N = 6
 
-_mask_reps_cache: dict[int, tuple[int, ...]] = {}
-
-
 def _pair_slots(n: int) -> list[tuple[int, int]]:
     return [(u, v) for v in range(1, n) for u in range(v)]
 
 
 def _mask_representatives(n: int) -> tuple[int, ...]:
     """Canonical masks of all isomorphism classes on n vertices, ascending."""
-    if n in _mask_reps_cache:
-        return _mask_reps_cache[n]
     from .metrics import subset_orbit_representatives  # metrics imports graphs
 
     pairs = _pair_slots(n)
@@ -336,8 +331,7 @@ def _mask_representatives(n: int) -> tuple[int, ...]:
             1 << (nslots - 1 - idx) for idx in range(nslots) if non_edges >> idx & 1
         )
         reps.append(full ^ reversed_bits)
-    _mask_reps_cache[n] = tuple(sorted(reps))
-    return _mask_reps_cache[n]
+    return tuple(sorted(reps))
 
 
 def _mask_to_graph(n: int, mask: int) -> Graph:

@@ -36,10 +36,6 @@ class Perm:
                 images[v] = cyc[(i + 1) % len(cyc)]
         return cls(tuple(images))
 
-    @classmethod
-    def transposition(cls, n: int, a: int, b: int) -> "Perm":
-        return cls.from_cycles(n, [(a, b)])
-
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -47,9 +43,6 @@ class Perm:
     @property
     def is_identity(self) -> bool:
         return all(img == v for v, img in enumerate(self.images))
-
-    def __call__(self, v: int) -> int:
-        return self.images[v]
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Disjoint cycles covering 0..n-1, singletons included."""
@@ -67,9 +60,6 @@ class Perm:
                 v = self.images[v]
             out.append(tuple(cyc))
         return tuple(out)
-
-    def __mul__(self, other: "Perm") -> "Perm":
-        return compose(self, other)
 
 
 def compose(p: Perm, q: Perm) -> Perm:
@@ -171,7 +161,9 @@ class PermGroup:
     vertex_signatures) are built once, on first use; elements holds the
     same elements as Perm objects, and is built only for callers that ask
     for it. elements and cycle_types are aligned with images, and bit i of
-    a maps_to or identity_bits bitset stands for images[i].
+    a maps_to or identity_bits bitset stands for images[i]. The group is
+    not itself a container: callers iterate over images and test membership
+    of an image tuple in image_set.
     """
 
     degree: int
@@ -197,10 +189,6 @@ class PermGroup:
         return cls.from_images(degree, (p.images for p in elements))
 
     @classmethod
-    def trivial(cls, degree: int) -> "PermGroup":
-        return cls(degree, (tuple(range(degree)),))
-
-    @classmethod
     def symmetric(cls, degree: int) -> "PermGroup":
         return cls(degree, tuple(permutations(range(degree))))
 
@@ -211,12 +199,6 @@ class PermGroup:
     @property
     def is_trivial(self) -> bool:
         return len(self.images) == 1
-
-    def __contains__(self, p: Perm) -> bool:
-        return p.images in self.image_set
-
-    def __iter__(self):
-        return iter(self.elements)
 
     @cached_property
     def elements(self) -> tuple[Perm, ...]:

@@ -29,9 +29,10 @@ from symbreak.graphs import (
     encode_graph6,
     enumerate_graphs,
     generate_family,
+    parse_graph6,
     permuted,
 )
-from symbreak.metrics import analyze, is_determining_set
+from symbreak.metrics import analyze, determining_number, is_determining_set
 from symbreak.perms import Perm, PermGroup
 
 
@@ -164,6 +165,17 @@ def test_rules_pass_on_triangle():
     rep = check_pair_rules(fam("complete", 3), (0, 1))
     assert rep.passed
     assert rep.statuses["bare_swap_absent"] == "skipped"  # D(K3) = 3
+
+
+def test_bare_swap_rule_skipped_when_d_exceeds_the_budget():
+    # C@: one edge and two isolated vertices, D = 2 and Det = 2; at a budget
+    # of one the D search gives up, so the rule that needs D = 2 is skipped
+    g = parse_graph6("C@")
+    pair = tuple(sorted(determining_number(g)[1]))
+    assert check_pair_rules(g, pair).statuses["bare_swap_absent"] == "pass"
+    rep = check_pair_rules(g, pair, budget=Budget.uniform(1))
+    assert rep.passed
+    assert rep.statuses["bare_swap_absent"] == "skipped"
 
 
 def test_rules_pass_on_net_graph():
@@ -393,6 +405,7 @@ def test_family_check_n1_degenerate():
     assert fc.ok and fc.degenerate
     assert fc.det_exact == 1 and fc.rho_exact == 1
     assert fc.det_target == 1 and fc.rho_target == 1
+    assert fc.clique_subset_determining
 
 
 def test_family_check_n2_exact():
@@ -402,24 +415,17 @@ def test_family_check_n2_exact():
     assert fc.rho_exact == 4 == fc.rho_target
     assert fc.string_class_is_distinguishing
     assert fc.aut_order == 24
-
-
-def test_family_check_n3_certificates():
-    fc = family_bounds_check(3)
-    assert fc.ok
-    assert fc.aut_order == 40320 and fc.aut_order_is_clique_factorial
-    assert fc.det_target == 7 and fc.rho_target == 12
-    assert len(fc.string_class) == 12 and fc.string_class_is_distinguishing
     assert fc.clique_subset_determining
-    assert fc.random_subsets_not_determining
-    assert fc.det_exact is None and fc.rho_exact is None  # exact mode off
 
 
 def test_family_check_n3_exact():
-    fc = family_bounds_check(3, exact=True)
+    fc = family_bounds_check(3)
     assert fc.ok
+    assert fc.aut_order == 40320 and fc.aut_order_is_clique_factorial
     assert fc.det_exact == 7 == fc.det_target
     assert fc.rho_exact == 12 == fc.rho_target
+    assert len(fc.string_class) == 12 and fc.string_class_is_distinguishing
+    assert fc.clique_subset_determining
 
 
 def test_family_check_range():

@@ -1,5 +1,5 @@
-"""The command line's handling of bad input, refused groups and the reasons
-equiv gives for a non-equivalent pair."""
+"""The command line's handling of bad input, header and blank lines, refused
+groups and the reasons equiv gives for a non-equivalent pair."""
 
 import io
 import sys
@@ -47,6 +47,22 @@ def test_non_ascii_record_on_stdin(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "analyze", "-")
     assert code == 1
     assert out.startswith(GOOD + " ") and err.startswith("error: line 2: ")
+
+
+def test_analyze_skips_header_and_blank_lines(tmp_path, capsys):
+    path = tmp_path / "header.g6"
+    path.write_text(f">>graph6<<\n\n{GOOD}\n\n")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, err) == (0, "")
+    assert [line.split()[0] for line in out.splitlines()] == [GOOD]
+
+
+def test_equiv_reports_a_bad_record_by_its_line(tmp_path, capsys):
+    path = tmp_path / "pair.g6"
+    path.write_text(f"{GOOD}\n!!bad\n")
+    code, out, err = run_cli(capsys, "equiv", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: line 2: character '!' outside printable range 63..126 (byte offset 0)\n"
 
 
 @pytest.mark.parametrize("command", ["analyze", "scan", "equiv"])

@@ -383,6 +383,11 @@ def test_isomorphism_distinguishes_non_isomorphic():
     assert isomorphism(fam("path", 4), Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])) is None
 
 
+def test_isomorphism_on_different_orders_and_empty_graphs():
+    assert isomorphism(fam("path", 3), fam("path", 4)) is None
+    assert isomorphism(Graph(0, ()), Graph(0, ())) == Perm(())
+
+
 def _isomorphism_pairs():
     """Each graph on at most 6 vertices against itself (the same object), a
     relabelling drawn from one seeded stream, and its complement."""

@@ -27,3 +27,25 @@ def test_checker_flags_a_private_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_another_modules_private_names(path):
     assert private_imports(path.read_text()) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules a source imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add((node.module or "").split(".")[0])
+    return found
+
+
+def test_checker_finds_both_import_forms():
+    assert imported_modules("import random") == {"random"}
+    assert imported_modules("from random import Random\nfrom . import random") == {"random"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_random(path):
+    """Every answer is exact: no package path samples."""
+    assert "random" not in imported_modules(path.read_text())
