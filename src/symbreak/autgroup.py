@@ -254,12 +254,14 @@ def automorphism_elements(g: Graph, element_cap: int):
 def automorphism_group(
     g: Graph, element_cap: int = config.MAX_AUT_ELEMENTS
 ) -> PermGroup:
-    """Aut(g) as an explicit PermGroup."""
+    """Aut(g) as an explicit PermGroup. The products of coset
+    representatives are distinct and include the identity, so they are only
+    sorted."""
     if g.n > config.MAX_AUT_VERTICES:
         raise UnsupportedSizeError(
             f"automorphism search supports n <= {config.MAX_AUT_VERTICES}, got {g.n}"
         )
-    return PermGroup.from_images(g.n, automorphism_elements(g, element_cap=element_cap))
+    return PermGroup(g.n, tuple(sorted(automorphism_elements(g, element_cap=element_cap))))
 
 
 def orbits(group: PermGroup) -> tuple[frozenset[int], ...]:

@@ -267,6 +267,8 @@ def check_restriction(g: Graph, h) -> bool:
     h = sorted(set(h))
     if not h:
         raise NotApplicableError("h must be a nonempty vertex set")
+    if h[0] < 0 or h[-1] >= g.n:
+        raise NotApplicableError(f"h holds a vertex outside 0..{g.n - 1}")
     hmask = 0
     for v in h:
         hmask |= 1 << v

@@ -16,10 +16,11 @@ import io
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import config
 from .autgroup import automorphism_group
-from .checks import ScanOptions, scan_corpus
+from .checks import ERROR_SKIP, ScanOptions, scan_corpus
 from .equivalence import distinguishably_equivalent
 from .errors import (
     BudgetExceededError,
@@ -138,19 +139,20 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    status = 0
+    graphs, unparsed = [], []
     if args.enumerate is not None:
         if not 1 <= args.enumerate <= ENUM_MAX_N:
             print(f"usage error: --enumerate takes n in 1..{ENUM_MAX_N}", file=sys.stderr)
             return 2
         graphs = [g for n in range(1, args.enumerate + 1) for g in enumerate_graphs(n)]
     elif args.input is not None:
-        # a record that does not parse is reported and left out of the scan
-        graphs = []
+        # a record that does not parse is reported, left out of the scan and
+        # listed among the summary's skips
         for lineno, item in _read_records(args.input):
             if isinstance(item, Exception):
-                print(f"error: line {lineno}: {item}", file=sys.stderr)
-                status = 1
+                reason = f"{ERROR_SKIP}line {lineno}: {item}"
+                print(reason, file=sys.stderr)
+                unparsed.append((item.record, reason))
             else:
                 graphs.append(item)
     else:
@@ -159,10 +161,16 @@ def cmd_scan(args) -> int:
 
     options = ScanOptions(jobs=args.jobs, budget=_budget(args), all_pairs=args.props)
     report = scan_corpus(graphs, options)
+    if unparsed:
+        report = replace(
+            report,
+            corpus_size=report.corpus_size + len(unparsed),
+            skipped=(*unparsed, *report.skipped),
+        )
     for gr in report.graph_reports:
         _emit_report(gr, args.format)
     print(json.dumps(report.summary_obj(), sort_keys=True))
-    return 0 if report.ok and status == 0 else 1
+    return 0 if report.ok else 1
 
 
 def _budget(args) -> config.Budget:

@@ -194,7 +194,9 @@ def encode_graph6(g: Graph) -> str:
 
 
 def read_graph6_lines(lines):
-    """Yield (line_number, Graph-or-ParseError) for each nonempty line."""
+    """Yield (line_number, Graph-or-error) for each nonempty line. The error
+    is a ParseError or UnsupportedSizeError whose record attribute holds the
+    stripped line."""
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip(" \t\n\r\v\f")  # ASCII only: no non-ASCII byte is dropped
         if not line or line == GRAPH6_HEADER:
@@ -202,6 +204,7 @@ def read_graph6_lines(lines):
         try:
             yield lineno, parse_graph6(line)
         except (ParseError, UnsupportedSizeError) as exc:
+            exc.record = line
             yield lineno, exc
 
 

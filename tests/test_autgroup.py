@@ -11,6 +11,7 @@ from helpers import (
     brute_automorphisms,
     closure_orbits,
     conjugate_group,
+    disjoint_cliques,
     mid_group_graphs,
     preserves_adjacency,
     random_graph,
@@ -26,7 +27,7 @@ from symbreak.autgroup import (
 )
 from symbreak.checks import ScanOptions, scan_corpus
 from symbreak.equivalence import distinguishably_equivalent
-from symbreak.errors import GroupTooLargeError, UnsupportedSizeError
+from symbreak.errors import DegreeError, GroupTooLargeError, UnsupportedSizeError
 from symbreak.graphs import (
     FamilySpec,
     Graph,
@@ -135,19 +136,55 @@ def test_setwise_stabilizer_examples():
     assert setwise_stabilizer(aut, set(range(4))).order == aut.order
 
 
+def _dihedral(n):
+    """The rotations and reflections of an n-cycle's vertices, as images."""
+    return [tuple((s * v + r) % n for v in range(n)) for r in range(n) for s in (1, -1)]
+
+
 def test_maps_to_marks_each_element_at_its_images():
-    cases = [g for n in range(1, 6) for g in enumerate_graphs(n)]
-    cases += mid_group_graphs().values()
-    for g in cases:
-        aut = automorphism_group(g)
-        assert len(aut.maps_to) == g.n
-        for u, row in enumerate(aut.maps_to):
-            assert len(row) == g.n
-            for x, bits in enumerate(row):
-                assert bits >> aut.order == 0
-                marks = [bits >> i & 1 == 1 for i in range(aut.order)]
-                assert marks == [t[u] == x for t in aut.images], (g, u, x)
+    """Each row partitions the elements (its bitsets are pairwise disjoint
+    and OR to every element), and each element's bit is at its images; above
+    5000 elements, at a seeded sample of 200 elements."""
+    rng = random.Random(15)
+    graph_cases = [g for n in range(1, 6) for g in enumerate_graphs(n)]
+    with GRAPHS7_FILE.open(encoding="ascii") as fh:
+        graph_cases += [parse_graph6(line.strip()) for line in fh]
+    graph_cases += mid_group_graphs().values()
+    rook36 = [(u, v) for v in range(18) for u in range(v) if u // 6 == v // 6 or u % 6 == v % 6]
+    graph_cases += [
+        fam("hypercube", 5),
+        Graph.from_edges(18, rook36),  # K3 x K6
+        fam("complete", 8),
+        disjoint_cliques(4, 3),
+        Graph(0, ()),
+        fam("cycle", 40),
+    ]
+    groups = [automorphism_group(g) for g in graph_cases]
+    assert {aut.degree for aut in groups} >= {0, 1, 40}
+    assert max(aut.order for aut in groups) == 40320
+    groups += [
+        PermGroup.from_images(3, [(2, 1, 0), (1, 2, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0)]),
+        PermGroup.from_images(4, [(3, 2, 1, 0), (1, 0, 3, 2), (3, 2, 1, 0), (0, 1, 2, 3)]),
+        PermGroup.from_images(256, _dihedral(256)[::-1] + _dihedral(256)[:7]),
+    ]
+    for aut in groups:
+        every = (1 << aut.order) - 1
+        assert len(aut.maps_to) == aut.degree
+        for row in aut.maps_to:
+            assert len(row) == aut.degree
+            union = 0
+            for bits in row:
+                union |= bits
+            assert union == every
+            assert sum(bits.bit_count() for bits in row) == aut.order  # disjoint
+        picked = range(aut.order) if aut.order <= 5000 else rng.sample(range(aut.order), 200)
+        for i in picked:
+            t = aut.images[i]
+            assert all(row[t[u]] >> i & 1 for u, row in enumerate(aut.maps_to)), (aut, i)
         assert aut.identity_bits == 1  # the identity sorts first
+    assert groups[-1].order == 512
+    with pytest.raises(DegreeError, match="degree <= 256, got 257"):
+        PermGroup.from_images(257, _dihedral(257)).maps_to
 
 
 def test_identity_bits_on_hand_built_element_lists():

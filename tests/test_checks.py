@@ -237,6 +237,12 @@ def test_restriction_rejects_mismatched_neighborhoods():
         check_restriction(g, set())
 
 
+@pytest.mark.parametrize("h", [{7}, {-1}, {2, 4}])
+def test_restriction_rejects_a_vertex_outside_the_graph(h):
+    with pytest.raises(NotApplicableError, match="outside 0..3"):
+        check_restriction(fam("path", 4), h)
+
+
 def test_restriction_on_matched_tail_pair():
     # both pendants of a 4-star share the center as outside neighborhood
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])

@@ -183,8 +183,11 @@ def test_scan_reports_a_bad_record_and_scans_the_rest(tmp_path, capsys):
     *lines, summary_line = out.splitlines()
     assert [line.split()[0] for line in lines] == ["Bw", "Bg"]
     summary = json.loads(summary_line)
-    assert summary["corpus_size"] == summary["analyzed"] == 2
-    assert summary["violations"] == [] and summary["skipped"] == []
+    assert summary["corpus_size"] == 4 and summary["analyzed"] == 2
+    assert summary["violations"] == []
+    records = ["!!bad", "?bad"]
+    assert summary["skipped"] == [list(skip) for skip in zip(records, err.splitlines())]
+    assert summary["skipped"][0][1].startswith("error: line 2: character '!'")
 
 
 def test_scan_requires_source(capsys):
