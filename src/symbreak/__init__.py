@@ -1,18 +1,14 @@
 """Symmetry-breaking invariants of small graphs.
 
-Core objects: Graph (bitmask adjacency), Perm / PermGroup (explicit element
-lists), Coloring. Core invariants: the automorphism group, the distinguishing
-number D, the determining number Det, and the cost number rho, with witnesses.
+Core objects: Graph (bitmask adjacency), Perm / PermGroup (elements held as
+image tuples), Coloring. Core invariants: the automorphism group, the
+distinguishing number D, the determining number Det, and the cost number rho,
+with witnesses.
 On top of those: distinguishable equivalence of graphs, structural rule
 checking for two-vertex determining sets, and deterministic corpus scans.
 """
 
-from .autgroup import (
-    automorphism_group,
-    orbits,
-    pointwise_stabilizer,
-    setwise_stabilizer,
-)
+from .autgroup import automorphism_group, isomorphism, orbits
 from .checks import (
     FamilyCheck,
     RuleReport,
@@ -25,12 +21,7 @@ from .checks import (
     scan_corpus,
 )
 from .config import Budget, DEFAULT_BUDGET
-from .equivalence import (
-    distinguishably_equivalent,
-    equivalence_classes,
-    isomorphism,
-    representations_equal,
-)
+from .equivalence import distinguishably_equivalent, equivalence_classes
 from .errors import (
     BudgetExceededError,
     DegreeError,
@@ -50,7 +41,6 @@ from .graphs import (
     enumerate_graphs,
     generate_family,
     induced_subgraph,
-    neighbors,
     parse_graph6,
     permuted,
 )
@@ -62,14 +52,11 @@ from .metrics import (
     cost_number,
     determining_number,
     distinguishing_number,
-    is_broken,
     is_determining_set,
     is_distinguishing,
     is_distinguishing_class,
-    nn_pairs,
-    preserves_coloring,
 )
-from .perms import Labeling, Perm, PermGroup, compose, cycle_type, inverse, relabel
+from .perms import Perm, PermGroup, cycle_type
 
 __all__ = [
     "Budget",
@@ -82,7 +69,6 @@ __all__ = [
     "FamilySpecError",
     "Graph",
     "GroupTooLargeError",
-    "Labeling",
     "NotApplicableError",
     "NotDeterminingPairError",
     "ParseError",
@@ -101,7 +87,6 @@ __all__ = [
     "check_restriction",
     "check_shared_distinguishing_number",
     "complement",
-    "compose",
     "cost_number",
     "cycle_type",
     "determining_number",
@@ -113,21 +98,12 @@ __all__ = [
     "family_bounds_check",
     "generate_family",
     "induced_subgraph",
-    "inverse",
-    "is_broken",
     "is_determining_set",
     "is_distinguishing",
     "is_distinguishing_class",
     "isomorphism",
-    "neighbors",
-    "nn_pairs",
     "orbits",
     "parse_graph6",
     "permuted",
-    "pointwise_stabilizer",
-    "preserves_coloring",
-    "relabel",
-    "representations_equal",
     "scan_corpus",
-    "setwise_stabilizer",
 ]

@@ -1,4 +1,4 @@
-"""Exact automorphism groups of small graphs, orbits, and stabilizers.
+"""Exact automorphism groups of small graphs, and their orbits.
 
 _first_leaf is the one search for adjacency-preserving bijections g1 -> g2:
 g1's vertices, by descending degree then index, go in ascending order to the
@@ -269,26 +269,3 @@ def orbits(group: PermGroup) -> tuple[frozenset[int], ...]:
     is the set of images x whose maps_to[u][x] is not empty."""
     blocks = {frozenset(x for x, b in enumerate(row) if b) for row in group.maps_to}
     return tuple(sorted(blocks, key=min))
-
-
-def _vertex_set(group: PermGroup, s) -> set[int]:
-    """s as a set; IndexError for a vertex outside 0..degree-1."""
-    s = set(s)
-    for v in s:
-        if not 0 <= v < group.degree:
-            raise IndexError(f"vertex {v} out of range for n={group.degree}")
-    return s
-
-
-def pointwise_stabilizer(group: PermGroup, s) -> PermGroup:
-    """Elements fixing every member of s."""
-    s = _vertex_set(group, s)
-    kept = [t for t in group.images if all(t[v] == v for v in s)]
-    return PermGroup(group.degree, tuple(kept))
-
-
-def setwise_stabilizer(group: PermGroup, s) -> PermGroup:
-    """Elements mapping s onto itself as a set."""
-    s = _vertex_set(group, s)
-    kept = [t for t in group.images if all(t[v] in s for v in s)]
-    return PermGroup(group.degree, tuple(kept))

@@ -2,7 +2,7 @@
 
 Subcommands:
   analyze  one report line per graph6 record (file or stdin)
-  family   emit or analyze a named family member
+  family   print a named family member as graph6, or its report
   equiv    decide distinguishable equivalence of exactly two graphs
   scan     corpus scan: rho bound, pair rules, histogram, witness hunts
 
@@ -186,11 +186,12 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _add_common(p, jobs=False):
+def _add_common(p, reports=True, jobs=False):
     p.add_argument("--budget", type=positive_int, default=None, help="search budget cap")
-    p.add_argument(
-        "--format", choices=("lines", "json"), default="lines", help="output format"
-    )
+    if reports:
+        p.add_argument(
+            "--format", choices=("lines", "json"), default="lines", help="output format"
+        )
     if jobs:
         p.add_argument(
             "--jobs",
@@ -216,15 +217,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help="generate or analyze a named family member")
     p.add_argument("kind", choices=FAMILY_KINDS)
     p.add_argument("parameter", type=int)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--emit", action="store_true", help="print graph6 (default)")
-    group.add_argument("--analyze", action="store_true", help="print full report")
+    p.add_argument("--analyze", action="store_true", help="print the report, not graph6")
     _add_common(p)
     p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("equiv", help="decide distinguishable equivalence of two graphs")
     p.add_argument("input", nargs="?", default="-", help="file with exactly 2 records")
-    _add_common(p)
+    _add_common(p, reports=False)
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("scan", help="scan a corpus")

@@ -3,16 +3,17 @@
 Two graphs are equivalent when some bijection of their vertex sets conjugates
 the automorphism group of one onto the other, element for element; that is the
 same as the two groups having equal labeled cycle representations under
-suitable labelings. The search backtracks over vertex images, filtered by
-per-vertex statistics (PermGroup.vertex_signatures: the multiset, over all
-group elements, of the cycle length through the vertex paired with the
-element's cycle type, held counted as its sorted (pair, multiplicity) items,
-which are only compared for equality). It conjugates only a generating set of
-the first group, the transversal representatives of its point-stabilizer
-chain, read from PermGroup.maps_to. Each generator keeps a bitset of its
-possible images in the second group, ANDed with a maps_to row as each vertex
-image is fixed; an empty bitset prunes the branch, and a full bijection whose
-bitsets are all non-empty conjugates the whole group.
+suitable labelings. Under one labelling, two groups have equal representations
+exactly when their image_set views are equal. The search backtracks over
+vertex images, filtered by per-vertex statistics (PermGroup.vertex_signatures:
+the multiset, over all group elements, of the cycle length through the vertex
+paired with the element's cycle type, held counted as its sorted (pair,
+multiplicity) items, which are only compared for equality). It conjugates only
+a generating set of the first group, the transversal representatives of its
+point-stabilizer chain, read from PermGroup.maps_to. Each generator keeps a
+bitset of its possible images in the second group, ANDed with a maps_to row as
+each vertex image is fixed; an empty bitset prunes the branch, and a full
+bijection whose bitsets are all non-empty conjugates the whole group.
 
 equivalence_classes looks each group up before it searches: a graph whose
 group equals, element for element, one already placed joins that class
@@ -24,15 +25,10 @@ bijection search.
 from __future__ import annotations
 
 from . import config
-from .autgroup import automorphism_group, isomorphism  # isomorphism: re-exported
+from .autgroup import automorphism_group
 from .errors import BudgetExceededError
 from .graphs import Graph
 from .perms import Perm, PermGroup
-
-
-def representations_equal(a: PermGroup, b: PermGroup) -> bool:
-    """Same degree and identical element sets."""
-    return a.degree == b.degree and a.image_set == b.image_set
 
 
 def _chain_generators(aut: PermGroup) -> list[int]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .config import DEFAULT_BUDGET
-from .errors import FamilySpecError, ParseError, UnsupportedSizeError
+from .errors import DegreeError, FamilySpecError, ParseError, UnsupportedSizeError
 from .perms import Perm, PermGroup
 
 GRAPH6_HEADER = ">>graph6<<"
@@ -77,21 +77,18 @@ class Graph:
         return self.adj[v].bit_count()
 
 
-def neighbors(g: Graph, v: int) -> frozenset[int]:
-    """The set {u : u adjacent to v}."""
-    if not 0 <= v < g.n:
-        raise IndexError(f"vertex {v} out of range for n={g.n}")
-    return frozenset(u for u in range(g.n) if g.adj[v] >> u & 1)
-
-
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     return Graph(g.n, tuple((full ^ row) & ~(1 << v) for v, row in enumerate(g.adj)))
 
 
 def induced_subgraph(g: Graph, s) -> tuple[Graph, dict[int, int]]:
-    """Subgraph induced on vertex set s, plus the old->new index map."""
+    """Subgraph induced on vertex set s, plus the old->new index map;
+    IndexError for a vertex outside 0..n-1."""
     old = sorted(s)
+    for v in old:
+        if not 0 <= v < g.n:
+            raise IndexError(f"vertex {v} out of range for n={g.n}")
     index = {v: i for i, v in enumerate(old)}
     adj = [0] * len(old)
     for v in old:
@@ -102,7 +99,10 @@ def induced_subgraph(g: Graph, s) -> tuple[Graph, dict[int, int]]:
 
 
 def permuted(g: Graph, p: Perm) -> Graph:
-    """Relabeled copy: vertex v of g becomes vertex p(v)."""
+    """Relabeled copy: vertex v of g becomes vertex p(v); DegreeError
+    unless p has degree n."""
+    if p.degree != g.n:
+        raise DegreeError(f"degree mismatch: {p.degree} vs {g.n}")
     adj = [0] * g.n
     for v in range(g.n):
         row = 0

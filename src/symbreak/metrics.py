@@ -1,7 +1,6 @@
-"""Symmetry-breaking invariants: broken permutations, distinguishing colorings
-and the distinguishing number D, determining sets and Det, distinguishing
-classes and the cost number rho, neighbour-non-neighbour pairs, and the
-per-graph report that aggregates them.
+"""Symmetry-breaking invariants: distinguishing colorings and the
+distinguishing number D, determining sets and Det, distinguishing classes and
+the cost number rho, and the per-graph report that aggregates them.
 
 Search strategy notes:
 
@@ -39,7 +38,7 @@ from . import config
 from .autgroup import automorphism_group
 from .errors import BudgetExceededError, DegreeError
 from .graphs import Graph, encode_graph6
-from .perms import Perm, PermGroup
+from .perms import PermGroup
 
 
 class _Unknown:
@@ -86,19 +85,6 @@ class Coloring:
         )
 
 
-def is_broken(p: Perm, c: Coloring) -> bool:
-    """True iff some cycle of p carries two distinct colors."""
-    return not preserves_coloring(p, c)
-
-
-def preserves_coloring(p: Perm, c: Coloring) -> bool:
-    """Direct color-preservation test: c(p(v)) == c(v) for all v."""
-    if p.degree != c.degree:
-        raise DegreeError(f"degree mismatch: {p.degree} vs {c.degree}")
-    colors = c.colors
-    return all(colors[img] == colors[v] for v, img in enumerate(p.images))
-
-
 def _preservers(aut: PermGroup, sets, among: int | None = None) -> int:
     """The elements among `among` (all by default) sending each u of each
     vertex set M in sets into M, which maps M onto itself. The entries of a
@@ -114,7 +100,9 @@ def _preservers(aut: PermGroup, sets, among: int | None = None) -> int:
 
 
 def is_distinguishing(aut: PermGroup, c: Coloring) -> bool:
-    """True iff every non-identity element of aut is broken by c."""
+    """True iff every non-identity element of aut is broken by c: some
+    cycle of the element carries two distinct colors, so that c(p(v)) !=
+    c(v) for some vertex v."""
     if aut.degree != c.degree:
         raise DegreeError(f"degree mismatch: {aut.degree} vs {c.degree}")
     return _preservers(aut, c.color_classes()) == aut.identity_bits
@@ -138,27 +126,6 @@ def is_distinguishing_class(aut: PermGroup, s) -> bool:
     """True iff only the identity maps s onto itself, so that coloring s red
     and the rest blue is distinguishing."""
     return _preservers(aut, [_vertex_set(aut, s)]) == aut.identity_bits
-
-
-def nn_pairs(g: Graph, v1: int, v2: int) -> list[tuple[int, int]]:
-    """Ordered pairs (n1, n2) of distinct outside vertices with n1 adjacent to
-    v1 only and n2 adjacent to v2 only; the opposite orientation shows up as
-    the swapped pair. Sorted lexicographically."""
-    if v1 == v2:
-        raise ValueError("nn_pairs requires two distinct vertices")
-    if not (0 <= v1 < g.n and 0 <= v2 < g.n):
-        raise IndexError("vertex out of range")
-    side1 = [
-        u
-        for u in range(g.n)
-        if u not in (v1, v2) and g.adj[v1] >> u & 1 and not g.adj[v2] >> u & 1
-    ]
-    side2 = [
-        u
-        for u in range(g.n)
-        if u not in (v1, v2) and g.adj[v2] >> u & 1 and not g.adj[v1] >> u & 1
-    ]
-    return sorted((a, b) for a in side1 for b in side2 if a != b)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,12 @@
-"""Permutations on 0..n-1, explicit permutation groups, and labeled cycle output.
-
-Composition is right-to-left: compose(p, q) applies q first, then p.
-Cycle printout is deterministic: cycles ordered by least member, each cycle
-rotated to start at its least member, singleton cycles included.
-"""
+"""Permutations on 0..n-1 and explicit permutation groups held as image
+tuples."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from itertools import chain, permutations
+from functools import cached_property
+from itertools import chain
 
 from .errors import DegreeError
 
@@ -35,14 +31,6 @@ class Perm:
     def identity(cls, n: int) -> "Perm":
         return cls(tuple(range(n)))
 
-    @classmethod
-    def from_cycles(cls, n: int, cycles) -> "Perm":
-        images = list(range(n))
-        for cyc in cycles:
-            for i, v in enumerate(cyc):
-                images[v] = cyc[(i + 1) % len(cyc)]
-        return cls(tuple(images))
-
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -50,39 +38,6 @@ class Perm:
     @property
     def is_identity(self) -> bool:
         return all(img == v for v, img in enumerate(self.images))
-
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Disjoint cycles covering 0..n-1, singletons included."""
-        seen = [False] * len(self.images)
-        out = []
-        for start in range(len(self.images)):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            v = self.images[start]
-            while v != start:
-                cyc.append(v)
-                seen[v] = True
-                v = self.images[v]
-            out.append(tuple(cyc))
-        return tuple(out)
-
-
-def compose(p: Perm, q: Perm) -> Perm:
-    """p after q: result(v) = p(q(v))."""
-    if p.degree != q.degree:
-        raise DegreeError(f"degree mismatch: {p.degree} vs {q.degree}")
-    qi = q.images
-    pi = p.images
-    return Perm(tuple(pi[qi[v]] for v in range(len(pi))))
-
-
-def inverse(p: Perm) -> Perm:
-    images = [0] * p.degree
-    for v, img in enumerate(p.images):
-        images[img] = v
-    return Perm(tuple(images))
 
 
 def apply_mask(images: tuple[int, ...], mask: int) -> int:
@@ -126,44 +81,12 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class Labeling:
-    """Injective naming of 0..n-1 for display purposes."""
-
-    names: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("labeling names must be injective")
-
-    @classmethod
-    def identity(cls, n: int) -> "Labeling":
-        return cls(tuple(str(v) for v in range(n)))
-
-    @property
-    def degree(self) -> int:
-        return len(self.names)
-
-
-def relabel(p: Perm, labeling: Labeling) -> str:
-    """Cycle expression of p with indices replaced by their names.
-
-    The identity of degree n emits n singleton cycles, e.g. "(0)(1)(2)".
-    """
-    if p.degree != labeling.degree:
-        raise DegreeError(f"degree mismatch: {p.degree} vs {labeling.degree}")
-    parts = []
-    for cyc in p.cycles():
-        parts.append("(" + ",".join(labeling.names[v] for v in cyc) + ")")
-    return "".join(parts)
-
-
-@dataclass(frozen=True)
 class PermGroup:
     """A permutation group whose data is images, its elements' image tuples.
 
     from_images keeps them sorted and duplicate-free, which puts the
     identity first. Construction does not verify closure or that each tuple
-    is a bijection (see validate); the cheap degree check always runs. The
+    is a bijection; the cheap degree check always runs. The
     views (elements, image_set, maps_to, identity_bits, cycle_types,
     vertex_signatures) are built once, on first use; elements holds the
     same elements as Perm objects, and is built only for callers that ask
@@ -197,10 +120,6 @@ class PermGroup:
     @classmethod
     def from_elements(cls, degree: int, elements) -> "PermGroup":
         return cls.from_images(degree, (p.images for p in elements))
-
-    @classmethod
-    def symmetric(cls, degree: int) -> "PermGroup":
-        return cls(degree, tuple(permutations(range(degree))))
 
     @property
     def order(self) -> int:
@@ -311,22 +230,3 @@ class PermGroup:
                 per_vertex[v][ct, k] += count
         signatures = tuple(tuple(sorted(sig.items())) for sig in per_vertex)
         return tuple(cycle_types), signatures
-
-    def validate(self) -> None:
-        """Check that every element is a bijection, identity membership,
-        closure, inverses, and Lagrange divisibility. Quadratic in the order;
-        meant for tests."""
-        images = self.image_set
-        if tuple(range(self.degree)) not in images:
-            raise ValueError("identity missing")
-        if len(images) != len(self.images):
-            raise ValueError("duplicate elements")
-        for p in self.elements:
-            if inverse(p).images not in images:
-                raise ValueError(f"inverse of {p.images} missing")
-            for q in self.elements:
-                if compose(p, q).images not in images:
-                    raise ValueError(f"product {p.images}*{q.images} missing")
-        fact = reduce(lambda a, b: a * b, range(1, self.degree + 1), 1)
-        if fact % len(self.images) != 0:
-            raise ValueError("order does not divide degree factorial")

@@ -7,9 +7,78 @@ the fast paths are checked against.
 """
 
 from itertools import combinations, permutations, product
+from math import factorial
 
+from symbreak.errors import DegreeError
 from symbreak.graphs import FamilySpec, Graph, generate_family
 from symbreak.perms import Perm, PermGroup
+
+
+# -- permutations from first principles ---------------------------------------
+
+
+def from_cycles(n: int, cycle_list) -> Perm:
+    """The permutation of 0..n-1 sending each cycle member to the next."""
+    images = list(range(n))
+    for cyc in cycle_list:
+        for i, v in enumerate(cyc):
+            images[v] = cyc[(i + 1) % len(cyc)]
+    return Perm(tuple(images))
+
+
+def cycles(p: Perm) -> tuple[tuple[int, ...], ...]:
+    """Disjoint cycles of p covering 0..n-1, singletons included, each
+    starting at its least member, ordered by least member."""
+    seen = [False] * p.degree
+    out = []
+    for start in range(p.degree):
+        if seen[start]:
+            continue
+        cyc = [start]
+        seen[start] = True
+        v = p.images[start]
+        while v != start:
+            cyc.append(v)
+            seen[v] = True
+            v = p.images[v]
+        out.append(tuple(cyc))
+    return tuple(out)
+
+
+def compose(p: Perm, q: Perm) -> Perm:
+    """p after q: result(v) = p(q(v)); q is applied first."""
+    if p.degree != q.degree:
+        raise DegreeError(f"degree mismatch: {p.degree} vs {q.degree}")
+    return Perm(tuple(p.images[x] for x in q.images))
+
+
+def inverse(p: Perm) -> Perm:
+    images = [0] * p.degree
+    for v, img in enumerate(p.images):
+        images[img] = v
+    return Perm(tuple(images))
+
+
+def validate_group(group: PermGroup) -> None:
+    """ValueError unless group's image tuples are bijections that form a
+    group: the identity, no duplicates, closure under products and inverses,
+    and an order dividing degree!. Quadratic in the order."""
+    n, images = group.degree, group.image_set
+    for t in group.images:
+        if sorted(t) != list(range(n)):
+            raise ValueError(f"not a bijection on 0..{n - 1}: {t}")
+    if tuple(range(n)) not in images:
+        raise ValueError("identity missing")
+    if len(images) != group.order:
+        raise ValueError("duplicate elements")
+    for t in group.images:
+        if tuple(sorted(range(n), key=t.__getitem__)) not in images:
+            raise ValueError(f"inverse of {t} missing")
+        for u in group.images:
+            if tuple(t[x] for x in u) not in images:
+                raise ValueError(f"product {t}*{u} missing")
+    if factorial(n) % group.order:
+        raise ValueError("order does not divide degree factorial")
 
 
 def brute_automorphisms(g: Graph) -> list[tuple[int, ...]]:
@@ -83,7 +152,7 @@ def closure_orbits(group: PermGroup) -> tuple[frozenset[int], ...]:
 
 def cycle_broken(p: Perm, colors) -> bool:
     """Some cycle of p carries two distinct colors."""
-    return any(len({colors[v] for v in cyc}) > 1 for cyc in p.cycles())
+    return any(len({colors[v] for v in cyc}) > 1 for cyc in cycles(p))
 
 
 def per_element_is_determining_set(group: PermGroup, s) -> bool:
@@ -104,18 +173,18 @@ def per_element_is_distinguishing(group: PermGroup, colors) -> bool:
 
 
 def per_element_cycle_types(group: PermGroup) -> tuple[tuple[int, ...], ...]:
-    """Each element's cycle lengths, sorted descending, from Perm.cycles()."""
+    """Each element's cycle lengths, sorted descending, from cycles()."""
     return tuple(
-        tuple(sorted((len(c) for c in p.cycles()), reverse=True)) for p in group.elements
+        tuple(sorted((len(c) for c in cycles(p)), reverse=True)) for p in group.elements
     )
 
 
 def per_element_vertex_signatures(group: PermGroup) -> tuple[tuple, ...]:
     """Per vertex, the sorted ((cycle type, length of the cycle through the
-    vertex), multiplicity) pairs over the elements, from Perm.cycles()."""
+    vertex), multiplicity) pairs over the elements, from cycles()."""
     sigs: list[dict] = [{} for _ in range(group.degree)]
     for p, ct in zip(group.elements, per_element_cycle_types(group)):
-        for cyc in p.cycles():
+        for cyc in cycles(p):
             for v in cyc:
                 sigs[v][ct, len(cyc)] = sigs[v].get((ct, len(cyc)), 0) + 1
     return tuple(tuple(sorted(s.items())) for s in sigs)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 from pathlib import Path
@@ -16,15 +17,10 @@ from helpers import (
     preserves_adjacency,
     random_graph,
     random_regular,
+    validate_group,
 )
 from symbreak import autgroup, checks, equivalence
-from symbreak.autgroup import (
-    automorphism_group,
-    isomorphism,
-    orbits,
-    pointwise_stabilizer,
-    setwise_stabilizer,
-)
+from symbreak.autgroup import automorphism_group, isomorphism, orbits
 from symbreak.checks import ScanOptions, scan_corpus
 from symbreak.equivalence import distinguishably_equivalent
 from symbreak.errors import DegreeError, GroupTooLargeError, UnsupportedSizeError
@@ -38,7 +34,7 @@ from symbreak.graphs import (
     parse_graph6,
     permuted,
 )
-from symbreak.metrics import analyze
+from symbreak.metrics import analyze, is_determining_set, is_distinguishing_class
 from symbreak.perms import Perm, PermGroup
 
 
@@ -92,7 +88,7 @@ def test_matches_brute_force_filter(g):
 
 def test_group_is_closed_small():
     for g in (fam("path", 4), fam("cycle", 5), fam("complete", 4)):
-        automorphism_group(g).validate()
+        validate_group(automorphism_group(g))
 
 
 def test_orbits_examples():
@@ -112,28 +108,6 @@ def test_trivial_group_orbits_are_singletons():
     assert orbits(automorphism_group(asym)) == tuple(
         frozenset({v}) for v in range(6)
     )
-
-
-def test_pointwise_stabilizer_examples():
-    k3 = fam("complete", 3)
-    assert pointwise_stabilizer(automorphism_group(k3), {0, 1}).is_trivial
-    c4 = fam("cycle", 4)
-    stab = pointwise_stabilizer(automorphism_group(c4), {0})
-    assert stab.order == 2
-    assert sorted(p.images for p in stab.elements) == [(0, 1, 2, 3), (0, 3, 2, 1)]
-    full = automorphism_group(c4)
-    assert pointwise_stabilizer(full, set()).order == full.order
-
-
-def test_setwise_stabilizer_examples():
-    c4 = fam("cycle", 4)
-    aut = automorphism_group(c4)
-    # the diagonal pair {0,2}: rotations by one step move it onto {1,3},
-    # so exactly half the dihedral group survives
-    assert setwise_stabilizer(aut, {0, 2}).order == 4
-    p3 = fam("path", 3)
-    assert setwise_stabilizer(automorphism_group(p3), {0, 2}).order == 2
-    assert setwise_stabilizer(aut, set(range(4))).order == aut.order
 
 
 def _dihedral(n):
@@ -203,34 +177,17 @@ def test_orbits_match_closure_oracle():
 
 
 def test_pointwise_subset_of_setwise():
+    """The pointwise stabilizer of s lies in its setwise stabilizer, so
+    when only the identity maps s onto itself, only the identity fixes each
+    member of s: a distinguishing class is a determining set."""
     rng = random.Random(5)
     for _ in range(20):
         g = random_graph(rng, rng.randint(2, 7))
         aut = automorphism_group(g)
-        s = set(rng.sample(range(g.n), rng.randint(1, g.n)))
-        pw = pointwise_stabilizer(aut, s)
-        sw = setwise_stabilizer(aut, s)
-        assert set(p.images for p in pw.elements) <= set(p.images for p in sw.elements)
-        pw.validate()
-        sw.validate()
-
-
-def test_stabilizers_match_per_element_definitions():
-    rng = random.Random(11)
-    for g in mid_group_graphs().values():
-        aut = automorphism_group(g)
-        for _ in range(6):
-            s = set(rng.sample(range(g.n), rng.randint(0, g.n)))
-            fixing = tuple(t for t in aut.images if all(t[v] == v for v in s))
-            onto = tuple(t for t in aut.images if {t[v] for v in s} == s)
-            assert pointwise_stabilizer(aut, s).images == fixing, (g, s)
-            assert setwise_stabilizer(aut, s).images == onto, (g, s)
-        assert "elements" not in vars(aut)
-        for v in (-1, g.n):
-            with pytest.raises(IndexError):
-                pointwise_stabilizer(aut, {0, v})
-            with pytest.raises(IndexError):
-                setwise_stabilizer(aut, {0, v})
+        for k in range(g.n + 1):
+            for s in itertools.combinations(range(g.n), k):
+                if is_distinguishing_class(aut, s):
+                    assert is_determining_set(aut, s), (g, s)
 
 
 def test_analysis_builds_no_perm_objects(monkeypatch):
@@ -294,13 +251,13 @@ def test_relabelled_graph_has_conjugate_group():
     for name, g in mid_group_graphs().items():
         aut = automorphism_group(g)
         if aut.order <= 384:
-            aut.validate()
+            validate_group(aut)
         for _ in range(3):
             pi = Perm(tuple(rng.sample(range(g.n), g.n)))
             image = automorphism_group(permuted(g, pi))
             assert image.image_set == conjugate_group(aut, pi).image_set, (name, pi)
             if image.order <= 384:
-                image.validate()
+                validate_group(image)
 
 
 def test_regular_and_relabelled_graphs_are_settled_by_refinement():

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import net_graph, random_graph
+from helpers import from_cycles, net_graph, random_graph
 from symbreak import checks
 from symbreak.autgroup import automorphism_group
 from symbreak.checks import (
@@ -43,7 +43,7 @@ def fam(kind, p):
 def synthetic_group(n, *cycle_lists):
     """Element list for rule-detector tests; not necessarily closed."""
     images = [tuple(range(n))]
-    images += [Perm.from_cycles(n, cycles).images for cycles in cycle_lists]
+    images += [from_cycles(n, cycles).images for cycles in cycle_lists]
     return PermGroup(n, tuple(images))
 
 

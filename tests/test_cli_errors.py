@@ -107,3 +107,18 @@ def test_equiv_reason_search_exhausted(tmp_path, capsys):
 def test_equiv_reason_vertex_count(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "equiv", write_pair(tmp_path, fam("path", 3), fam("path", 4)))
     assert (code, out) == (0, "not-equivalent vertex-count 3 != 4\n")
+
+
+@pytest.mark.parametrize(
+    "command, option", [("equiv", ["--format", "json"]), ("family", ["--emit"])]
+)
+def test_options_without_effect_are_usage_errors(tmp_path, capsys, command, option):
+    """equiv prints one text line, and family prints graph6 unless given
+    --analyze, so neither takes an option to choose that."""
+    if command == "equiv":
+        argv = ["equiv", write_pair(tmp_path, fam("path", 3), fam("path", 3))]
+    else:
+        argv = ["family", "cycle", "5"]
+    code, out, err = run_cli(capsys, *argv, *option)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {option[0]}" in err

@@ -3,7 +3,7 @@ from hypothesis import given
 
 from conftest import graphs
 from helpers import canonical_mask, slot_mask
-from symbreak.errors import FamilySpecError, UnsupportedSizeError
+from symbreak.errors import DegreeError, FamilySpecError, UnsupportedSizeError
 from symbreak.graphs import (
     FamilySpec,
     Graph,
@@ -13,11 +13,12 @@ from symbreak.graphs import (
     enumerate_graphs,
     generate_family,
     induced_subgraph,
-    neighbors,
+    permuted,
     string_color_class,
     tail_vertices,
 )
-from symbreak.equivalence import isomorphism
+from symbreak.autgroup import isomorphism
+from symbreak.perms import Perm
 
 
 def P(n):
@@ -30,14 +31,6 @@ def C(n):
 
 def K(n):
     return generate_family(FamilySpec("complete", n))
-
-
-def test_neighbors():
-    assert neighbors(P(3), 1) == {0, 2}
-    assert neighbors(K(4), 0) == {1, 2, 3}
-    assert neighbors(Graph(3, (0, 0, 0)), 2) == frozenset()
-    with pytest.raises(IndexError):
-        neighbors(P(3), 3)
 
 
 def test_complement():
@@ -79,6 +72,20 @@ def test_induced_subgraph_two_disjoint_edges_pattern():
 def test_induced_subgraph_empty_set():
     sub, index = induced_subgraph(C(4), ())
     assert sub.n == 0 and index == {}
+
+
+@pytest.mark.parametrize("s", [{-1, 0}, {0, 9}, {4}])
+def test_induced_subgraph_rejects_a_vertex_outside_the_graph(s):
+    v = min(s) if min(s) < 0 else max(s)
+    with pytest.raises(IndexError, match=f"vertex {v} out of range for n=4"):
+        induced_subgraph(P(4), s)
+
+
+def test_permuted_rejects_a_permutation_of_another_degree():
+    for p in (Perm((1, 0, 2, 3, 4)), Perm((1, 0, 2))):
+        with pytest.raises(DegreeError, match=f"degree mismatch: {p.degree} vs 4"):
+            permuted(P(4), p)
+    assert permuted(P(4), Perm((3, 2, 1, 0))) == P(4)
 
 
 def test_family_validation():

@@ -12,20 +12,17 @@ from helpers import (
     brute_cost_number,
     brute_determining_number,
     brute_distinguishing_number,
-    cycle_broken,
+    conjugate_group,
     disjoint_cliques,
     first_subsets,
+    from_cycles,
     mid_group_graphs,
     net_graph,
     per_element_is_determining_set,
     per_element_is_distinguishing,
     per_element_is_distinguishing_class,
 )
-from symbreak.autgroup import (
-    automorphism_group,
-    pointwise_stabilizer,
-    setwise_stabilizer,
-)
+from symbreak.autgroup import automorphism_group
 from symbreak.config import Budget
 from symbreak.errors import BudgetExceededError, DegreeError
 from symbreak.graphs import (
@@ -44,14 +41,11 @@ from symbreak.metrics import (
     cost_number,
     determining_number,
     distinguishing_number,
-    is_broken,
     is_determining_set,
     is_distinguishing,
     is_distinguishing_class,
-    nn_pairs,
-    preserves_coloring,
 )
-from symbreak.perms import Perm, PermGroup, compose, inverse
+from symbreak.perms import Perm, PermGroup
 
 
 GOLDENS = Path(__file__).resolve().parent / "goldens"
@@ -68,34 +62,39 @@ RIGID6 = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 3), (1
 # -- breaking ----------------------------------------------------------------
 
 
-def test_is_broken_goldens():
+def test_is_distinguishing_goldens():
+    """On the group {e, p}, a coloring is distinguishing iff it breaks p:
+    some cycle of p carries two distinct colors."""
+
+    def with_identity(p):
+        return PermGroup.from_images(p.degree, [p.images])
+
     c = Coloring((0, 0, 0, 1), 2)
-    assert is_broken(Perm.from_cycles(4, [(0, 1), (2, 3)]), c)
+    assert is_distinguishing(with_identity(from_cycles(4, [(0, 1), (2, 3)])), c)
     mono = Coloring((0, 0), 1)
-    assert not is_broken(Perm.from_cycles(2, [(0, 1)]), mono)
-    assert not is_broken(Perm.identity(3), Coloring((0, 1, 2), 3))
+    assert not is_distinguishing(with_identity(from_cycles(2, [(0, 1)])), mono)
+    assert is_distinguishing(with_identity(Perm.identity(3)), Coloring((0, 1, 2), 3))
 
 
-def test_is_broken_degree_mismatch():
+def test_is_distinguishing_degree_mismatch():
     with pytest.raises(DegreeError):
-        is_broken(Perm.identity(3), Coloring((0, 0), 1))
+        is_distinguishing(automorphism_group(fam("path", 3)), Coloring((0, 0), 1))
 
 
 @given(graphs(max_n=7), st.randoms(use_true_random=False))
 def test_breaking_is_relabeling_invariant(g, rnd):
-    """Applying one relabeling to both the permutation and the coloring
-    cannot change whether the permutation is broken."""
+    """Applying one relabeling to both the group and the coloring cannot
+    change whether every non-identity element is broken."""
     aut = automorphism_group(g)
-    p = aut.elements[rnd.randrange(aut.order)]
     colors = tuple(rnd.randrange(2) for _ in range(g.n))
     c = Coloring(colors, 2)
     sigma = Perm(tuple(rnd.sample(range(g.n), g.n)))
-    p_relab = compose(sigma, compose(p, inverse(sigma)))
+    aut_relab = conjugate_group(aut, sigma)
     relab_colors = [0] * g.n
     for v in range(g.n):
         relab_colors[sigma.images[v]] = colors[v]
     c_relab = Coloring(tuple(relab_colors), 2)
-    assert is_broken(p, c) == is_broken(p_relab, c_relab)
+    assert is_distinguishing(aut, c) == is_distinguishing(aut_relab, c_relab)
 
 
 @given(graphs(max_n=7), st.integers(0, 2**14))
@@ -107,7 +106,9 @@ def test_distinguishing_equals_no_preserver(g, seed):
     c = Coloring(tuple(rng.randrange(k) for _ in range(g.n)), k)
     aut = automorphism_group(g)
     direct = all(
-        not preserves_coloring(p, c) for p in aut.elements if not p.is_identity
+        any(c.colors[img] != c.colors[v] for v, img in enumerate(p.images))
+        for p in aut.elements
+        if not p.is_identity
     )
     assert is_distinguishing(aut, c) == direct
 
@@ -138,8 +139,6 @@ def test_predicates_match_per_element_definitions(aut, data):
         per_element_is_distinguishing_class(aut, s)
     )
     assert is_distinguishing(aut, c) == per_element_is_distinguishing(aut, c.colors)
-    for p in aut.elements:
-        assert is_broken(p, c) == cycle_broken(p, c.colors)
 
 
 # -- D -----------------------------------------------------------------------
@@ -263,10 +262,10 @@ def test_class_equals_two_coloring_route_exhaustively():
                         aut, Coloring.from_class(n, s)
                     )
                     assert direct == via_coloring, (g, s)
-                    # the stabilizer groups are the definitions' oracle
-                    assert direct == setwise_stabilizer(aut, s).is_trivial, (g, s)
+                    # the per-element definitions are the oracle
+                    assert direct == per_element_is_distinguishing_class(aut, s), (g, s)
                     assert is_determining_set(aut, s) == (
-                        pointwise_stabilizer(aut, s).is_trivial
+                        per_element_is_determining_set(aut, s)
                     ), (g, s)
 
 
@@ -313,44 +312,6 @@ def test_cost_number_matches_brute_force(g):
     got = cost_number(g)
     want = brute_cost_number(g)
     assert (got[0] if got else None) == want
-
-
-# -- neighbour-non-neighbour pairs --------------------------------------
-
-
-def test_nn_pairs_examples():
-    assert nn_pairs(fam("cycle", 4), 0, 1) == [(3, 2)]
-    assert nn_pairs(fam("path", 4), 1, 2) == [(0, 3)]
-    star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    assert nn_pairs(star, 1, 2) == []
-    with pytest.raises(ValueError):
-        nn_pairs(star, 1, 1)
-
-
-def test_nn_pairs_orientation_swap():
-    g = fam("cycle", 6)
-    forward = nn_pairs(g, 0, 1)
-    backward = nn_pairs(g, 1, 0)
-    assert sorted((b, a) for a, b in backward) == forward
-
-
-@given(graphs(min_n=2, max_n=7), st.integers(0, 10**6))
-def test_nn_pairs_matches_direct_definition(g, seed):
-    rng = random.Random(seed)
-    v1, v2 = rng.sample(range(g.n), 2)
-    direct = sorted(
-        (a, b)
-        for a in range(g.n)
-        for b in range(g.n)
-        if a != b
-        and a not in (v1, v2)
-        and b not in (v1, v2)
-        and g.has_edge(a, v1)
-        and g.has_edge(b, v2)
-        and not g.has_edge(a, v2)
-        and not g.has_edge(b, v1)
-    )
-    assert nn_pairs(g, v1, v2) == direct
 
 
 # -- analyze -----------------------------------------------------------------
@@ -452,7 +413,8 @@ def test_subset_walk_yields_the_first_subset_of_each_orbit():
         assert walked == first_subsets(aut, max_size), g
         for _k, mask, stab in walked:
             members = {v for v in range(g.n) if mask >> v & 1}
-            assert stab == setwise_stabilizer(aut, members).order, (g, members)
+            onto = sum({t[v] for v in members} == members for t in aut.images)
+            assert stab == onto, (g, members)
 
 
 # Captured before the walk extended first subsets instead of looping over all
