@@ -16,6 +16,17 @@ hold every image a leaf can use: pruning drops only branches without a leaf,
 and the first leaf is the one the unpruned walk finds. A discrete partition
 leaves one candidate per vertex, its one possible leaf.
 
+A regular graph's unit partition is already equitable, so _unit_refined
+starts it from its vertices grouped by twice the number of triangles through
+each, sum over u in N(v) of |N(u) & N(v)|, in ascending order of that count.
+Its trace starts with -1, which no split's trace starts with, then lists each
+count and cell size; every cell but the first largest is a splitter. An
+isomorphism preserves triangle counts, so it maps each seeded cell onto its
+counterpart: the seed also drops only branches without a leaf, and the groups
+and first leaves stay those of the unit partition. A random regular graph
+without automorphisms is mostly discrete at the root this way; a strongly
+regular graph, whose counts are all equal, is not.
+
 Refinement runs at the root of each branch order[i] -> x, with order[i]
 individualized on one side and x on the other; below it the walk only reads
 the cells. isomorphism refines the two unit partitions, then each branch
@@ -131,9 +142,33 @@ def _refine(adj, cells: list[int], splitters: list[int], trace: list[int], ref=N
 
 
 def _unit_refined(g: Graph, trace: list[int], ref=None):
-    """The coarsest equitable partition of g's vertices (see _refine)."""
-    every = (1 << g.n) - 1
-    return _refine(g.adj, [every] if every else [], [every], trace, ref)
+    """The coarsest equitable partition of g's vertices (see _refine), or of
+    a regular g's vertices grouped by triangle count."""
+    adj = g.adj
+    if len({row.bit_count() for row in adj}) > 1:
+        every = (1 << g.n) - 1
+        return _refine(adj, [every], [every], trace, ref)
+    by_count = {}  # twice the triangles through v -> those vertices v
+    for v, row in enumerate(adj):
+        k = 0
+        rest = row
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            k += (adj[low.bit_length() - 1] & row).bit_count()
+        by_count[k] = by_count.get(k, 0) | 1 << v
+    t = len(trace)
+    trace.append(-1)  # a split's trace starts with its position, never -1
+    cells = []
+    big = size = 0
+    for k in sorted(by_count):
+        cells.append(m := by_count[k])
+        trace += (k, m.bit_count())
+        if trace[-1] > size:
+            big, size = m, trace[-1]
+    if ref is not None and ref[t : len(trace)] != trace[t:]:
+        return None
+    return _refine(adj, cells, [m for m in cells if m != big], trace, ref)
 
 
 def _slots(cells: list[int], order: list[int]) -> list[int]:

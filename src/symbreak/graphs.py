@@ -83,9 +83,9 @@ def complement(g: Graph) -> Graph:
 
 
 def induced_subgraph(g: Graph, s) -> tuple[Graph, dict[int, int]]:
-    """Subgraph induced on vertex set s, plus the old->new index map;
-    IndexError for a vertex outside 0..n-1."""
-    old = sorted(s)
+    """Subgraph induced on vertex set s, each vertex taken once, plus the
+    old->new index map; IndexError for a vertex outside 0..n-1."""
+    old = sorted(set(s))
     for v in old:
         if not 0 <= v < g.n:
             raise IndexError(f"vertex {v} out of range for n={g.n}")

@@ -70,8 +70,9 @@ class Coloring:
 
     @classmethod
     def from_class(cls, n: int, members) -> "Coloring":
-        """2-coloring with the given vertices as color class 1."""
-        members = set(members)
+        """2-coloring with the given vertices as color class 1; IndexError
+        for a vertex outside 0..n-1."""
+        members = _vertex_set(n, members)
         return cls(tuple(1 if v in members else 0 for v in range(n)), 2)
 
     @property
@@ -108,24 +109,24 @@ def is_distinguishing(aut: PermGroup, c: Coloring) -> bool:
     return _preservers(aut, c.color_classes()) == aut.identity_bits
 
 
-def _vertex_set(aut: PermGroup, s) -> set[int]:
+def _vertex_set(n: int, s) -> set[int]:
     s = set(s)
     for v in s:
-        if not 0 <= v < aut.degree:
-            raise IndexError(f"vertex {v} out of range for n={aut.degree}")
+        if not 0 <= v < n:
+            raise IndexError(f"vertex {v} out of range for n={n}")
     return s
 
 
 def is_determining_set(aut: PermGroup, s) -> bool:
     """True iff only the identity fixes every member of s."""
-    singletons = [(v,) for v in _vertex_set(aut, s)]
+    singletons = [(v,) for v in _vertex_set(aut.degree, s)]
     return _preservers(aut, singletons) == aut.identity_bits
 
 
 def is_distinguishing_class(aut: PermGroup, s) -> bool:
     """True iff only the identity maps s onto itself, so that coloring s red
     and the rest blue is distinguishing."""
-    return _preservers(aut, [_vertex_set(aut, s)]) == aut.identity_bits
+    return _preservers(aut, [_vertex_set(aut.degree, s)]) == aut.identity_bits
 
 
 # ---------------------------------------------------------------------------

@@ -384,3 +384,13 @@ def random_regular(rng, n: int, d: int) -> Graph:
             g = Graph.from_edges(n, sorted(edges))
             if is_connected(g):
                 return g
+
+
+def two_diamonds() -> Graph:
+    """Two copies of K4 - e, on 0..3 and 4..7 without the edges 2-3 and
+    6-7, joined at their degree-2 vertices by 2-6 and 3-7: a cubic graph on
+    8 vertices. Two triangles pass through each of 0, 1, 4 and 5, one
+    through each of the others, and |Aut| = 16."""
+    diamond = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
+    edges = diamond + [(u + 4, v + 4) for u, v in diamond]
+    return Graph.from_edges(8, edges + [(2, 6), (3, 7)])

@@ -17,6 +17,7 @@ from helpers import (
     preserves_adjacency,
     random_graph,
     random_regular,
+    two_diamonds,
     validate_group,
 )
 from symbreak import autgroup, checks, equivalence
@@ -278,6 +279,51 @@ def test_regular_and_relabelled_graphs_are_settled_by_refinement():
         pi = Perm(tuple(random.Random(seed).sample(range(32), 32)))
         image = automorphism_group(permuted(q5, pi))
         assert image.image_set == conjugate_group(aut, pi).image_set, seed
+
+
+def test_regular_graph_is_split_by_triangle_counts():
+    g = two_diamonds()
+    assert {row.bit_count() for row in g.adj} == {3}
+    trace: list[int] = []
+    cells = autgroup._unit_refined(g, trace)
+    # one triangle through each of 2, 3, 6, 7, then two through the rest
+    assert cells == [0b11001100, 0b00110011]
+    assert trace == [-1, 2, 4, 4, 4]
+    assert automorphism_group(g).order == 16 == len(brute_automorphisms(g))
+
+
+def test_regular_and_non_regular_graphs_are_never_isomorphic():
+    """A regular graph's trace starts with -1 and a non-regular one's with
+    0, so isomorphism stops at the unit partitions, in either direction."""
+    for seed in range(5):
+        g = random_regular(random.Random(seed), 12, 3)
+        v = (g.adj[0] & -g.adj[0]).bit_length() - 1
+        far = ~g.adj[0] & ((1 << 12) - 2)
+        w = (far & -far).bit_length() - 1
+        adj = list(g.adj)  # the edge 0-v becomes 0-w: the same n and m
+        adj[0] ^= 1 << v | 1 << w
+        adj[v] ^= 1
+        adj[w] ^= 1
+        h = Graph(12, tuple(adj))
+        assert sum(map(int.bit_count, h.adj)) == sum(map(int.bit_count, g.adj))
+        assert len({row.bit_count() for row in h.adj}) > 1
+        for a, b in ((g, h), (h, g)):
+            trace: list[int] = []
+            autgroup._unit_refined(a, trace)
+            assert trace[0] == (-1 if a is g else 0)
+            assert isomorphism(a, b) is None, seed
+
+
+def test_rigid_cubic_graphs_are_discrete_at_the_root():
+    """Triangle counts settle every rigid one before any vertex is
+    individualized."""
+    rigid = 0
+    for seed in range(50):
+        g = random_regular(random.Random(seed), 12, 3)
+        if automorphism_group(g).is_trivial:
+            rigid += 1
+            assert len(autgroup._unit_refined(g, [])) == g.n, seed
+    assert rigid >= 10
 
 
 def test_automorphism_search_leaves_no_reference_cycles():

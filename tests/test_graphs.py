@@ -74,6 +74,12 @@ def test_induced_subgraph_empty_set():
     assert sub.n == 0 and index == {}
 
 
+def test_induced_subgraph_takes_a_repeated_vertex_once():
+    sub, index = induced_subgraph(P(4), [1, 1, 2])
+    assert sub == Graph.from_edges(2, [(0, 1)])
+    assert index == {1: 0, 2: 1}
+
+
 @pytest.mark.parametrize("s", [{-1, 0}, {0, 9}, {4}])
 def test_induced_subgraph_rejects_a_vertex_outside_the_graph(s):
     v = min(s) if min(s) < 0 else max(s)

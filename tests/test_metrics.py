@@ -211,6 +211,13 @@ def test_vertex_outside_range_is_rejected(predicate, g):
             predicate(aut, {v})
 
 
+@pytest.mark.parametrize("v", [5, -1])
+def test_coloring_from_class_rejects_a_vertex_outside_the_graph(v):
+    with pytest.raises(IndexError, match=f"vertex {v} out of range for n=3"):
+        Coloring.from_class(3, {v})
+    assert Coloring.from_class(3, {0, 2}) == Coloring((1, 0, 1), 2)
+
+
 def test_determining_number_goldens():
     asym = RIGID6
     if automorphism_group(asym).is_trivial:

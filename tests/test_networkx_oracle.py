@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from helpers import random_graph, random_regular
+from helpers import random_graph, random_regular, two_diamonds
 from symbreak.autgroup import automorphism_group, isomorphism
 from symbreak.graphs import Graph, enumerate_graphs, parse_graph6, permuted
 from symbreak.perms import Perm
@@ -28,6 +28,25 @@ def test_group_order_matches_vf2_count(graphs7_path):
         h = to_networkx(g)
         count = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
         assert automorphism_group(g).order == count, record
+
+
+def test_regular_group_order_matches_vf2_count():
+    """Seeded connected 3- and 4-regular graphs on 10-16 vertices, whose
+    search starts from triangle counts, and two_diamonds, whose counts
+    split it into two cells."""
+    rng = random.Random(0)
+    graphs = [two_diamonds()]
+    graphs += [
+        random_regular(rng, rng.choice((10, 12, 14, 16)), rng.choice((3, 4)))
+        for _ in range(40)
+    ]
+    orders = []
+    for g in graphs:
+        h = to_networkx(g)
+        count = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
+        orders.append(automorphism_group(g).order)
+        assert orders[-1] == count, g
+    assert orders[0] == 16 and orders.count(1) < len(orders) - 1
 
 
 def maps_edges_onto(g: Graph, h: Graph, s) -> bool:
