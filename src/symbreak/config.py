@@ -8,7 +8,7 @@ class Budget:
     """Caps on search effort. Exceeding one raises BudgetExceededError,
     which callers surface as "unknown" rather than a wrong answer."""
 
-    subset_tests: int = 10**8       # candidate subsets considered per search
+    subset_tests: int = 10**8       # first subsets (orbit representatives) per walk
     equivalence_nodes: int = 10**7  # backtracking nodes in the bijection search
     coloring_nodes: int = 10**8     # backtracking nodes in the coloring search
 

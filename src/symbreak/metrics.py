@@ -20,6 +20,10 @@ Search strategy notes:
   walking x upward, keep the elements that send S's members onto exactly
   its members below x; S is not first if a kept element sends a member to
   a non-member x. The elements kept to the end are S's setwise stabilizer.
+  The walk loops over parents, the first subsets one smaller: it folds each
+  parent's union rows (per x, the elements sending some member to x) once,
+  tests each extension by v with one OR of v's row per x, and drops the rows
+  before the next parent, so it holds one parent's rows at a time.
   subset_orbit_representatives is the walk's one entry: graphs enumerates
   the isomorphism classes with it, as the orbits of S_n on pair slots.
 * For three or more colors, D falls back to a depth-first search over
@@ -32,6 +36,7 @@ Search strategy notes:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from . import config
@@ -157,38 +162,52 @@ class _SubsetScan:
         """(k, mask, |setwise stabilizer|) for the first subset of each orbit
         of each size k, subsets taken in combinations order; sizes count up
         from 0. A first subset minus its largest member is a first subset, so
-        the candidates of size k extend those of size k - 1 by one vertex
-        above their largest member."""
-        into = tuple(zip(*self.aut.maps_to))  # into[x][u] = maps_to[u][x]
+        the candidates of size k extend a parent, a first subset of size
+        k - 1, by one vertex v above its largest member. Each parent's union
+        rows are folded once and dropped once its extensions are tested."""
+        maps_to = self.aut.maps_to
         everything = (1 << self.aut.order) - 1
-        candidates = [((), 0)]  # (members, mask)
+        parents = None  # the first subsets of the previous size, as members
         for k in sizes:
-            firsts = []
-            for s, mask in candidates:
+            if parents is None:  # the empty set, the one subset of size 0
                 self.candidates += 1
-                # kept: the elements g with g(s) and s equal below x; a kept g
-                # with x in g(s) but not in s maps s to an earlier subset. One
-                # element sends one vertex to x, so the sum is a union.
-                kept = everything
-                for x in range(mask.bit_length()):
-                    reaching = sum(map(into[x].__getitem__, s))
-                    if mask >> x & 1:
-                        kept &= reaching
-                    elif kept & reaching:
-                        break
-                else:
-                    self.tests += 1
-                    if self.tests > self.cap:
-                        raise BudgetExceededError(
-                            f"subset search exceeded {self.cap} candidate tests"
-                        )
-                    firsts.append((s, mask))
-                    yield k, mask, kept.bit_count()
-            candidates = (
-                (s + (v,), mask | 1 << v)
-                for s, mask in firsts
-                for v in range(mask.bit_length(), self.n)
-            )
+                self._passed()
+                parents = [()]
+                yield k, 0, self.aut.order
+                continue
+            firsts = []
+            for s in parents:
+                # rows[x]: the elements sending some member of s to x
+                rows = (0,) * self.n
+                mask = 0
+                for u in s:
+                    rows = tuple(map(operator.or_, rows, maps_to[u]))
+                    mask |= 1 << u
+                for v in range(mask.bit_length(), self.n):
+                    self.candidates += 1
+                    # kept: the elements g with g(s + v) and s + v equal below
+                    # x; a kept g with x in g(s + v) but not in s + v maps
+                    # s + v to an earlier subset.
+                    kept = everything
+                    v_rows = maps_to[v]
+                    for x in range(v):
+                        reaching = rows[x] | v_rows[x]
+                        if mask >> x & 1:
+                            kept &= reaching
+                        elif kept & reaching:
+                            break
+                    else:
+                        self._passed()
+                        firsts.append(s + (v,))
+                        kept &= rows[v] | v_rows[v]
+                        yield k, mask | 1 << v, kept.bit_count()
+            parents = firsts
+
+    def _passed(self):
+        """Count a first subset, raising once there are more than the cap."""
+        self.tests += 1
+        if self.tests > self.cap:
+            raise BudgetExceededError(f"subset search exceeded {self.cap} candidate tests")
 
 
 def subset_orbit_representatives(aut: PermGroup, sizes, budget: config.Budget):
@@ -290,13 +309,22 @@ def _search_coloring(aut: PermGroup, last_moved, k: int, budget: config.Budget):
 # ---------------------------------------------------------------------------
 
 
+def _group_of(g: Graph, aut: PermGroup | None) -> PermGroup:
+    """aut, a group the caller already has, or Aut(g) when it is None.
+    Raises DegreeError when aut does not act on g's vertices."""
+    if aut is None:
+        return automorphism_group(g)
+    if aut.degree != g.n:
+        raise DegreeError(f"group of degree {aut.degree} given for a graph on {g.n} vertices")
+    return aut
+
+
 def distinguishing_number(
     g: Graph,
     budget: config.Budget = config.DEFAULT_BUDGET,
     aut: PermGroup | None = None,
 ) -> tuple[int, Coloring]:
-    if aut is None:
-        aut = automorphism_group(g)
+    aut = _group_of(g, aut)
     return _distinguishing(aut, budget, _min_sets(aut, budget, det=None)[1])
 
 
@@ -331,9 +359,7 @@ def determining_number(
     budget: config.Budget = config.DEFAULT_BUDGET,
     aut: PermGroup | None = None,
 ) -> tuple[int, frozenset[int]]:
-    if aut is None:
-        aut = automorphism_group(g)
-    return _min_determining_set(aut, budget)
+    return _min_determining_set(_group_of(g, aut), budget)
 
 
 def cost_number(
@@ -343,9 +369,7 @@ def cost_number(
 ):
     """(rho, witness class) for 2-distinguishable g, else None. A graph with
     trivial group gets the degenerate (0, empty set)."""
-    if aut is None:
-        aut = automorphism_group(g)
-    return _min_distinguishing_class(aut, budget)
+    return _min_distinguishing_class(_group_of(g, aut), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +480,7 @@ def analyze(
 ) -> SymmetryReport:
     """Full invariant report for one graph. Budget overruns downgrade the
     affected field to UNKNOWN instead of failing the whole report."""
-    if aut is None:
-        aut = automorphism_group(g)
+    aut = _group_of(g, aut)
     det, rho = _min_sets(aut, budget)
     try:
         d, d_witness = _distinguishing(aut, budget, rho)

@@ -7,6 +7,7 @@ from symbreak.errors import DegreeError, FamilySpecError, UnsupportedSizeError
 from symbreak.graphs import (
     FamilySpec,
     Graph,
+    _mask_representatives,
     clique_with_tails,
     complement,
     count_isomorphism_classes,
@@ -138,6 +139,13 @@ def test_enumeration_counts_match_burnside():
     for n in range(1, 7):
         reps = list(enumerate_graphs(n))
         assert len(reps) == count_isomorphism_classes(n)
+
+
+def test_the_walk_enumerates_every_class_on_eight_vertices():
+    """The orderly walk over S_8 acting on the 28 pair slots, beyond the
+    n <= 6 that enumerate_graphs serves, against the Burnside count."""
+    reps = _mask_representatives(8)
+    assert len(set(reps)) == len(reps) == count_isomorphism_classes(8) == 12346
 
 
 def test_enumeration_known_counts():

@@ -424,6 +424,30 @@ def test_subset_walk_yields_the_first_subset_of_each_orbit():
             assert stab == onto, (g, members)
 
 
+def test_subset_walk_expands_each_first_subset_once(graphs7_path):
+    """Every candidate is the empty set or a first subset of size k < n
+    extended by a vertex above its largest member, and only first subsets
+    pass the test."""
+    cases = [parse_graph6(line) for line in graphs7_path.read_text().split()]
+    cases += mid_group_graphs().values()
+    for g in cases:
+        scan = _SubsetScan(automorphism_group(g), Budget())
+        walked = list(scan.representatives(range(g.n + 1)))
+        assert scan.tests == len(walked), g
+        spawned = sum(g.n - mask.bit_length() for k, mask, _ in walked if k < g.n)
+        assert scan.candidates == 1 + spawned, g
+
+
+@pytest.mark.parametrize(
+    "f", [analyze, distinguishing_number, determining_number, cost_number]
+)
+def test_a_group_of_another_degree_is_rejected(f):
+    p4 = fam("path", 4)
+    with pytest.raises(DegreeError, match="degree 5 given for a graph on 4"):
+        f(p4, aut=automorphism_group(fam("cycle", 5)))
+    assert f(p4, aut=automorphism_group(p4)) == f(p4)
+
+
 # Captured before the walk extended first subsets instead of looping over all
 # C(n, k) masks: the smallest subset_tests budget at which rho and Det settle,
 # and the number of first subsets of every size.
