@@ -34,6 +34,9 @@ order[0] -> x. automorphism_elements walks g -> g down the identity path,
 refined with order[:i] individualized; the first leaf under order[i] -> x
 represents a coset of the stabilizer of order[:i+1] in that of order[:i]
 (Sims), and Aut(g) is every product of one such leaf or the identity per i.
+
+group_of is how every function taking an optional group gets it: the
+caller's group, checked against g's degree, or else Aut(g).
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from math import prod
 from operator import itemgetter
 
 from . import config
-from .errors import GroupTooLargeError, UnsupportedSizeError
+from .errors import DegreeError, GroupTooLargeError, UnsupportedSizeError
 from .graphs import Graph
 from .perms import Perm, PermGroup, check_bijection
 
@@ -118,19 +121,11 @@ def _refine(adj, cells: list[int], splitters: list[int], trace: list[int], ref=N
                     if len(by_count) > 1:
                         if out is None:
                             out = cells[:i]
-                        t = len(trace)
-                        trace.append(len(out))
-                        parts = []
-                        big = size = 0
-                        for k in sorted(by_count):
-                            parts.append(m := by_count[k])
-                            trace += (k, m.bit_count())
-                            if trace[-1] > size:
-                                big, size = m, trace[-1]
-                        if ref is not None and ref[t : len(trace)] != trace[t:]:
+                        split = _tally(by_count, len(out), trace, ref)
+                        if split is None:
                             return None
-                        out += parts
-                        splitters += [m for m in parts if m != big]
+                        out += split[0]
+                        splitters += split[1]
                         continue
                 if out is not None:
                     out.append(cell)
@@ -139,6 +134,25 @@ def _refine(adj, cells: list[int], splitters: list[int], trace: list[int], ref=N
     if ref is not None and len(trace) != len(ref):
         return None
     return cells
+
+
+def _tally(by_count: dict, head: int, trace: list[int], ref):
+    """The pieces of a split, the vertex bitmasks by_count maps each count to
+    in ascending order of count, and its splitters, every piece but the first
+    largest. Appends head, then each count and piece size, to trace; None if
+    trace then differs from ref."""
+    t = len(trace)
+    trace.append(head)
+    parts = []
+    big = size = 0
+    for k in sorted(by_count):
+        parts.append(m := by_count[k])
+        trace += (k, m.bit_count())
+        if trace[-1] > size:
+            big, size = m, trace[-1]
+    if ref is not None and ref[t : len(trace)] != trace[t:]:
+        return None
+    return parts, [m for m in parts if m != big]
 
 
 def _unit_refined(g: Graph, trace: list[int], ref=None):
@@ -157,18 +171,8 @@ def _unit_refined(g: Graph, trace: list[int], ref=None):
             rest ^= low
             k += (adj[low.bit_length() - 1] & row).bit_count()
         by_count[k] = by_count.get(k, 0) | 1 << v
-    t = len(trace)
-    trace.append(-1)  # a split's trace starts with its position, never -1
-    cells = []
-    big = size = 0
-    for k in sorted(by_count):
-        cells.append(m := by_count[k])
-        trace += (k, m.bit_count())
-        if trace[-1] > size:
-            big, size = m, trace[-1]
-    if ref is not None and ref[t : len(trace)] != trace[t:]:
-        return None
-    return _refine(adj, cells, [m for m in cells if m != big], trace, ref)
+    seeded = _tally(by_count, -1, trace, ref)  # a split's head is its position, never -1
+    return None if seeded is None else _refine(adj, *seeded, trace, ref)
 
 
 def _slots(cells: list[int], order: list[int]) -> list[int]:
@@ -297,6 +301,16 @@ def automorphism_group(
             f"automorphism search supports n <= {config.MAX_AUT_VERTICES}, got {g.n}"
         )
     return PermGroup(g.n, tuple(sorted(automorphism_elements(g, element_cap=element_cap))))
+
+
+def group_of(g: Graph, aut: PermGroup | None) -> PermGroup:
+    """aut, a group the caller already has, or Aut(g) when it is None.
+    Raises DegreeError when aut does not act on g's vertices."""
+    if aut is None:
+        return automorphism_group(g)
+    if aut.degree != g.n:
+        raise DegreeError(f"group of degree {aut.degree} given for a graph on {g.n} vertices")
+    return aut
 
 
 def orbits(group: PermGroup) -> tuple[frozenset[int], ...]:

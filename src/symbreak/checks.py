@@ -2,10 +2,18 @@
 
 Everything here runs against explicit automorphism element lists, so each
 fact is checked exactly, in its strongest executable form, and nothing is
-sampled: the pair rules scan the group for the hypothesis pattern, then
+sampled: the pair rules find the elements of each hypothesis pattern, then
 assert the forbidden (or required) pattern; the restriction lemma is a group
 inclusion, Aut(g[h]) extended by the identity inside Aut(g); the
 clique-with-tails family's Det and rho come from the exhaustive walk.
+
+Each pair-rule pattern is a few ANDs of maps_to rows, M[a][b] being the
+elements sending a to b: swaps M[x][y] & M[y][x], half swaps x <-> e with y
+fixed M[y][y] & M[x][e] & M[e][x], rotations a -> b -> c M[a][b] & M[b][c] &
+M[c][a]. Only the few swap-like elements are read one by one, for the
+involution test. pair_fixers_trivial never fails in a report: an element
+other than the identity fixing both anchors makes {x, y} not determining,
+and check_pair_rules raises NotDeterminingPairError before any rule runs.
 
 The pair rules, checked for a graph with a two-vertex determining set
 {x, y} (the "anchors"):
@@ -42,10 +50,10 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import combinations
+from itertools import combinations, permutations
 
 from . import config
-from .autgroup import automorphism_group
+from .autgroup import automorphism_group, group_of
 from .equivalence import distinguishably_equivalent
 from .errors import (
     BudgetExceededError,
@@ -107,17 +115,14 @@ class RuleReport:
         return all(s != "fail" for s in self.statuses.values())
 
 
-def _outside_two_cycles(images: tuple[int, ...], x: int, y: int):
-    """2-cycles of the element not meeting {x, y}."""
+def _images_of(aut: PermGroup, bits: int) -> list[tuple[int, ...]]:
+    """The image tuples of the elements in the bitset bits, in images order."""
     out = []
-    for v, w in enumerate(images):
-        if v < w and images[w] == v and v not in (x, y) and w not in (x, y):
-            out.append((v, w))
+    while bits:
+        low = bits & -bits
+        out.append(aut.images[low.bit_length() - 1])
+        bits ^= low
     return out
-
-
-def _is_involution(images: tuple[int, ...]) -> bool:
-    return all(images[images[v]] == v for v in range(len(images)))
 
 
 def check_pair_rules(
@@ -135,97 +140,61 @@ def check_pair_rules(
     x, y = pair
     if x == y:
         raise NotDeterminingPairError("pair must consist of two distinct vertices")
-    if aut is None:
-        aut = automorphism_group(g)
+    aut = group_of(g, aut)
     if not is_determining_set(aut, {x, y}):
         raise NotDeterminingPairError(f"{{{x}, {y}}} is not a determining set")
 
-    n = aut.degree
-    elems = aut.images
-    ident = tuple(range(n))
-    swaps = [t for t in elems if t[x] == y and t[y] == x]
-    half_x: dict[int, list] = {}
-    half_y: dict[int, list] = {}
-    for t in elems:
-        if t[y] == y and t[x] != x and t[t[x]] == x:
-            half_x.setdefault(t[x], []).append(t)
-        if t[x] == x and t[y] != y and t[t[y]] == y:
-            half_y.setdefault(t[y], []).append(t)
+    m, identity = aut.maps_to, tuple(range(aut.degree))
+    outside = [v for v in range(aut.degree) if v not in (x, y)]
 
+    def rot(a, b, c):  # the elements with the 3-cycle a -> b -> c -> a
+        return m[a][b] & m[b][c] & m[c][a]
+
+    def first(bits):  # the image tuple of the first element of bits
+        return aut.images[(bits & -bits).bit_length() - 1]
+
+    swaps = m[x][y] & m[y][x]
+    # e -> the elements exchanging x (or y) and e while fixing the other anchor
+    half_x = {e: h for e in outside if (h := m[y][y] & m[x][e] & m[e][x])}
+    half_y = {e: h for e in outside if (h := m[x][x] & m[y][e] & m[e][y])}
     violations: list[RuleViolation] = []
-    statuses = {rule: "pass" for rule in RULES}
+    statuses = dict.fromkeys(RULES, "pass")
 
     def flag(rule, perms, **context):
         statuses[rule] = "fail"
         violations.append(RuleViolation(rule, tuple(perms), dict(context, x=x, y=y)))
 
-    for t in elems:
-        if t != ident and t[x] == x and t[y] == y:
-            flag("pair_fixers_trivial", [t])
-
-    swap_like = list(swaps)
-    for lst in half_x.values():
-        swap_like.extend(lst)
-    for lst in half_y.values():
-        swap_like.extend(lst)
-    for t in swap_like:
-        if not _is_involution(t):
+    # the swap-like elements' bitsets are disjoint, so their sum is their union
+    for t in _images_of(aut, swaps + sum(half_x.values()) + sum(half_y.values())):
+        if tuple(map(t.__getitem__, t)) != identity:  # t squared
             flag("swaps_are_involutions", [t])
+    swap_list = _images_of(aut, swaps)
+    if len(swap_list) > 1:
+        flag("swap_extension_unique", swap_list[:2])
 
-    if len(swaps) > 1:
-        flag("swap_extension_unique", swaps[:2])
-
-    def rot3(t, a, b, c):
-        return t[a] == b and t[b] == c and t[c] == a
-
-    for s in swaps:
-        cycles2 = _outside_two_cycles(s, x, y)
+    for s in swap_list:
+        cycles2 = [(v, s[v]) for v in outside if v < s[v] and s[s[v]] == v]
         for a, b in cycles2:
             for d1, d2 in ((a, b), (b, a)):
                 if d1 in half_x:
-                    for t in elems:
-                        if rot3(t, x, y, d1) or rot3(t, x, d1, y):
-                            flag(
-                                "no_rotation_through_pair",
-                                [s, half_x[d1][0], t],
-                                d1=d1,
-                            )
+                    for t in _images_of(aut, rot(x, y, d1) | rot(x, d1, y)):
+                        flag("no_rotation_through_pair", [s, first(half_x[d1]), t], d1=d1)
                     if d1 in half_y:
-                        flag(
-                            "no_same_anchor_mirror",
-                            [s, half_x[d1][0], half_y[d1][0]],
-                            d1=d1,
-                        )
+                        mirror = first(half_y[d1])
+                        flag("no_same_anchor_mirror", [s, first(half_x[d1]), mirror], d1=d1)
                 if (d1 in half_x) != (d2 in half_y):
                     flag("partner_mirror_exists", [s], d1=d1, d2=d2)
-        if len(cycles2) >= 2:
-            dvals = [v for cyc in cycles2 for v in cyc]
-            for di in dvals:
-                if di not in half_x:
-                    continue
-                for dj in dvals:
-                    if dj == di:
-                        continue
-                    for t in elems:
-                        bad = (
-                            (t[y] == y and (rot3(t, x, di, dj) or rot3(t, x, dj, di)))
-                            or (t[x] == x and (rot3(t, y, di, dj) or rot3(t, y, dj, di)))
-                        )
-                        if bad:
-                            flag(
-                                "no_anchor_chain_rotation",
-                                [s, half_x[di][0], t],
-                                di=di,
-                                dj=dj,
-                            )
+        dvals = [v for cyc in cycles2 for v in cyc] if len(cycles2) >= 2 else []
+        for di, dj in permutations(dvals, 2):
+            if di in half_x:
+                x_rotates = m[y][y] & (rot(x, di, dj) | rot(x, dj, di))
+                y_rotates = m[x][x] & (rot(y, di, dj) | rot(y, dj, di))
+                for t in _images_of(aut, x_rotates | y_rotates):
+                    flag("no_anchor_chain_rotation", [s, first(half_x[di]), t], di=di, dj=dj)
 
-    for d1, d2 in combinations(sorted(half_x), 2):
-        for t in half_x[d1]:
-            if t[d2] == d2:
-                flag("side_swaps_move_rivals", [t], d1=d1, d2=d2)
-        for t in half_x[d2]:
-            if t[d1] == d1:
-                flag("side_swaps_move_rivals", [t], d1=d2, d2=d1)
+    for d1, d2 in permutations(half_x, 2):
+        for t in _images_of(aut, half_x[d1] & m[d2][d2]):
+            flag("side_swaps_move_rivals", [t], d1=d1, d2=d2)
 
     if d is None:
         try:
@@ -233,18 +202,15 @@ def check_pair_rules(
         except BudgetExceededError:
             d = UNKNOWN
     if d == 2:
-        bare = tuple(y if v == x else x if v == y else v for v in range(n))
-        if bare in aut.image_set:
-            flag("bare_swap_absent", [bare])
+        bare = swaps  # the anchor swaps that fix every outside vertex
+        for v in outside:
+            bare &= m[v][v]
+        if bare:
+            flag("bare_swap_absent", [first(bare)])
     else:
         statuses["bare_swap_absent"] = "skipped"
 
-    return RuleReport(
-        graph6=encode_graph6(g),
-        pair=(x, y),
-        statuses=statuses,
-        violations=tuple(violations),
-    )
+    return RuleReport(encode_graph6(g), (x, y), statuses, tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +355,6 @@ def _brute_min_class_size(aut: PermGroup, n: int):
     return None
 
 
-def _determining_pairs(aut: PermGroup):
-    pairs = []
-    for x, y in combinations(range(aut.degree), 2):
-        if is_determining_set(aut, {x, y}):
-            pairs.append((x, y))
-    return pairs
-
-
 def _scan_list(graphs: list[Graph], options: ScanOptions) -> list[dict]:
     """The per-record results of a list of graphs, in order, inline or in a
     worker. Everything derived from the group is computed once per distinct
@@ -483,7 +441,7 @@ def _group_results(g: Graph, g6: str, aut: PermGroup, options: ScanOptions):
                 Violation("rho_bound", g6, f"D=2, Det=2 but rho={report.rho}")
             )
         pairs = (
-            _determining_pairs(aut)
+            [p for p in combinations(range(g.n), 2) if is_determining_set(aut, p)]
             if options.all_pairs
             else [tuple(sorted(report.det_witness))]
         )

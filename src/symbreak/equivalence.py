@@ -25,7 +25,7 @@ bijection search.
 from __future__ import annotations
 
 from . import config
-from .autgroup import automorphism_group
+from .autgroup import automorphism_group, group_of
 from .errors import BudgetExceededError
 from .graphs import Graph
 from .perms import Perm, PermGroup
@@ -133,15 +133,11 @@ def distinguishably_equivalent(
 ):
     """A bijection conjugating Aut(g1) onto Aut(g2) if the graphs are
     equivalent, else None; aut1 and aut2 are groups the caller already has.
-    Raises BudgetExceededError when the search cannot be exhausted within
-    budget."""
+    Raises DegreeError when either does not act on its graph's vertices, and
+    BudgetExceededError when the search cannot be exhausted within budget."""
     if g1.n != g2.n:
         return None
-    if aut1 is None:
-        aut1 = automorphism_group(g1)
-    if aut2 is None:
-        aut2 = automorphism_group(g2)
-    return _conjugating_bijection(aut1, aut2, budget)
+    return _conjugating_bijection(group_of(g1, aut1), group_of(g2, aut2), budget)
 
 
 def equivalence_classes(

@@ -32,6 +32,8 @@ Search strategy notes:
   only colored vertices preserves it. The test combines maps_to bitsets, as
   do the predicates and the walk's Det test; it is the same predicate as
   testing the elements one by one, so the node counts do not depend on it.
+
+analyze and the invariant functions take their groups through autgroup.group_of.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import operator
 from dataclasses import dataclass
 
 from . import config
-from .autgroup import automorphism_group
+from .autgroup import automorphism_group, group_of  # noqa: F401 (bench/test_bench.py)
 from .errors import BudgetExceededError, DegreeError
 from .graphs import Graph, encode_graph6
 from .perms import PermGroup
@@ -309,22 +311,12 @@ def _search_coloring(aut: PermGroup, last_moved, k: int, budget: config.Budget):
 # ---------------------------------------------------------------------------
 
 
-def _group_of(g: Graph, aut: PermGroup | None) -> PermGroup:
-    """aut, a group the caller already has, or Aut(g) when it is None.
-    Raises DegreeError when aut does not act on g's vertices."""
-    if aut is None:
-        return automorphism_group(g)
-    if aut.degree != g.n:
-        raise DegreeError(f"group of degree {aut.degree} given for a graph on {g.n} vertices")
-    return aut
-
-
 def distinguishing_number(
     g: Graph,
     budget: config.Budget = config.DEFAULT_BUDGET,
     aut: PermGroup | None = None,
 ) -> tuple[int, Coloring]:
-    aut = _group_of(g, aut)
+    aut = group_of(g, aut)
     return _distinguishing(aut, budget, _min_sets(aut, budget, det=None)[1])
 
 
@@ -359,7 +351,7 @@ def determining_number(
     budget: config.Budget = config.DEFAULT_BUDGET,
     aut: PermGroup | None = None,
 ) -> tuple[int, frozenset[int]]:
-    return _min_determining_set(_group_of(g, aut), budget)
+    return _min_determining_set(group_of(g, aut), budget)
 
 
 def cost_number(
@@ -369,7 +361,7 @@ def cost_number(
 ):
     """(rho, witness class) for 2-distinguishable g, else None. A graph with
     trivial group gets the degenerate (0, empty set)."""
-    return _min_distinguishing_class(_group_of(g, aut), budget)
+    return _min_distinguishing_class(group_of(g, aut), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +472,7 @@ def analyze(
 ) -> SymmetryReport:
     """Full invariant report for one graph. Budget overruns downgrade the
     affected field to UNKNOWN instead of failing the whole report."""
-    aut = _group_of(g, aut)
+    aut = group_of(g, aut)
     det, rho = _min_sets(aut, budget)
     try:
         d, d_witness = _distinguishing(aut, budget, rho)

@@ -9,6 +9,7 @@ the fast paths are checked against.
 from itertools import combinations, permutations, product
 from math import factorial
 
+from symbreak.checks import RULES
 from symbreak.errors import DegreeError
 from symbreak.graphs import FamilySpec, Graph, generate_family
 from symbreak.perms import Perm, PermGroup
@@ -188,6 +189,100 @@ def per_element_vertex_signatures(group: PermGroup) -> tuple[tuple, ...]:
             for v in cyc:
                 sigs[v][ct, len(cyc)] = sigs[v].get((ct, len(cyc)), 0) + 1
     return tuple(tuple(sorted(s.items())) for s in sigs)
+
+
+def per_element_pair_rules(group: PermGroup, x: int, y: int, d):
+    """The pair rules of symbreak.checks for the anchors x and y at
+    distinguishing number d, checked by scanning the image tuples for each
+    pattern: the status of each rule, and per rule the set of its violations
+    as (perms, sorted context items). Unlike check_pair_rules it does not
+    check that {x, y} is determining, so pair_fixers_trivial can fail here."""
+    n = group.degree
+    elems = group.images
+    ident = tuple(range(n))
+    statuses = dict.fromkeys(RULES, "pass")
+    flagged = {rule: set() for rule in RULES}
+
+    def flag(rule, perms, **context):
+        statuses[rule] = "fail"
+        flagged[rule].add((tuple(perms), tuple(sorted(dict(context, x=x, y=y).items()))))
+
+    def rot3(t, a, b, c):
+        return t[a] == b and t[b] == c and t[c] == a
+
+    swaps = [t for t in elems if t[x] == y and t[y] == x]
+    half_x: dict[int, list] = {}  # d -> the elements exchanging x and d, y fixed
+    half_y: dict[int, list] = {}
+    for t in elems:
+        if t[y] == y and t[x] != x and t[t[x]] == x:
+            half_x.setdefault(t[x], []).append(t)
+        if t[x] == x and t[y] != y and t[t[y]] == y:
+            half_y.setdefault(t[y], []).append(t)
+
+    for t in elems:
+        if t != ident and t[x] == x and t[y] == y:
+            flag("pair_fixers_trivial", [t])
+    swap_like = swaps + [t for lst in [*half_x.values(), *half_y.values()] for t in lst]
+    for t in swap_like:
+        if any(t[t[v]] != v for v in range(n)):
+            flag("swaps_are_involutions", [t])
+    if len(swaps) > 1:
+        flag("swap_extension_unique", swaps[:2])
+
+    for s in swaps:
+        cycles2 = [
+            (v, w)
+            for v, w in enumerate(s)
+            if v < w and s[w] == v and v not in (x, y) and w not in (x, y)
+        ]
+        for a, b in cycles2:
+            for d1, d2 in ((a, b), (b, a)):
+                if d1 in half_x:
+                    for t in elems:
+                        if rot3(t, x, y, d1) or rot3(t, x, d1, y):
+                            flag("no_rotation_through_pair", [s, half_x[d1][0], t], d1=d1)
+                    if d1 in half_y:
+                        flag(
+                            "no_same_anchor_mirror",
+                            [s, half_x[d1][0], half_y[d1][0]],
+                            d1=d1,
+                        )
+                if (d1 in half_x) != (d2 in half_y):
+                    flag("partner_mirror_exists", [s], d1=d1, d2=d2)
+        if len(cycles2) >= 2:
+            dvals = [v for cyc in cycles2 for v in cyc]
+            for di in dvals:
+                if di not in half_x:
+                    continue
+                for dj in dvals:
+                    if dj == di:
+                        continue
+                    for t in elems:
+                        if (
+                            t[y] == y and (rot3(t, x, di, dj) or rot3(t, x, dj, di))
+                        ) or (t[x] == x and (rot3(t, y, di, dj) or rot3(t, y, dj, di))):
+                            flag(
+                                "no_anchor_chain_rotation",
+                                [s, half_x[di][0], t],
+                                di=di,
+                                dj=dj,
+                            )
+
+    for d1, d2 in combinations(sorted(half_x), 2):
+        for t in half_x[d1]:
+            if t[d2] == d2:
+                flag("side_swaps_move_rivals", [t], d1=d1, d2=d2)
+        for t in half_x[d2]:
+            if t[d1] == d1:
+                flag("side_swaps_move_rivals", [t], d1=d2, d2=d1)
+
+    if d == 2:
+        bare = tuple(y if v == x else x if v == y else v for v in range(n))
+        if bare in group.image_set:
+            flag("bare_swap_absent", [bare])
+    else:
+        statuses["bare_swap_absent"] = "skipped"
+    return statuses, flagged
 
 
 def first_subsets(group: PermGroup, max_size: int) -> list[tuple[int, int, int]]:

@@ -1,9 +1,19 @@
 import random
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import from_cycles, net_graph, random_graph
+from conftest import GRAPHS7_FILE
+from helpers import (
+    from_cycles,
+    mid_group_graphs,
+    net_graph,
+    per_element_pair_rules,
+    random_graph,
+)
 from symbreak import checks
 from symbreak.autgroup import automorphism_group
 from symbreak.checks import (
@@ -17,6 +27,7 @@ from symbreak.checks import (
 )
 from symbreak.config import Budget
 from symbreak.errors import (
+    DegreeError,
     NotApplicableError,
     NotDeterminingPairError,
     UnsupportedSizeError,
@@ -156,6 +167,115 @@ def test_violation_details_reverify():
     for v in rep.violations:
         for images in v.perms:
             assert images in elems
+
+
+# -- pair rules against the per-element scan ---------------------------------
+
+
+def assert_rules_match_scan(g, aut, pair, d):
+    """check_pair_rules and the per-element scan of tests/helpers.py agree on
+    every status and on every violation's perms and context."""
+    rep = check_pair_rules(g, pair, aut=aut, d=d)
+    statuses, flagged = per_element_pair_rules(aut, *pair, d)
+    assert rep.statuses == statuses
+    got = {rule: set() for rule in RULES}
+    for v in rep.violations:
+        got[v.rule].add((v.perms, tuple(sorted(v.context.items()))))
+    assert got == flagged
+    assert len(rep.violations) == sum(map(len, flagged.values()))
+    return rep
+
+
+def test_rules_match_the_scan_on_every_determining_pair_of_graphs7():
+    pairs = 0
+    with GRAPHS7_FILE.open(encoding="ascii") as fh:
+        corpus = [parse_graph6(line.strip()) for line in fh]
+    for g in corpus:
+        aut = automorphism_group(g)
+        report = analyze(g, aut=aut)
+        if not report.det2_d2_case:
+            continue
+        for pair in combinations(range(g.n), 2):
+            if is_determining_set(aut, pair):
+                assert assert_rules_match_scan(g, aut, pair, report.d).passed
+                pairs += 1
+    assert pairs == 1674
+
+
+@pytest.mark.parametrize("name", list(mid_group_graphs()))
+def test_rules_match_the_scan_on_mid_groups_without_their_anchor_fixers(name):
+    """Every graph of mid_group_graphs() has Det >= 3, so none of its pairs
+    is determining; dropping the elements that fix both anchors makes every
+    pair determining, in a list that is not closed and breaks rules. S_7
+    maps every pair of K7 to (0, 1), which alone takes 0.4 s of its 8 s."""
+    g = mid_group_graphs()[name]
+    aut = automorphism_group(g)
+    failed = set()
+    for x, y in [(0, 1)] if name == "K7" else combinations(range(g.n), 2):
+        kept = [t for t in aut.images if t[x] != x or t[y] != y or t == aut.images[0]]
+        rep = assert_rules_match_scan(g, PermGroup(g.n, tuple(kept)), (x, y), 2)
+        failed |= {rule for rule, status in rep.statuses.items() if status == "fail"}
+    assert failed
+
+
+SYNTHETIC_GROUPS = [  # (n, cycle lists) of the detector tests above
+    (5, [[(0, 1), (2, 3, 4)]]),
+    (4, [[(0, 1)], [(0, 1), (2, 3)]]),
+    (4, [[(0, 1), (2, 3)], [(0, 2)], [(0, 1, 2)]]),
+    (4, [[(0, 1), (2, 3)], [(0, 2)], [(1, 2)]]),
+    (6, [[(0, 1), (2, 3), (4, 5)], [(0, 2)], [(0, 2, 4)]]),
+    (4, [[(0, 1), (2, 3)], [(0, 2)]]),
+    (5, [[(0, 2)], [(0, 3), (2, 4)]]),
+    (4, [[(0, 1)]]),
+]
+
+
+@pytest.mark.parametrize("n, cycle_lists", SYNTHETIC_GROUPS)
+@pytest.mark.parametrize("d", [2, 3])
+def test_rules_match_the_scan_on_the_synthetic_groups(n, cycle_lists, d):
+    group = synthetic_group(n, *cycle_lists)
+    try:
+        assert_rules_match_scan(carrier(n), group, (0, 1), d)
+    except NotDeterminingPairError:
+        statuses, _ = per_element_pair_rules(group, 0, 1, d)
+        assert statuses["pair_fixers_trivial"] == "fail"
+
+
+@st.composite
+def anchored_lists(draw):
+    """(n, the anchors, a duplicate-free element list that is not closed):
+    the identity, a swap of the anchors, then elements that move an anchor,
+    each a cycle through one or both anchors times disjoint 2- and 3-cycles
+    of the other vertices."""
+    n = draw(st.integers(4, 7))
+    x, y = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+
+    def element(shape):
+        e, f, *rest = draw(st.permutations([v for v in range(n) if v not in (x, y)]))
+        cycle_list = [tuple({"x": x, "y": y, "e": e, "f": f}[c] for c in shape)]
+        rest = [v for v in rest + [e, f] if v not in cycle_list[0]]
+        for k in draw(st.lists(st.sampled_from([2, 3]), max_size=2)):
+            if len(rest) >= k:
+                cycle_list.append(rest[:k])
+                rest = rest[k:]
+        return from_cycles(n, cycle_list).images
+
+    shapes = st.sampled_from(["xy", "xe", "ye", "xye", "xey", "xef", "yef"])
+    images = [tuple(range(n)), element("xy")]
+    images += [element(shape) for shape in draw(st.lists(shapes, max_size=8))]
+    return n, (x, y), tuple(dict.fromkeys(images))
+
+
+@given(anchored_lists(), st.sampled_from([2, 3]))
+def test_rules_match_the_scan_on_random_element_lists(case, d):
+    n, pair, images = case
+    assert_rules_match_scan(carrier(n), PermGroup(n, images), pair, d)
+
+
+def test_rules_reject_a_group_of_another_degree():
+    p4 = fam("path", 4)
+    with pytest.raises(DegreeError, match="degree 5 given for a graph on 4"):
+        check_pair_rules(p4, (0, 1), aut=automorphism_group(fam("cycle", 5)), d=2)
 
 
 # -- pair rules on real graphs -------------------------------------------

@@ -26,7 +26,7 @@ from symbreak.equivalence import (
 )
 from symbreak.checks import ScanOptions, check_shared_distinguishing_number, scan_corpus
 from symbreak.cli import main
-from symbreak.errors import BudgetExceededError, NotApplicableError
+from symbreak.errors import BudgetExceededError, DegreeError, NotApplicableError
 from symbreak.config import Budget
 from symbreak.graphs import (
     FamilySpec,
@@ -118,6 +118,14 @@ def test_order_mismatch_rejected_fast():
 
 def test_degree_mismatch_rejected():
     assert distinguishably_equivalent(fam("path", 3), fam("path", 4)) is None
+
+
+@pytest.mark.parametrize("which", ["aut1", "aut2"])
+def test_a_group_of_another_degree_is_rejected(which):
+    p4, c4 = fam("path", 4), fam("cycle", 4)
+    groups = {which: automorphism_group(fam("cycle", 5))}
+    with pytest.raises(DegreeError, match="degree 5 given for a graph on 4"):
+        distinguishably_equivalent(p4, c4, **groups)
 
 
 def test_complement_always_equivalent():
