@@ -475,7 +475,8 @@ def scan_corpus(graphs, options: ScanOptions = ScanOptions()) -> ScanReport:
         from concurrent.futures import ProcessPoolExecutor
 
         chunks = [graphs[i : i + SCAN_CHUNK] for i in range(0, len(graphs), SCAN_CHUNK)]
-        with ProcessPoolExecutor(max_workers=options.jobs) as pool:
+        # a fork pool starts all its workers at once, so never more than chunks
+        with ProcessPoolExecutor(max_workers=min(options.jobs, len(chunks))) as pool:
             results = [res for part in pool.map(scan, chunks) for res in part]
     else:
         results = scan(graphs)

@@ -122,7 +122,7 @@ def cmd_equiv(args) -> int:
     try:
         sigma = distinguishably_equivalent(g1, g2, _budget(args), aut1=a1, aut2=a2)
     except BudgetExceededError as exc:
-        print(f"not-equivalent search-exhausted {exc}")
+        print(f"unknown search-exhausted {exc}")
         return 1
     if sigma is None:
         if a1.order != a2.order:
@@ -145,7 +145,7 @@ def cmd_scan(args) -> int:
             print(f"usage error: --enumerate takes n in 1..{ENUM_MAX_N}", file=sys.stderr)
             return 2
         graphs = [g for n in range(1, args.enumerate + 1) for g in enumerate_graphs(n)]
-    elif args.input is not None:
+    else:
         # a record that does not parse is reported, left out of the scan and
         # listed among the summary's skips
         for lineno, item in _read_records(args.input):
@@ -155,9 +155,6 @@ def cmd_scan(args) -> int:
                 unparsed.append((item.record, reason))
             else:
                 graphs.append(item)
-    else:
-        print("usage error: give a corpus file or --enumerate n", file=sys.stderr)
-        return 2
 
     options = ScanOptions(jobs=args.jobs, budget=_budget(args), all_pairs=args.props)
     report = scan_corpus(graphs, options)
@@ -227,9 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("scan", help="scan a corpus")
-    p.add_argument("input", nargs="?", default=None, help="graph6 corpus file")
-    p.add_argument("--enumerate", type=int, default=None, metavar="N",
-                   help="scan all graphs on up to N vertices (N <= 6)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("input", nargs="?", default=None, help="graph6 corpus file")
+    source.add_argument("--enumerate", type=int, default=None, metavar="N",
+                        help=f"scan all graphs on up to N vertices (N <= {ENUM_MAX_N})")
     p.add_argument("--props", action="store_true",
                    help="run pair rules on every size-2 determining pair, not just the witness")
     _add_common(p, jobs=True)

@@ -444,6 +444,35 @@ def test_scan_deterministic_across_jobs():
     assert lines1 == lines2
 
 
+def test_scan_pool_never_has_more_workers_than_chunks(monkeypatch):
+    """A fork pool starts every worker at once, so --jobs beyond the number
+    of chunks must not reach it. The fake pool records its size and maps
+    inline; no process is started."""
+    import concurrent.futures
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    corpus = [g for n in range(1, 6) for g in enumerate_graphs(n)]  # 52 graphs
+    inline = scan_corpus(corpus, ScanOptions(jobs=1))
+    for jobs, workers in [(2, 2), (4, 4), (1000, 4)]:
+        assert scan_corpus(corpus, ScanOptions(jobs=jobs)) == inline
+        assert sizes.pop() == workers
+
+
 def test_scan_all_pairs_mode():
     corpus = [g for n in range(1, 5) for g in enumerate_graphs(n)]
     witness_only = scan_corpus(corpus, ScanOptions(all_pairs=False))

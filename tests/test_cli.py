@@ -195,6 +195,15 @@ def test_scan_requires_source(capsys):
     assert code == 2
 
 
+def test_scan_takes_a_file_or_enumerate_not_both(tmp_path, capsys):
+    path = tmp_path / "corpus.g6"
+    path.write_text("Bw\n")
+    for argv in ([str(path), "--enumerate", "2"], ["--enumerate", "2", str(path)]):
+        code, out, err = run_cli(capsys, "scan", *argv, "--jobs", "1")
+        assert (code, out) == (2, "")
+        assert "not allowed with argument" in err
+
+
 def test_scan_enumerate_range(capsys):
     code, out, err = run_cli(capsys, "scan", "--enumerate", "9")
     assert code == 2

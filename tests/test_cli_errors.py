@@ -84,6 +84,12 @@ def test_analyze_reports_a_refused_group_and_goes_on(tmp_path, capsys, fail_fast
                    "rho_in_2_4=- det_set=0,1 rho_class=- degenerate=0\n")
 
 
+def test_family_member_beyond_graph6_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "family", "hypercube", "10")
+    assert (code, out) == (2, "")
+    assert err == "usage error: hypercube 10 has more than 512 vertices, the graph6 limit\n"
+
+
 def test_family_analyze_refuses_a_group_over_the_cap(capsys):
     code, out, err = run_cli(capsys, "family", "complete", "10", "--analyze")
     assert code == 1 and out == ""
@@ -97,11 +103,13 @@ def test_equiv_reason_cycle_types(tmp_path, capsys):
 
 
 def test_equiv_reason_search_exhausted(tmp_path, capsys):
+    """The pair is equivalent, so a search cut short by its budget settles
+    nothing: the verdict is unknown, never not-equivalent."""
     c6 = fam("cycle", 6)
     path = write_pair(tmp_path, c6, permuted(c6, Perm((3, 1, 4, 5, 0, 2))))
     code, out, _ = run_cli(capsys, "equiv", path, "--budget", "1")
     assert code == 1
-    assert out == "not-equivalent search-exhausted bijection search exceeded 1 nodes\n"
+    assert out == "unknown search-exhausted bijection search exceeded 1 nodes\n"
 
 
 def test_equiv_reason_vertex_count(tmp_path, capsys):

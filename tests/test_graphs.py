@@ -1,16 +1,17 @@
 import pytest
 from hypothesis import given
 
-from conftest import graphs
+from conftest import REPO_ROOT, graphs
 from helpers import canonical_mask, slot_mask
 from symbreak.errors import DegreeError, FamilySpecError, UnsupportedSizeError
 from symbreak.graphs import (
     FamilySpec,
+    GRAPH6_MAX_N,
     Graph,
-    _mask_representatives,
     clique_with_tails,
     complement,
     count_isomorphism_classes,
+    encode_graph6,
     enumerate_graphs,
     generate_family,
     induced_subgraph,
@@ -104,6 +105,15 @@ def test_family_validation():
         FamilySpec("banana", 3)
 
 
+def test_family_member_beyond_graph6_is_refused_before_it_is_built():
+    for kind, p in [("hypercube", 40), ("hypercube", 10), ("clique_with_tails", 7),
+                    ("path", GRAPH6_MAX_N + 1), ("complete", 10**18)]:
+        with pytest.raises(FamilySpecError):
+            FamilySpec(kind, p)
+    assert generate_family(FamilySpec("hypercube", 9)).n == GRAPH6_MAX_N
+    assert generate_family(FamilySpec("clique_with_tails", 6)).n == 384
+
+
 def test_hypercube_q4():
     q4 = generate_family(FamilySpec("hypercube", 4))
     assert q4.n == 16 and q4.edge_count == 32
@@ -141,11 +151,17 @@ def test_enumeration_counts_match_burnside():
         assert len(reps) == count_isomorphism_classes(n)
 
 
+def test_enumeration_on_seven_vertices_is_the_checked_in_corpus(graphs7_path):
+    records = [encode_graph6(g) for g in enumerate_graphs(7)]
+    assert records == graphs7_path.read_text().split()
+
+
 def test_the_walk_enumerates_every_class_on_eight_vertices():
-    """The orderly walk over S_8 acting on the 28 pair slots, beyond the
-    n <= 6 that enumerate_graphs serves, against the Burnside count."""
-    reps = _mask_representatives(8)
-    assert len(set(reps)) == len(reps) == count_isomorphism_classes(8) == 12346
+    """The orderly walk over S_8 acting on the 28 pair slots, against the
+    Burnside count and, record for record, the checked-in n = 8 corpus."""
+    records = [encode_graph6(g) for g in enumerate_graphs(8)]
+    assert len(set(records)) == len(records) == count_isomorphism_classes(8) == 12346
+    assert records == (REPO_ROOT / "data" / "graphs8.g6").read_text().split()
 
 
 def test_enumeration_known_counts():
@@ -173,7 +189,7 @@ def test_enumeration_yields_the_masks_that_are_their_own_canonical_form():
 
 def test_enumeration_range_check():
     with pytest.raises(UnsupportedSizeError):
-        list(enumerate_graphs(7))
+        list(enumerate_graphs(9))
     with pytest.raises(UnsupportedSizeError):
         list(enumerate_graphs(0))
 
