@@ -127,7 +127,7 @@ def cmd_equiv(args) -> int:
     if sigma is None:
         if a1.order != a2.order:
             reason = f"aut-order {a1.order} != {a2.order}"
-        elif sorted(a1.cycle_types) != sorted(a2.cycle_types):
+        elif a1.cycle_index != a2.cycle_index:
             reason = "cycle-type multisets differ"
         else:
             reason = "no conjugating bijection"

@@ -4,22 +4,29 @@ Two graphs are equivalent when some bijection of their vertex sets conjugates
 the automorphism group of one onto the other, element for element; that is the
 same as the two groups having equal labeled cycle representations under
 suitable labelings. Under one labelling, two groups have equal representations
-exactly when their image_set views are equal. The search backtracks over
-vertex images, filtered by per-vertex statistics (PermGroup.vertex_signatures:
-the multiset, over all group elements, of the cycle length through the vertex
-paired with the element's cycle type, held counted as its sorted (pair,
-multiplicity) items, which are only compared for equality). It conjugates only
-a generating set of the first group, the transversal representatives of its
-point-stabilizer chain, read from PermGroup.maps_to. Each generator keeps a
-bitset of its possible images in the second group, ANDed with a maps_to row as
-each vertex image is fixed; an empty bitset prunes the branch, and a full
-bijection whose bitsets are all non-empty conjugates the whole group.
+exactly when their image_set views are equal. Before any search, the two
+groups' cycle indexes (PermGroup.cycle_index, the multiset of cycle types) and
+signature indexes must agree. The search backtracks over vertex images,
+filtered by per-vertex statistics (PermGroup.vertex_signatures: the multiset,
+over all group elements, of the cycle length through the vertex paired with
+the element's cycle type, held counted as its sorted (pair, multiplicity)
+items, which are only compared for equality). It conjugates only a generating
+set of the first group, PermGroup.chain_generators: the transversal
+representatives of its point-stabilizer chain, read from PermGroup.maps_to,
+each with its inverse. Each generator keeps a bitset of its possible images in
+the second group, starting from the second group's elements of its cycle type
+(PermGroup.type_bits) and ANDed with a maps_to row as each vertex image is
+fixed; an empty bitset prunes the branch, and a full bijection whose bitsets
+are all non-empty conjugates the whole group.
 
-equivalence_classes looks each group up before it searches: a graph whose
-group equals, element for element, one already placed joins that class
-without a search, since the identity conjugates the one group onto the other.
-Only the first graph of each distinct group pays for the cycle views and the
-bijection search.
+Every one of these views is built once per group and cached on it, so a
+class representative searched against many groups derives its generators
+and signatures once. equivalence_classes looks each group up before it
+searches: a graph whose group equals, element for element, one already placed
+joins that class without a search, since the identity conjugates the one
+group onto the other. Only the first graph of each distinct group pays for the
+cycle views, and it is searched only against the representatives of the
+classes with its n, order and cycle index, found by one dict lookup.
 """
 
 from __future__ import annotations
@@ -32,18 +39,8 @@ from .perms import Perm, PermGroup
 
 
 def _chain_generators(aut: PermGroup) -> list[int]:
-    """For each i and each x != i that an element fixing 0..i-1 sends i to,
-    the index of the first such element: transversal representatives of the
-    point-stabilizer chain, which generate aut (Sims)."""
-    stab = (1 << aut.order) - 1
-    gens = []
-    for i, row in enumerate(aut.maps_to):
-        for x, bits in enumerate(row):
-            hit = stab & bits
-            if x != i and hit:
-                gens.append((hit & -hit).bit_length() - 1)
-        stab &= row[i]
-    return gens
+    """The indices of aut's chain generators (PermGroup.chain_generators)."""
+    return [i for i, _inv in aut.chain_generators]
 
 
 def _conjugating_bijection(autA: PermGroup, autB: PermGroup, budget: config.Budget):
@@ -53,12 +50,12 @@ def _conjugating_bijection(autA: PermGroup, autB: PermGroup, budget: config.Budg
         return None
     if autA.order == 1:
         return Perm.identity(n)
-    if sorted(autA.cycle_types) != sorted(autB.cycle_types):
+    if autA.cycle_index != autB.cycle_index:
+        return None
+    if autA.signature_index != autB.signature_index:
         return None
     sigA = autA.vertex_signatures
     sigB = autB.vertex_signatures
-    if sorted(sigA) != sorted(sigB):
-        return None
 
     cand_vertices = {
         sig: [w for w in range(n) if sigB[w] == sig] for sig in set(sigA)
@@ -68,13 +65,8 @@ def _conjugating_bijection(autA: PermGroup, autB: PermGroup, budget: config.Budg
     # per generator a of autA (with its inverse), the elements of autB that
     # can still be sigma.a.sigma^-1: those of a's cycle type that send
     # sigma(u) to sigma(a(u)) wherever u and a(u) are both mapped
-    of_type: dict[tuple, int] = {}
-    for i, ct in enumerate(autB.cycle_types):
-        of_type[ct] = of_type.get(ct, 0) | 1 << i
-    gens = _chain_generators(autA)
-    pairs = [
-        (autA.images[i], sorted(range(n), key=autA.images[i].__getitem__)) for i in gens
-    ]
+    gens = autA.chain_generators
+    pairs = [(autA.images[i], inv) for i, inv in gens]
     B = autB.maps_to
 
     sigma = [-1] * n
@@ -82,7 +74,7 @@ def _conjugating_bijection(autA: PermGroup, autB: PermGroup, budget: config.Budg
     nodes = 0
     # bits[pos]: the generators' candidate bitsets once order[:pos] is mapped;
     # tries[pos]: the candidate vertices order[pos] has not yet been tried at
-    bits = [[of_type[autA.cycle_types[i]] for i in gens]]
+    bits = [[autB.type_bits[autA.cycle_types[i]] for i, _inv in gens]]
     tries = [iter(cand_vertices[sigA[order[0]]])]
     while tries:
         pos = len(tries) - 1
@@ -148,33 +140,35 @@ def equivalence_classes(
     A graph whose group equals, element for element, the group of a graph
     already placed joins that graph's class at once: the identity conjugates
     one group onto the other, so no cycle views and no search are needed.
-    Any other graph is tested against one representative per existing class,
-    in class creation order, so transitivity is exploited rather than
-    re-derived. Pairs whose search ran out of budget are returned as
-    unresolved; the graph then starts its own class. A later graph with the
-    same group as one already placed is never unresolved, even under a budget
-    too small to settle the pair by search: it joins that graph's class.
+    Any other graph is tested against the representative of each existing
+    class with its key (n, |Aut| and cycle index), in class creation order,
+    so transitivity is exploited rather than re-derived. A pair whose search
+    ran out of budget is returned as unresolved, and the graph goes on to the
+    next class with its key: it may join a later class, and starts its own
+    only when no class with its key takes it. A later graph with the same
+    group as one already placed is never unresolved, even under a budget too
+    small to settle the pair by search: it joins that graph's class.
     """
-    classes: list[dict] = []
+    classes: list[list[int]] = []  # the members of each class, in creation order
     unresolved: list[tuple[int, int]] = []
     class_of: dict[tuple, list[int]] = {}  # aut.images -> members of its class
+    by_key: dict[tuple, list] = {}  # key -> (representative's group, members) per class
     for i, g in enumerate(graphs):
         aut = automorphism_group(g)
         members = class_of.get(aut.images)
         if members is None:
-            key = (g.n, aut.order, tuple(sorted(aut.cycle_types)))
-            for cls in classes:
-                if cls["key"] != key:
-                    continue
+            same_key = by_key.setdefault((g.n, aut.order, aut.cycle_index), [])
+            for rep, cls in same_key:
                 try:
-                    if _conjugating_bijection(cls["aut"], aut, budget) is not None:
-                        members = cls["members"]
+                    if _conjugating_bijection(rep, aut, budget) is not None:
+                        members = cls
                         break
                 except BudgetExceededError:
-                    unresolved.append((cls["members"][0], i))
+                    unresolved.append((cls[0], i))
             else:
                 members = []
-                classes.append({"key": key, "aut": aut, "members": members})
+                classes.append(members)
+                same_key.append((aut, members))
             class_of[aut.images] = members
         members.append(i)
-    return [cls["members"] for cls in classes], unresolved
+    return classes, unresolved

@@ -7,6 +7,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from operator import itemgetter
+from types import MappingProxyType
 
 from .errors import DegreeError
 
@@ -57,27 +59,38 @@ def check_bijection(images: tuple[int, ...]) -> None:
         raise ValueError(f"not a bijection on 0..{n - 1}: {images}")
 
 
-def _cycle_structure(images: tuple[int, ...]):
-    """The cycle type of images and, per vertex, the length of its cycle."""
+def _cycle_lengths(images: tuple[int, ...]) -> tuple[int, ...]:
+    """Per vertex, the length of the cycle of images through it."""
     lengths = [0] * len(images)
-    cycle_lengths = []
-    for start in range(len(images)):
+    for start, v in enumerate(images):
         if lengths[start]:
             continue
-        cyc = [start]
+        k = 1
+        while v != start:
+            v = images[v]
+            k += 1
+        lengths[start] = k
         v = images[start]
         while v != start:
-            cyc.append(v)
+            lengths[v] = k
             v = images[v]
-        cycle_lengths.append(len(cyc))
-        for v in cyc:
-            lengths[v] = len(cyc)
-    return tuple(sorted(cycle_lengths, reverse=True)), tuple(lengths)
+    return tuple(lengths)
+
+
+def _type_of(lengths: tuple[int, ...]) -> tuple[int, ...]:
+    """The cycle type, sorted descending, of a permutation whose cycle
+    lengths per vertex are lengths: a cycle of length k is k entries k."""
+    ordered = sorted(lengths, reverse=True)
+    cycle_lengths, i, n = [], 0, len(ordered)
+    while i < n:
+        cycle_lengths.append(ordered[i])
+        i += ordered[i]
+    return tuple(cycle_lengths)
 
 
 def cycle_type(p: Perm) -> tuple[int, ...]:
     """Multiset of cycle lengths, sorted descending; lengths sum to the degree."""
-    return _cycle_structure(p.images)[0]
+    return _type_of(_cycle_lengths(p.images))
 
 
 @dataclass(frozen=True)
@@ -86,17 +99,23 @@ class PermGroup:
 
     from_images keeps them sorted and duplicate-free, which puts the
     identity first. Construction does not verify closure or that each tuple
-    is a bijection; the cheap degree check always runs. The
-    views (elements, image_set, maps_to, identity_bits, cycle_types,
-    vertex_signatures) are built once, on first use; elements holds the
-    same elements as Perm objects, and is built only for callers that ask
-    for it. elements and cycle_types are aligned with images, and bit i of
-    a maps_to or identity_bits bitset stands for images[i]. maps_to, which
-    identity_bits and the searches on the group read, is split from the
-    images by a few bit planes per vertex and needs degree <= 256; the
-    other views take any degree. The group is
-    not itself a container: callers iterate over images and test membership
-    of an image tuple in image_set.
+    is a bijection; the cheap degree check always runs. The views are built
+    once, on first use, and cached on the group:
+    - elements holds the same elements as Perm objects, and is built only
+      for callers that ask for it; image_set holds the image tuples.
+    - maps_to, identity_bits and chain_generators, which the searches on the
+      group read. maps_to is split from the images by a few bit planes per
+      vertex and needs degree <= 256, and the other two read it.
+    - cycle_types, vertex_signatures, cycle_index, signature_index and
+      type_bits, all from one cycle-length pass over the elements
+      (_cycle_views). They take any degree. A vertex signature is computed
+      once per orbit and shared along it, which holds only for a group:
+      for a set of image tuples that is not closed, vertex_signatures (and
+      signature_index) may differ from the per-element count.
+    elements and cycle_types are aligned with images, and bit i of a
+    maps_to, identity_bits or type_bits bitset stands for images[i]. The
+    group is not itself a container: callers iterate over images and test
+    membership of an image tuple in image_set.
     """
 
     degree: int
@@ -198,6 +217,25 @@ class PermGroup:
             bits &= row[u]
         return bits
 
+    @cached_property
+    def chain_generators(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """For each i and each x != i that an element fixing 0..i-1 sends i
+        to, the first such element, as its index in images and its inverse's
+        image tuple: transversal representatives of the point-stabilizer
+        chain, which generate the group (Sims). Read from maps_to."""
+        stab = (1 << len(self.images)) - 1
+        gens = []
+        for i, row in enumerate(self.maps_to):
+            for x, bits in enumerate(row):
+                hit = stab & bits
+                if x != i and hit:
+                    gens.append((hit & -hit).bit_length() - 1)
+            stab &= row[i]
+        return tuple(
+            (j, tuple(sorted(range(self.degree), key=self.images[j].__getitem__)))
+            for j in gens
+        )
+
     @property
     def cycle_types(self) -> tuple[tuple[int, ...], ...]:
         return self._cycle_views[0]
@@ -209,24 +247,51 @@ class PermGroup:
         cycle length), multiplicity) pairs. Conjugation preserves it."""
         return self._cycle_views[1]
 
+    @property
+    def cycle_index(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The multiset of cycle_types as sorted (cycle type, multiplicity)
+        pairs: two groups have equal cycle-type multisets exactly when their
+        cycle indexes are equal."""
+        return self._cycle_views[2]
+
+    @property
+    def signature_index(self) -> tuple[tuple[tuple, int], ...]:
+        """The multiset of vertex_signatures as sorted (signature, number of
+        vertices) pairs."""
+        return self._cycle_views[3]
+
+    @property
+    def type_bits(self) -> MappingProxyType[tuple[int, ...], int]:
+        """Per cycle type, the bitset of the elements of that type."""
+        return self._cycle_views[4]
+
     @cached_property
     def _cycle_views(self):
-        """cycle_types and vertex_signatures from one cycle decomposition
-        per element; elements with the same (cycle type, cycle length per
-        vertex) are counted once per vertex, with their multiplicity, so a
-        signature holds a few pairs instead of one entry per element. Equal
-        cycle types share one tuple, which keeps Aut(K9)'s list small."""
-        types: dict[tuple, tuple] = {}
-        cycle_types = []
-        structures: Counter = Counter()
-        for t in self.images:
-            ct, lengths = _cycle_structure(t)
-            ct = types.setdefault(ct, ct)
-            cycle_types.append(ct)
-            structures[ct, lengths] += 1
-        per_vertex = [Counter() for _ in range(self.degree)]
-        for (ct, lengths), count in structures.items():
-            for v, k in enumerate(lengths):
-                per_vertex[v][ct, k] += count
-        signatures = tuple(tuple(sorted(sig.items())) for sig in per_vertex)
-        return tuple(cycle_types), signatures
+        """The cycle views from one _cycle_lengths pass over the elements.
+        The cycle type is derived once per distinct tuple of lengths, and
+        equal types share one tuple, which keeps Aut(K9)'s list small. A
+        signature is counted once per orbit, read from the images: vertices
+        in one orbit of a group have equal signatures, since conjugating by
+        an element that sends u to v maps the one multiset onto the other.
+        That assumes closure, which construction does not check."""
+        images, n = self.images, self.degree
+        lengths = list(map(_cycle_lengths, images))
+        type_of, shared = {}, {}
+        for lt in dict.fromkeys(lengths):
+            ct = _type_of(lt)
+            type_of[lt] = shared.setdefault(ct, ct)
+        cycle_types = tuple(map(type_of.__getitem__, lengths))
+        signatures: list = [None] * n
+        for v in range(n):
+            if signatures[v] is None:
+                counted = Counter(zip(cycle_types, map(itemgetter(v), lengths)))
+                sig = tuple(sorted(counted.items()))
+                for u in set(map(itemgetter(v), images)):
+                    signatures[u] = sig
+        type_bits: dict[tuple[int, ...], int] = {}
+        for i, ct in enumerate(cycle_types):
+            type_bits[ct] = type_bits.get(ct, 0) | 1 << i
+        cycle_index = tuple(sorted((ct, b.bit_count()) for ct, b in type_bits.items()))
+        signature_index = tuple(sorted(Counter(signatures).items()))
+        views = cycle_types, tuple(signatures), cycle_index, signature_index
+        return *views, MappingProxyType(type_bits)

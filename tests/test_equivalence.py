@@ -1,5 +1,6 @@
 import random
 import sys
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -349,6 +350,58 @@ def test_classes_join_a_known_group_without_a_search(monkeypatch):
     repeated = {i for i, key in enumerate(keys) if key in keys[:i]}
     assert len(repeated) >= len(graphs) // 3  # every same-label complement
     assert searched and not repeated & set(searched)
+
+
+def conjugacy_key(aut: PermGroup) -> tuple:
+    """The least sorted image set of sigma.aut.sigma^-1 over all n!
+    bijections sigma: equal exactly for groups conjugate in S_n."""
+    return min(
+        tuple(sorted(conjugate_group(aut, Perm(sigma)).images))
+        for sigma in permutations(range(aut.degree))
+    )
+
+
+def test_classes_match_conjugacy_by_every_bijection():
+    """Every graph on at most 5 vertices and a seeded relabelled complement of
+    each: the classes are those of equal conjugacy_key, which knows nothing
+    of representatives, signatures or search order."""
+    rng = random.Random(9)
+    base = [g for n in range(1, 6) for g in enumerate_graphs(n)]
+    graphs = base + [
+        permuted(complement(g), Perm(tuple(rng.sample(range(g.n), g.n)))) for g in base
+    ]
+    keys: dict[tuple, tuple] = {}  # aut.images -> its conjugacy_key
+    by_key: dict[tuple, list[int]] = {}
+    for i, g in enumerate(graphs):
+        aut = automorphism_group(g)
+        if aut.images not in keys:
+            keys[aut.images] = conjugacy_key(aut)
+        by_key.setdefault((g.n, keys[aut.images]), []).append(i)
+    partition, unresolved = equivalence_classes(graphs)
+    assert unresolved == []
+    assert partition == list(by_key.values())
+
+
+def test_unresolved_pairs_follow_class_creation_order():
+    """Under a budget of one node every search that needs a second node is
+    unresolved, and the graph goes on to the next class with its key: the
+    pairs and classes below were captured before classes were looked up by
+    key, when each graph scanned every class in creation order."""
+    rng = random.Random(3)
+    base = [g for n in range(1, 5) for g in enumerate_graphs(n)]
+    graphs = base + [
+        permuted(complement(g), Perm(tuple(rng.sample(range(g.n), g.n)))) for g in base
+    ]
+    partition, unresolved = equivalence_classes(graphs, Budget.uniform(1))
+    assert unresolved == [
+        (4, 5), (10, 11), (12, 15), (4, 22), (5, 22), (8, 26),
+        (10, 29), (11, 29), (13, 31), (9, 32), (8, 34), (26, 34),
+    ]
+    assert partition == [
+        [0, 18], [1, 2, 19, 20], [3, 6, 21, 24], [4, 23], [5], [7, 17, 25, 35],
+        [8, 16], [9, 14, 27], [10], [11, 28], [12], [13], [15, 30, 33], [22],
+        [26], [29], [31], [32], [34],
+    ]
 
 
 def test_a_known_group_joins_its_class_under_any_budget():

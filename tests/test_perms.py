@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -7,6 +8,7 @@ from conftest import perm_lists
 from helpers import (
     compose,
     cycles,
+    disjoint_cliques,
     from_cycles,
     inverse,
     mid_group_graphs,
@@ -16,7 +18,7 @@ from helpers import (
 )
 from symbreak.autgroup import automorphism_group
 from symbreak.errors import DegreeError
-from symbreak.graphs import FamilySpec, enumerate_graphs, generate_family
+from symbreak.graphs import FamilySpec, enumerate_graphs, generate_family, parse_graph6
 from symbreak.perms import Perm, PermGroup, cycle_type
 
 
@@ -108,6 +110,36 @@ def test_cycle_views_match_per_element_oracle():
         aut = automorphism_group(g)
         assert aut.cycle_types == per_element_cycle_types(aut), g
         assert aut.vertex_signatures == per_element_vertex_signatures(aut), g
+
+
+def test_cycle_views_beyond_the_corpus():
+    """The views of Aut(K8) (40,320 elements), Aut(4K3), a cyclic group of
+    degree 300 (above maps_to's degree limit) and the degree-0 group of ?:
+    the per-element oracles, both indexes as counts of their views, and
+    type_bits as a partition of the elements by cycle type."""
+    shift = tuple((v + 1) % 300 for v in range(300))
+    powers = [tuple(range(300))]
+    while len(powers) < 300:
+        powers.append(tuple(shift[v] for v in powers[-1]))
+    groups = [
+        automorphism_group(generate_family(FamilySpec("complete", 8))),
+        automorphism_group(disjoint_cliques(4, 3)),
+        PermGroup.from_images(300, powers),
+        automorphism_group(parse_graph6("?")),
+    ]
+    assert [g.order for g in groups] == [40320, 31104, 300, 1]
+    for aut in groups:
+        assert aut.cycle_types == per_element_cycle_types(aut)
+        assert aut.vertex_signatures == per_element_vertex_signatures(aut)
+        assert aut.cycle_index == tuple(sorted(Counter(aut.cycle_types).items()))
+        signature_counts = Counter(aut.vertex_signatures)
+        assert aut.signature_index == tuple(sorted(signature_counts.items()))
+        union = 0
+        for bits in aut.type_bits.values():
+            assert not union & bits
+            union |= bits
+        assert union == (1 << aut.order) - 1
+        assert all(aut.type_bits[ct] >> i & 1 for i, ct in enumerate(aut.cycle_types))
 
 
 def test_permgroup_from_elements_sorts_and_dedupes():
