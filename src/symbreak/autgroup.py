@@ -34,6 +34,8 @@ order[0] -> x. automorphism_elements walks g -> g down the identity path,
 refined with order[:i] individualized; the first leaf under order[i] -> x
 represents a coset of the stabilizer of order[:i+1] in that of order[:i]
 (Sims), and Aut(g) is every product of one such leaf or the identity per i.
+automorphism_group keeps those leaves, the levels of the chain, on the group
+when sorting the products leaves them in the order they were formed.
 
 group_of is how every function taking an optional group gets it: the
 caller's group, checked against g's degree, or else Aut(g).
@@ -42,7 +44,7 @@ caller's group, checked against g's degree, or else Aut(g).
 from __future__ import annotations
 
 from math import prod
-from operator import itemgetter
+from operator import is_, itemgetter
 
 from . import config
 from .errors import DegreeError, GroupTooLargeError, UnsupportedSizeError
@@ -246,14 +248,23 @@ def isomorphism(g1: Graph, g2: Graph):
     return None
 
 
-def automorphism_elements(g: Graph, element_cap: int):
-    """Every automorphism's image tuple; GroupTooLargeError if over element_cap."""
+def automorphism_elements(g: Graph, element_cap: int, levels: list | None = None):
+    """Every automorphism's image tuple; GroupTooLargeError if over element_cap.
+
+    levels, a list the caller may supply, receives per position of the
+    search order the coset representatives besides the identity, first
+    position first. The elements are laid out from the bottom level up: the
+    stabilizer H built so far comes first, then for the j-th representative
+    t (j >= 1) of the next level the block t after H, in H's order, at
+    offset j|H|.
+    """
     n, adj = g.n, g.adj
     order, back = _plan(g)
     cells = _unit_refined(g, [])  # refined with order[:pos] individualized
     img = list(range(n))
     used = 0  # order[:pos], fixed by the identity path
-    levels = []  # per position, the coset representatives besides the identity
+    if levels is None:
+        levels = []
     for pos, v in enumerate(order):
         if len(cells) == n:  # discrete: no automorphism moves order[pos:]
             break
@@ -295,12 +306,16 @@ def automorphism_group(
 ) -> PermGroup:
     """Aut(g) as an explicit PermGroup. The products of coset
     representatives are distinct and include the identity, so they are only
-    sorted."""
+    sorted. When sorting leaves every product where it was, the group keeps
+    the search's levels, from which maps_to is folded (PermGroup)."""
     if g.n > config.MAX_AUT_VERTICES:
         raise UnsupportedSizeError(
             f"automorphism search supports n <= {config.MAX_AUT_VERTICES}, got {g.n}"
         )
-    return PermGroup(g.n, tuple(sorted(automorphism_elements(g, element_cap=element_cap))))
+    levels: list = []
+    elements = automorphism_elements(g, element_cap=element_cap, levels=levels)
+    images = tuple(sorted(elements))
+    return PermGroup(g.n, images, levels if all(map(is_, images, elements)) else None)
 
 
 def group_of(g: Graph, aut: PermGroup | None) -> PermGroup:

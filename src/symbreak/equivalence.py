@@ -38,11 +38,6 @@ from .graphs import Graph
 from .perms import Perm, PermGroup
 
 
-def _chain_generators(aut: PermGroup) -> list[int]:
-    """The indices of aut's chain generators (PermGroup.chain_generators)."""
-    return [i for i, _inv in aut.chain_generators]
-
-
 def _conjugating_bijection(autA: PermGroup, autB: PermGroup, budget: config.Budget):
     """A vertex bijection sigma with sigma.autA.sigma^-1 == autB, or None."""
     n = autA.degree

@@ -4,7 +4,7 @@ tuples."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
@@ -93,19 +93,57 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
     return _type_of(_cycle_lengths(p.images))
 
 
+def _folded(n: int, levels) -> tuple[tuple[int, ...], ...]:
+    """maps_to of the group whose images are the products of levels, in the
+    order automorphism_elements forms them: H, the stabilizer so far, then
+    for the j-th representative t (j >= 1) of the next level the block t
+    after H at offset j|H|. t after h sends u to t[y] where h sends u to y, so each
+    level ORs row_u[y] << j|H| into row_u[t[y]], over the y h can send u to:
+    the orbit of u under H, kept as a list so that no empty entry is read.
+    H's row and orbit are copied first, since the ORs write into both."""
+    rows = [[0] * n for _ in range(n)]
+    orbits = []
+    for u, row in enumerate(rows):
+        row[u] = 1
+        orbits.append([u])
+    size = 1
+    for reps in reversed(levels):
+        if reps:
+            for row, orbit in zip(rows, orbits):
+                below = row[:]
+                for y in orbit[:]:
+                    bits, shift = below[y], size
+                    for t in reps:
+                        x = t[y]
+                        if not row[x]:
+                            orbit.append(x)
+                        row[x] |= bits << shift
+                        shift += size
+            size *= len(reps) + 1
+    return tuple(map(tuple, rows))
+
+
 @dataclass(frozen=True)
 class PermGroup:
     """A permutation group whose data is images, its elements' image tuples.
 
     from_images keeps them sorted and duplicate-free, which puts the
-    identity first. Construction does not verify closure or that each tuple
-    is a bijection; the cheap degree check always runs. The views are built
-    once, on first use, and cached on the group:
+    identity first. Construction does not verify closure, that each tuple
+    is a bijection or that levels forms images; the cheap degree check
+    always runs. The views are built once, on first use, and cached on the
+    group:
     - elements holds the same elements as Perm objects, and is built only
       for callers that ask for it; image_set holds the image tuples.
     - maps_to, identity_bits and chain_generators, which the searches on the
-      group read. maps_to is split from the images by a few bit planes per
-      vertex and needs degree <= 256, and the other two read it.
+      group read. maps_to needs degree <= 256, and the other two read it.
+      It has two builders. A group that automorphism_group built in the
+      order it formed the products keeps levels, the coset representatives
+      of its stabilizer chain per base point, first base point first, and
+      maps_to is folded from them (_folded) without reading the images.
+      Every other group (from_images, from_elements, a hand-built one, or
+      a searched group whose sorted images moved) has levels None, and
+      maps_to is split from the images by a few bit planes per vertex.
+      levels takes no part in equality, hashing or repr.
     - cycle_types, vertex_signatures, cycle_index, signature_index and
       type_bits, all from one cycle-length pass over the elements
       (_cycle_views). They take any degree. A vertex signature is computed
@@ -120,6 +158,9 @@ class PermGroup:
 
     degree: int
     images: tuple[tuple[int, ...], ...]
+    levels: list[list[tuple[int, ...]]] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self):
         wrong = set(map(len, self.images)) - {self.degree}
@@ -161,7 +202,10 @@ class PermGroup:
         """maps_to[u][x] is the bitset of the elements sending u to x, so
         each row partitions the elements by the image of one vertex.
 
-        Built by splitting, not by testing each (u, x). The images are
+        A group with levels has its table folded from them (_folded): one
+        shifted OR per coset block and orbit point, no pass over the images.
+        Without levels it is built by splitting, not by testing each (u, x),
+        and both builders give the same table. The images are
         flattened into one bytes object, last element first, so that a
         column slice [u::n] spelled in binary has bit i for images[i]; plane
         j is that object translated to "1" where bit j of the image is set
@@ -177,6 +221,8 @@ class PermGroup:
         n, images = self.degree, self.images
         if n > 256:
             raise DegreeError(f"maps_to supports degree <= 256, got {n}")
+        if self.levels is not None:
+            return _folded(n, self.levels)
         rows = [[0] * n for _ in range(n)]
         pending = []  # (u, the image's bits above the next plane, elements)
 
@@ -273,7 +319,9 @@ class PermGroup:
         signature is counted once per orbit, read from the images: vertices
         in one orbit of a group have equal signatures, since conjugating by
         an element that sends u to v maps the one multiset onto the other.
-        That assumes closure, which construction does not check."""
+        That assumes closure, which construction does not check. Each type's
+        bitset is parsed once from a string of marks, so that building them
+        all is linear in the order."""
         images, n = self.images, self.degree
         lengths = list(map(_cycle_lengths, images))
         type_of, shared = {}, {}
@@ -288,9 +336,11 @@ class PermGroup:
                 sig = tuple(sorted(counted.items()))
                 for u in set(map(itemgetter(v), images)):
                     signatures[u] = sig
-        type_bits: dict[tuple[int, ...], int] = {}
-        for i, ct in enumerate(cycle_types):
-            type_bits[ct] = type_bits.get(ct, 0) | 1 << i
+        # per type, its elements marked "1" in a string spelling its bitset
+        marks = {ct: bytearray(b"0") * len(images) for ct in shared}
+        for i, ct in enumerate(reversed(cycle_types)):
+            marks[ct][i] = 49
+        type_bits = {ct: int(m, 2) for ct, m in marks.items()}
         cycle_index = tuple(sorted((ct, b.bit_count()) for ct, b in type_bits.items()))
         signature_index = tuple(sorted(Counter(signatures).items()))
         views = cycle_types, tuple(signatures), cycle_index, signature_index

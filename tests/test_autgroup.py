@@ -29,6 +29,7 @@ from symbreak.graphs import (
     FamilySpec,
     Graph,
     clique_with_tails,
+    complement,
     encode_graph6,
     enumerate_graphs,
     generate_family,
@@ -167,6 +168,66 @@ def test_identity_bits_on_hand_built_element_lists():
     assert PermGroup(3, (swap, ident, swap, ident)).identity_bits == 0b1010
     assert PermGroup(3, (swap,)).identity_bits == 0
     assert PermGroup(0, ((),)).identity_bits == 1
+
+
+def _large_group_graphs():
+    """The graphs of the large-groups benchmark workload, Q5, K3 x K6, K8 and
+    4K3, and clique_with_tails(3)."""
+    rook36 = [(u, v) for v in range(18) for u in range(v) if u // 6 == v // 6 or u % 6 == v % 6]
+    return {
+        "Q5": fam("hypercube", 5),
+        "K3xK6": Graph.from_edges(18, rook36),
+        "K8": fam("complete", 8),
+        "4K3": disjoint_cliques(4, 3),
+        "clique_with_tails(3)": clique_with_tails(3),
+    }
+
+
+def test_folded_maps_to_matches_the_bit_plane_split():
+    """A searched group's maps_to, folded from its levels when it keeps
+    them, equals the table split from its images alone, as do identity_bits;
+    on every graph with n <= 7, a relabelled complement of each, and the
+    large groups."""
+    rng = random.Random(22)
+    cases = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    cases += [permuted(complement(g), Perm(tuple(rng.sample(range(g.n), g.n)))) for g in cases]
+    cases += _large_group_graphs().values()
+    folded = 0
+    for g in cases:
+        aut = automorphism_group(g)
+        split = PermGroup(aut.degree, aut.images)
+        assert split.levels is None
+        assert aut.maps_to == split.maps_to, g
+        assert aut.identity_bits == split.identity_bits == 1, g
+        folded += aut.levels is not None
+    assert 0 < folded < len(cases)
+
+
+def test_levels_are_kept_only_in_product_order():
+    large = _large_group_graphs()
+    for name in ("Q5", "K8"):
+        assert automorphism_group(large[name]).levels is not None, name
+    pi = Perm(tuple(random.Random(0).sample(range(32), 32)))
+    aut = automorphism_group(permuted(large["Q5"], pi))
+    assert aut.levels is None and aut.order == 3840
+    assert aut.maps_to == PermGroup(aut.degree, aut.images).maps_to
+    assert aut == PermGroup(aut.degree, aut.images)  # levels is not compared
+
+
+def test_automorphism_group_searches_once_per_graph(monkeypatch):
+    k8 = fam("complete", 8)
+    assert len(autgroup.automorphism_elements(k8, 40320)) == 40320
+    sizes = []
+    search = autgroup.automorphism_elements
+
+    def counted(*args, **kwargs):
+        sizes.append(len(elements := search(*args, **kwargs)))
+        return elements
+
+    monkeypatch.setattr(autgroup, "automorphism_elements", counted)
+    cases = [k8, fam("path", 3), fam("hypercube", 3)]
+    orders = [automorphism_group(g).order for g in cases]
+    assert sizes == orders == [40320, 2, 48]
 
 
 def test_orbits_match_closure_oracle():
