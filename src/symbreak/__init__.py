@@ -1,7 +1,7 @@
 """Symmetry-breaking invariants of small graphs.
 
 Core objects: Graph (bitmask adjacency), Perm / PermGroup (elements held as
-image tuples), Coloring. Core invariants: the automorphism group, the
+image tuples, or as the stabilizer chain of a searched group), Coloring. Core invariants: the automorphism group, the
 distinguishing number D, the determining number Det, and the cost number rho,
 with witnesses.
 On top of those: distinguishable equivalence of graphs, structural rule

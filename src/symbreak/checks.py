@@ -358,8 +358,8 @@ def _brute_min_class_size(aut: PermGroup, n: int):
 def _scan_list(graphs: list[Graph], options: ScanOptions) -> list[dict]:
     """The per-record results of a list of graphs, in order, inline or in a
     worker. Everything derived from the group is computed once per distinct
-    group in the list: its table maps aut.images to the first such record's
-    result."""
+    group in the list: its table maps aut.sorted_images, the same for the
+    same elements in any order, to the first such record's result."""
     by_group: dict[tuple, dict] = {}
     return [_scan_one(g, options, by_group) for g in graphs]
 
@@ -396,10 +396,11 @@ def _scan_record(g: Graph, g6: str, options: ScanOptions, by_group: dict):
         aut = automorphism_group(g)
     except (GroupTooLargeError, UnsupportedSizeError) as exc:
         return {"graph6": g6, "skip": f"automorphism group: {exc}"}
-    if aut.images in by_group:
-        return _restamp(by_group[aut.images], g, g6)
-    by_group[aut.images] = _group_results(g, g6, aut, options)
-    return by_group[aut.images]
+    key = aut.sorted_images
+    if key in by_group:
+        return _restamp(by_group[key], g, g6)
+    by_group[key] = _group_results(g, g6, aut, options)
+    return by_group[key]
 
 
 def _group_results(g: Graph, g6: str, aut: PermGroup, options: ScanOptions):

@@ -146,11 +146,11 @@ def equivalence_classes(
     """
     classes: list[list[int]] = []  # the members of each class, in creation order
     unresolved: list[tuple[int, int]] = []
-    class_of: dict[tuple, list[int]] = {}  # aut.images -> members of its class
+    class_of: dict[tuple, list[int]] = {}  # aut.sorted_images -> members of its class
     by_key: dict[tuple, list] = {}  # key -> (representative's group, members) per class
     for i, g in enumerate(graphs):
         aut = automorphism_group(g)
-        members = class_of.get(aut.images)
+        members = class_of.get(elements := aut.sorted_images)
         if members is None:
             same_key = by_key.setdefault((g.n, aut.order, aut.cycle_index), [])
             for rep, cls in same_key:
@@ -164,6 +164,6 @@ def equivalence_classes(
                 members = []
                 classes.append(members)
                 same_key.append((aut, members))
-            class_of[aut.images] = members
+            class_of[elements] = members
         members.append(i)
     return classes, unresolved

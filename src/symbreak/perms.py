@@ -1,12 +1,13 @@
-"""Permutations on 0..n-1 and explicit permutation groups held as image
-tuples."""
+"""Permutations on 0..n-1, and permutation groups held as image tuples or
+as a stabilizer chain whose products are formed only when read."""
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from math import prod
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -95,7 +96,7 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
 
 def _folded(n: int, levels) -> tuple[tuple[int, ...], ...]:
     """maps_to of the group whose images are the products of levels, in the
-    order automorphism_elements forms them: H, the stabilizer so far, then
+    order PermGroup.images forms them: H, the stabilizer so far, then
     for the j-th representative t (j >= 1) of the next level the block t
     after H at offset j|H|. t after h sends u to t[y] where h sends u to y, so each
     level ORs row_u[y] << j|H| into row_u[t[y]], over the y h can send u to:
@@ -123,27 +124,32 @@ def _folded(n: int, levels) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, rows))
 
 
-@dataclass(frozen=True)
 class PermGroup:
-    """A permutation group whose data is images, its elements' image tuples.
-
-    from_images keeps them sorted and duplicate-free, which puts the
-    identity first. Construction does not verify closure, that each tuple
-    is a bijection or that levels forms images; the cheap degree check
-    always runs. The views are built once, on first use, and cached on the
-    group:
+    """A permutation group on 0..degree-1, held in one of two ways:
+    - as images, its elements' image tuples. PermGroup(degree, images) keeps
+      them as given; from_images and from_elements sort them and drop
+      duplicates, which puts the identity first. levels is None.
+    - as levels, a stabilizer chain (from_levels, which automorphism_group
+      uses): per base point, first base point first, the coset
+      representatives besides the identity. The elements are every product
+      of one representative or the identity per level. order, is_trivial,
+      maps_to and identity_bits are read from the levels, and images forms
+      the products only when first read, the identity first.
+    Construction does not verify closure, that each tuple is a bijection
+    or that levels form a group; the cheap degree check runs on given
+    images. Two groups are equal when they have the same degree and the
+    same elements, however each is held and in whatever order; the hash is
+    that of the element set. The views are built once, on first use, and
+    cached on the group:
     - elements holds the same elements as Perm objects, and is built only
       for callers that ask for it; image_set holds the image tuples.
+      sorted_images, not cached, is the order-free key of the elements
+      that the scan and equivalence_classes share results by.
     - maps_to, identity_bits and chain_generators, which the searches on the
-      group read. maps_to needs degree <= 256, and the other two read it.
-      It has two builders. A group that automorphism_group built in the
-      order it formed the products keeps levels, the coset representatives
-      of its stabilizer chain per base point, first base point first, and
-      maps_to is folded from them (_folded) without reading the images.
-      Every other group (from_images, from_elements, a hand-built one, or
-      a searched group whose sorted images moved) has levels None, and
-      maps_to is split from the images by a few bit planes per vertex.
-      levels takes no part in equality, hashing or repr.
+      group read. maps_to needs degree <= 256. It is folded from the levels
+      (_folded) when the group has them, else split from the images by a
+      few bit planes per vertex; both give the same table for the same
+      images.
     - cycle_types, vertex_signatures, cycle_index, signature_index and
       type_bits, all from one cycle-length pass over the elements
       (_cycle_views). They take any degree. A vertex signature is computed
@@ -151,23 +157,25 @@ class PermGroup:
       for a set of image tuples that is not closed, vertex_signatures (and
       signature_index) may differ from the per-element count.
     elements and cycle_types are aligned with images, and bit i of a
-    maps_to, identity_bits or type_bits bitset stands for images[i]. The
-    group is not itself a container: callers iterate over images and test
-    membership of an image tuple in image_set.
+    maps_to, identity_bits or type_bits bitset stands for images[i], also
+    before images is formed. The group is not itself a container: callers
+    iterate over images and test membership of an image tuple in image_set.
     """
 
-    degree: int
-    images: tuple[tuple[int, ...], ...]
-    levels: list[list[tuple[int, ...]]] | None = field(
-        default=None, compare=False, repr=False
-    )
-
-    def __post_init__(self):
-        wrong = set(map(len, self.images)) - {self.degree}
+    def __init__(self, degree: int, images: tuple[tuple[int, ...], ...]):
+        wrong = set(map(len, images)) - {degree}
         if wrong:
-            raise DegreeError(
-                f"element of degree {min(wrong)} in group of degree {self.degree}"
-            )
+            raise DegreeError(f"element of degree {min(wrong)} in group of degree {degree}")
+        self.degree = degree
+        self.images = images  # shadows the cached property, which forms products
+        self.levels: list[list[tuple[int, ...]]] | None = None
+
+    @classmethod
+    def from_levels(cls, degree: int, levels: list[list[tuple[int, ...]]]) -> "PermGroup":
+        """The group whose elements are the products of levels."""
+        group = cls.__new__(cls)
+        group.degree, group.levels = degree, levels
+        return group
 
     @classmethod
     def from_images(cls, degree: int, images) -> "PermGroup":
@@ -181,13 +189,42 @@ class PermGroup:
     def from_elements(cls, degree: int, elements) -> "PermGroup":
         return cls.from_images(degree, (p.images for p in elements))
 
-    @property
+    def __eq__(self, other):
+        if not isinstance(other, PermGroup):
+            return NotImplemented
+        return self.degree == other.degree and self.image_set == other.image_set
+
+    def __hash__(self):
+        return hash(self.image_set)
+
+    def __repr__(self):
+        return f"PermGroup(degree={self.degree}, images={self.images!r})"
+
+    @cached_property
+    def images(self) -> tuple[tuple[int, ...], ...]:
+        """A group held as levels: its products, formed from the bottom level
+        up. The stabilizer H built so far comes first, then for the j-th
+        representative t (j >= 1) of the next level the block t after H, in
+        H's order, at offset j|H|."""
+        elements = [tuple(range(self.degree))]
+        getters = []  # itemgetter(*h)(t) is t after h, a tuple as reps need degree >= 2
+        for reps in reversed(self.levels):
+            if reps:
+                getters += [itemgetter(*h) for h in elements[len(getters) :]]
+                elements += [get(t) for t in reps for get in getters]
+        return tuple(elements)
+
+    @cached_property
     def order(self) -> int:
-        return len(self.images)
+        """The number of elements; for a group held as levels, the product
+        of the level sizes, known before any element is formed."""
+        if self.levels is None:
+            return len(self.images)
+        return prod(len(reps) + 1 for reps in self.levels)
 
     @property
     def is_trivial(self) -> bool:
-        return len(self.images) == 1
+        return self.order == 1
 
     @cached_property
     def elements(self) -> tuple[Perm, ...]:
@@ -197,15 +234,22 @@ class PermGroup:
     def image_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.images)
 
+    @property
+    def sorted_images(self) -> tuple[tuple[int, ...], ...]:
+        """images, sorted, formed anew on each read: equal for two groups
+        exactly when they have the same elements, whatever order each holds
+        them in, and as a dict key no larger than images."""
+        return tuple(sorted(self.images))
+
     @cached_property
     def maps_to(self) -> tuple[tuple[int, ...], ...]:
         """maps_to[u][x] is the bitset of the elements sending u to x, so
         each row partitions the elements by the image of one vertex.
 
-        A group with levels has its table folded from them (_folded): one
-        shifted OR per coset block and orbit point, no pass over the images.
-        Without levels it is built by splitting, not by testing each (u, x),
-        and both builders give the same table. The images are
+        A group held as levels has its table folded from them (_folded):
+        one shifted OR per coset block and orbit point, and no image is
+        formed. Without levels it is built by splitting, not by testing each
+        (u, x), and both builders give the same table. The images are
         flattened into one bytes object, last element first, so that a
         column slice [u::n] spelled in binary has bit i for images[i]; plane
         j is that object translated to "1" where bit j of the image is set
@@ -218,11 +262,12 @@ class PermGroup:
         element i, so a small group parses nothing. An image is spelled as
         one byte: DegreeError above degree 256.
         """
-        n, images = self.degree, self.images
+        n = self.degree
         if n > 256:
             raise DegreeError(f"maps_to supports degree <= 256, got {n}")
         if self.levels is not None:
             return _folded(n, self.levels)
+        images = self.images
         rows = [[0] * n for _ in range(n)]
         pending = []  # (u, the image's bits above the next plane, elements)
 
@@ -257,7 +302,10 @@ class PermGroup:
 
     @cached_property
     def identity_bits(self) -> int:
-        """The bitset of the elements that fix every vertex."""
+        """The bitset of the elements that fix every vertex: for a group
+        held as levels, bit 0, its first product."""
+        if self.levels is not None:
+            return 1
         bits = (1 << len(self.images)) - 1
         for u, row in enumerate(self.maps_to):
             bits &= row[u]
@@ -266,16 +314,25 @@ class PermGroup:
     @cached_property
     def chain_generators(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """For each i and each x != i that an element fixing 0..i-1 sends i
-        to, the first such element, as its index in images and its inverse's
-        image tuple: transversal representatives of the point-stabilizer
-        chain, which generate the group (Sims). Read from maps_to."""
-        stab = (1 << len(self.images)) - 1
+        to, the lexicographically least such element, as its index in images
+        and its inverse's image tuple: transversal representatives of the
+        point-stabilizer chain, which generate the group (Sims). Read from
+        maps_to, whatever the order of images: the elements of such a coset
+        agree on 0..i, and the least of them takes the least image of i+1
+        that any of them takes, then of i+2, and so on."""
+        rows = self.maps_to
+        stab = (1 << self.order) - 1
         gens = []
-        for i, row in enumerate(self.maps_to):
-            for x, bits in enumerate(row):
-                hit = stab & bits
-                if x != i and hit:
-                    gens.append((hit & -hit).bit_length() - 1)
+        for i, row in enumerate(rows):
+            for x, least in enumerate(row):
+                least &= stab
+                if x == i or not least:
+                    continue
+                for later in rows[i + 1 :]:
+                    if not least & (least - 1):
+                        break
+                    least &= next(bits for bits in later if bits & least)
+                gens.append((least & -least).bit_length() - 1)
             stab &= row[i]
         return tuple(
             (j, tuple(sorted(range(self.degree), key=self.images[j].__getitem__)))

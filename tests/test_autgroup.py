@@ -157,7 +157,7 @@ def test_maps_to_marks_each_element_at_its_images():
         for i in picked:
             t = aut.images[i]
             assert all(row[t[u]] >> i & 1 for u, row in enumerate(aut.maps_to)), (aut, i)
-        assert aut.identity_bits == 1  # the identity sorts first
+        assert aut.identity_bits == 1  # the identity is the first element
     assert groups[-1].order == 512
     with pytest.raises(DegreeError, match="degree <= 256, got 257"):
         PermGroup.from_images(257, _dihedral(257)).maps_to
@@ -183,51 +183,107 @@ def _large_group_graphs():
     }
 
 
+def _relabelled_q5():
+    return permuted(fam("hypercube", 5), Perm(tuple(random.Random(0).sample(range(32), 32))))
+
+
 def test_folded_maps_to_matches_the_bit_plane_split():
-    """A searched group's maps_to, folded from its levels when it keeps
-    them, equals the table split from its images alone, as do identity_bits;
-    on every graph with n <= 7, a relabelled complement of each, and the
-    large groups."""
+    """Every searched group keeps its levels, and its maps_to, folded from
+    them, equals the table split from its images alone; the identity is bit
+    0. On every graph with n <= 7, a relabelled complement of each, the
+    large groups and a relabelled Q5."""
     rng = random.Random(22)
     cases = [g for n in range(1, 8) for g in enumerate_graphs(n)]
     cases += [permuted(complement(g), Perm(tuple(rng.sample(range(g.n), g.n)))) for g in cases]
-    cases += _large_group_graphs().values()
-    folded = 0
+    cases += [*_large_group_graphs().values(), _relabelled_q5()]
     for g in cases:
         aut = automorphism_group(g)
+        assert aut.levels is not None, g
         split = PermGroup(aut.degree, aut.images)
         assert split.levels is None
         assert aut.maps_to == split.maps_to, g
         assert aut.identity_bits == split.identity_bits == 1, g
-        folded += aut.levels is not None
-    assert 0 < folded < len(cases)
 
 
-def test_levels_are_kept_only_in_product_order():
-    large = _large_group_graphs()
-    for name in ("Q5", "K8"):
-        assert automorphism_group(large[name]).levels is not None, name
-    pi = Perm(tuple(random.Random(0).sample(range(32), 32)))
-    aut = automorphism_group(permuted(large["Q5"], pi))
-    assert aut.levels is None and aut.order == 3840
-    assert aut.maps_to == PermGroup(aut.degree, aut.images).maps_to
-    assert aut == PermGroup(aut.degree, aut.images)  # levels is not compared
+def test_relabelled_q5_keeps_its_levels_and_knows_its_order_unformed():
+    """Relabelled Q5's products do not come out sorted; the group still
+    holds its levels, and its order is known before any image is formed."""
+    aut = automorphism_group(_relabelled_q5())
+    assert aut.levels is not None
+    assert aut.order == 3840 and not aut.is_trivial
+    assert "images" not in vars(aut)
+    assert list(aut.images) != sorted(aut.images)
+    assert aut == PermGroup.from_images(aut.degree, aut.images)  # the same elements
+    assert hash(aut) == hash(PermGroup.from_images(aut.degree, aut.images))
 
 
 def test_automorphism_group_searches_once_per_graph(monkeypatch):
     k8 = fam("complete", 8)
-    assert len(autgroup.automorphism_elements(k8, 40320)) == 40320
+    assert math.prod(len(reps) + 1 for reps in autgroup.automorphism_elements(k8, 40320)) == 40320
     sizes = []
     search = autgroup.automorphism_elements
 
     def counted(*args, **kwargs):
-        sizes.append(len(elements := search(*args, **kwargs)))
-        return elements
+        levels = search(*args, **kwargs)
+        sizes.append(math.prod(len(reps) + 1 for reps in levels))
+        return levels
 
     monkeypatch.setattr(autgroup, "automorphism_elements", counted)
     cases = [k8, fam("path", 3), fam("hypercube", 3)]
     orders = [automorphism_group(g).order for g in cases]
     assert sizes == orders == [40320, 2, 48]
+
+
+def test_analysis_forms_no_images():
+    large = _large_group_graphs()
+    for name in ("K8", "Q5", "4K3"):
+        aut = automorphism_group(large[name])
+        assert aut.order > 1 and not aut.is_trivial
+        analyze(large[name], aut=aut)
+        assert "images" not in vars(aut), name
+
+
+def test_sharing_survives_product_order(monkeypatch):
+    """C@ and its complement C} have the same group, whose products the
+    search forms in different orders: the scan and the classes share it all
+    the same, and chain_generators does not depend on the order."""
+    g, h = parse_graph6("C@"), parse_graph6("C}")
+    aut_g, aut_h = automorphism_group(g), automorphism_group(h)
+    assert aut_g.images != aut_h.images and aut_g == aut_h
+
+    analyzed = []
+
+    def counted(*args, **kwargs):
+        analyzed.append(args[0])
+        return analyze(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "analyze", counted)
+    scan_corpus([g, h], ScanOptions(jobs=1))
+    assert len(analyzed) == 1
+
+    searches = []
+    bijection = equivalence._conjugating_bijection
+
+    def searched(*args, **kwargs):
+        searches.append(args)
+        return bijection(*args, **kwargs)
+
+    monkeypatch.setattr(equivalence, "_conjugating_bijection", searched)
+    assert equivalence.equivalence_classes([g, h]) == ([[0, 1]], [])
+    assert searches == []
+
+    def generators(aut):
+        return [(aut.images[j], inv) for j, inv in aut.chain_generators]
+
+    rng = random.Random(23)
+    cases = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    cases += [permuted(complement(g), Perm(tuple(rng.sample(range(g.n), g.n)))) for g in cases]
+    unsorted = 0
+    for g in cases:
+        aut = automorphism_group(g)
+        unsorted += list(aut.images) != sorted(aut.images)
+        assert generators(aut) == generators(PermGroup.from_images(g.n, aut.images)), g
+    assert unsorted > 0
 
 
 def test_orbits_match_closure_oracle():
@@ -427,7 +483,7 @@ def _digest_cases():
 
 def images_digest(aut: PermGroup) -> str:
     """SHA-256 over the group's sorted image tuples, one line per element."""
-    text = "\n".join(",".join(map(str, t)) for t in aut.images)
+    text = "\n".join(",".join(map(str, t)) for t in sorted(aut.images))
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
