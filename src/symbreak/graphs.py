@@ -311,11 +311,13 @@ def string_color_class(n: int) -> frozenset[int]:
 # slot sets S and T of one size, mask(S) < mask(T) exactly when min(S ^ T) is
 # in T, which is exactly when the complement of S comes first in
 # combinations order. This is orderly generation (B. McKay, "Isomorph-free
-# exhaustive generation", J. Algorithms 26, 1998). enumerate_graphs is the one
-# path to every corpus: n = 7 takes about 0.1 s and n = 8 about 4 s on a
-# 2-vCPU host under Python 3.11.
+# exhaustive generation", J. Algorithms 26, 1998). S_n's slot action is held
+# as a stabilizer chain, level i the transpositions (i x) for x > i, so the
+# walk's maps_to is folded from n(n - 1)/2 slot images and no element of S_n
+# is formed. enumerate_graphs is the one path to every corpus: n = 7 takes
+# about 0.1 s and n = 8 about 4 s on a 2-vCPU host under Python 3.11.
 
-ENUM_MAX_N = 8  # n = 9 would place all 9! = 362,880 slot permutations
+ENUM_MAX_N = 8  # n = 9 would walk over bitsets 9! = 362,880 bits wide
 
 def _pair_slots(n: int) -> list[tuple[int, int]]:
     return [(u, v) for v in range(1, n) for u in range(v)]
@@ -330,13 +332,16 @@ def _mask_representatives(n: int) -> tuple[int, ...]:
     slot = {}
     for idx, (u, v) in enumerate(pairs):
         slot[(u, v)] = slot[(v, u)] = idx
-    slot_action = PermGroup.from_images(
-        nslots,
-        (
-            tuple(slot[(perm[u], perm[v])] for u, v in pairs)
-            for perm in permutations(range(n))
-        ),
-    )
+    levels = []
+    if n > 2:  # S_2 fixes its one slot, and the products must be distinct
+        for i in range(n - 1):
+            swaps = []
+            for x in range(i + 1, n):  # the transposition (i x)
+                perm = list(range(n))
+                perm[i], perm[x] = x, i
+                swaps.append(tuple(slot[(perm[u], perm[v])] for u, v in pairs))
+            levels.append(swaps)
+    slot_action = PermGroup.from_levels(nslots, levels)
     full = (1 << nslots) - 1
     reps = []
     walk = subset_orbit_representatives(slot_action, range(nslots + 1), DEFAULT_BUDGET)

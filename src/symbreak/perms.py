@@ -1,24 +1,18 @@
 """Permutations on 0..n-1, and permutation groups held as image tuples or
-as a stabilizer chain whose products are formed only when read."""
+as a stabilizer chain whose products are formed only when read. A group's
+maps_to table is folded from its chain, or else built from its image tuples
+by its definition."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from math import prod
 from operator import itemgetter
 from types import MappingProxyType
 
 from .errors import DegreeError
-
-# A part of maps_to's split with at most this many elements is placed element
-# by element: that keeps a small group's table as cheap as one pass over its
-# elements, and 4 to 32 measured the same on the benchmark's groups.
-_PLACED_PART = 8
-# _BIT_PLANES[j] translates a byte to "1" if its bit j is set, else to "0"
-_BIT_PLANES = [bytes(48 + (b >> j & 1) for b in range(256)) for j in range(8)]
 
 
 @dataclass(frozen=True)
@@ -147,9 +141,9 @@ class PermGroup:
       that the scan and equivalence_classes share results by.
     - maps_to, identity_bits and chain_generators, which the searches on the
       group read. maps_to needs degree <= 256. It is folded from the levels
-      (_folded) when the group has them, else split from the images by a
-      few bit planes per vertex; both give the same table for the same
-      images.
+      (_folded) when the group has them, else built from the images by its
+      definition, one column of marks per (vertex, image); both give the
+      same table for the same images.
     - cycle_types, vertex_signatures, cycle_index, signature_index and
       type_bits, all from one cycle-length pass over the elements
       (_cycle_views). They take any degree. A vertex signature is computed
@@ -198,6 +192,10 @@ class PermGroup:
         return hash(self.image_set)
 
     def __repr__(self):
+        """A group held as levels is shown by them, so that no product is
+        formed; either form evaluates to an equal group."""
+        if self.levels is not None:
+            return f"PermGroup.from_levels({self.degree}, {self.levels!r})"
         return f"PermGroup(degree={self.degree}, images={self.images!r})"
 
     @cached_property
@@ -248,19 +246,11 @@ class PermGroup:
 
         A group held as levels has its table folded from them (_folded):
         one shifted OR per coset block and orbit point, and no image is
-        formed. Without levels it is built by splitting, not by testing each
-        (u, x), and both builders give the same table. The images are
-        flattened into one bytes object, last element first, so that a
-        column slice [u::n] spelled in binary has bit i for images[i]; plane
-        j is that object translated to "1" where bit j of the image is set
-        and "0" elsewhere. Each vertex's elements are split by the planes,
-        most significant bit first, into parts of equal image: the leaves,
-        in ascending order of x, are the row. That parses ceil(log2 n)
-        columns per vertex instead of one per (u, x), and only while some
-        part of the vertex is still split. A part of at most _PLACED_PART
-        elements is placed element by element, at images[i][u] for each
-        element i, so a small group parses nothing. An image is spelled as
-        one byte: DegreeError above degree 256.
+        formed. Without levels it is built by its definition: per vertex u,
+        the column of u's images, last element first, is translated to "1"
+        where the image is x and "0" elsewhere, which spelled in binary has
+        bit i for images[i]. An image is spelled as one byte: DegreeError
+        above degree 256.
         """
         n = self.degree
         if n > 256:
@@ -268,37 +258,11 @@ class PermGroup:
         if self.levels is not None:
             return _folded(n, self.levels)
         images = self.images
-        rows = [[0] * n for _ in range(n)]
-        pending = []  # (u, the image's bits above the next plane, elements)
-
-        def keep(u, high, part, planes_left):
-            if part.bit_count() <= _PLACED_PART:
-                while part:  # element i goes to images[i][u]
-                    low = part & -part
-                    rows[u][images[low.bit_length() - 1][u]] |= low
-                    part ^= low
-            elif planes_left:
-                pending.append((u, high, part))
-            else:
-                rows[u][high] = part
-
-        depth, every = (n - 1).bit_length(), (1 << len(images)) - 1
-        for u in range(n):
-            keep(u, 0, every, depth)
-        flat = bytes(chain.from_iterable(reversed(images))) if pending else b""
-        for j in reversed(range(depth)):
-            if not pending:
-                break
-            plane = flat.translate(_BIT_PLANES[j])
-            todo, pending = pending, []
-            parsed = -1  # the vertex whose column col is
-            for u, high, part in todo:
-                if u != parsed:
-                    col, parsed = int(plane[u::n], 2), u
-                one = part & col
-                keep(u, high << 1, part ^ one, j)
-                keep(u, high << 1 | 1, one, j)
-        return tuple(map(tuple, rows))
+        if not images:  # no element sends anything anywhere, and int("", 2) raises
+            return ((0,) * n,) * n
+        marks = [b"0" * x + b"1" + b"0" * (255 - x) for x in range(n)]
+        columns = (bytes(map(itemgetter(u), reversed(images))) for u in range(n))
+        return tuple(tuple(int(col.translate(m), 2) for m in marks) for col in columns)
 
     @cached_property
     def identity_bits(self) -> int:

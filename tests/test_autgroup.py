@@ -168,6 +168,21 @@ def test_identity_bits_on_hand_built_element_lists():
     assert PermGroup(3, (swap, ident, swap, ident)).identity_bits == 0b1010
     assert PermGroup(3, (swap,)).identity_bits == 0
     assert PermGroup(0, ((),)).identity_bits == 1
+    empty = PermGroup(3, ())
+    assert empty.maps_to == ((0, 0, 0),) * 3
+    assert empty.identity_bits == 0
+
+
+def test_repr_of_a_chain_held_group_forms_no_images():
+    """A group held as levels is shown by them, and its repr evaluates to an
+    equal group."""
+    k8 = automorphism_group(fam("complete", 8))
+    assert repr(k8).startswith("PermGroup.from_levels(8, [[")
+    assert "images" not in vars(k8)
+    aut = automorphism_group(fam("cycle", 6))
+    assert eval(repr(aut)) == aut and eval(repr(aut)).levels == aut.levels
+    hand_built = PermGroup.from_images(3, [(2, 1, 0)])
+    assert eval(repr(hand_built)) == hand_built
 
 
 def _large_group_graphs():
@@ -187,11 +202,11 @@ def _relabelled_q5():
     return permuted(fam("hypercube", 5), Perm(tuple(random.Random(0).sample(range(32), 32))))
 
 
-def test_folded_maps_to_matches_the_bit_plane_split():
+def test_folded_maps_to_matches_the_table_built_from_images():
     """Every searched group keeps its levels, and its maps_to, folded from
-    them, equals the table split from its images alone; the identity is bit
-    0. On every graph with n <= 7, a relabelled complement of each, the
-    large groups and a relabelled Q5."""
+    them, equals the table built from its images alone by its definition;
+    the identity is bit 0. On every graph with n <= 7, a relabelled
+    complement of each, the large groups and a relabelled Q5."""
     rng = random.Random(22)
     cases = [g for n in range(1, 8) for g in enumerate_graphs(n)]
     cases += [permuted(complement(g), Perm(tuple(rng.sample(range(g.n), g.n)))) for g in cases]
@@ -199,10 +214,10 @@ def test_folded_maps_to_matches_the_bit_plane_split():
     for g in cases:
         aut = automorphism_group(g)
         assert aut.levels is not None, g
-        split = PermGroup(aut.degree, aut.images)
-        assert split.levels is None
-        assert aut.maps_to == split.maps_to, g
-        assert aut.identity_bits == split.identity_bits == 1, g
+        built = PermGroup(aut.degree, aut.images)
+        assert built.levels is None
+        assert aut.maps_to == built.maps_to, g
+        assert aut.identity_bits == built.identity_bits == 1, g
 
 
 def test_relabelled_q5_keeps_its_levels_and_knows_its_order_unformed():
