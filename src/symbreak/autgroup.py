@@ -256,8 +256,9 @@ def automorphism_elements(g: Graph, element_cap: int) -> list[list[tuple[int, ..
     the name stays the one bench/tracer.py times as the search.
     GroupTooLargeError if there are more than element_cap of them."""
     n, adj = g.n, g.adj
-    order, back = _plan(g)
     cells = _unit_refined(g, [])  # refined with order[:pos] individualized
+    # discrete at the root: only the identity, and no search order is needed
+    order, back = _plan(g) if len(cells) < n else ((), ())
     img = list(range(n))
     used = 0  # order[:pos], fixed by the identity path
     levels = []

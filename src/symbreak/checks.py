@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations, permutations
 
@@ -141,10 +141,13 @@ def check_pair_rules(
     if x == y:
         raise NotDeterminingPairError("pair must consist of two distinct vertices")
     aut = group_of(g, aut)
-    if not is_determining_set(aut, {x, y}):
+    for v in (x, y):
+        if not 0 <= v < aut.degree:
+            raise IndexError(f"vertex {v} out of range for n={aut.degree}")
+    m, identity = aut.maps_to, tuple(range(aut.degree))
+    if m[x][x] & m[y][y] != aut.identity_bits:  # the elements fixing both anchors
         raise NotDeterminingPairError(f"{{{x}, {y}}} is not a determining set")
 
-    m, identity = aut.maps_to, tuple(range(aut.degree))
     outside = [v for v in range(aut.degree) if v not in (x, y)]
 
     def rot(a, b, c):  # the elements with the 3-cycle a -> b -> c -> a
@@ -381,10 +384,24 @@ def _restamp(res: dict, g: Graph, g6: str) -> dict:
     n and m of this one: nothing else in it depends on the graph."""
     out = dict(res, graph6=g6)
     if "report" in res:
-        out["report"] = replace(res["report"], graph6=g6, n=g.n, edge_count=g.edge_count)
+        r = res["report"]
+        out["report"] = SymmetryReport(
+            graph6=g6,
+            n=g.n,
+            edge_count=g.edge_count,
+            aut_order=r.aut_order,
+            d=r.d,
+            d_witness=r.d_witness,
+            det=r.det,
+            det_witness=r.det_witness,
+            rho=r.rho,
+            rho_witness=r.rho_witness,
+        )
     if "violations" in res:
-        out["violations"] = [replace(v, graph6=g6) for v in res["violations"]]
-        out["rule_reports"] = [replace(rr, graph6=g6) for rr in res["rule_reports"]]
+        out["violations"] = [Violation(v.kind, g6, v.detail) for v in res["violations"]]
+        out["rule_reports"] = [
+            RuleReport(g6, rr.pair, rr.statuses, rr.violations) for rr in res["rule_reports"]
+        ]
     return out
 
 
@@ -441,11 +458,16 @@ def _group_results(g: Graph, g6: str, aut: PermGroup, options: ScanOptions):
             violations.append(
                 Violation("rho_bound", g6, f"D=2, Det=2 but rho={report.rho}")
             )
-        pairs = (
-            [p for p in combinations(range(g.n), 2) if is_determining_set(aut, p)]
-            if options.all_pairs
-            else [tuple(sorted(report.det_witness))]
-        )
+        if options.all_pairs:
+            # the pairs whose diagonal rows maps_to[v][v] meet in the identity
+            fixers = [row[v] for v, row in enumerate(aut.maps_to)]
+            pairs = [
+                (x, y)
+                for x, y in combinations(range(g.n), 2)
+                if fixers[x] & fixers[y] == aut.identity_bits
+            ]
+        else:
+            pairs = [tuple(sorted(report.det_witness))]
         for pair in pairs:
             rr = check_pair_rules(g, pair, aut=aut, d=report.d, budget=options.budget)
             rule_reports.append(rr)

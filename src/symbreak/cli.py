@@ -133,8 +133,8 @@ def cmd_equiv(args) -> int:
             reason = "no conjugating bijection"
         print(f"not-equivalent {reason}")
         return 0
-    mapping = " ".join(f"{v}->{sigma.images[v]}" for v in range(g1.n))
-    print(f"equivalent {mapping}")
+    # the empty mapping of two 0-vertex graphs leaves the word alone on its line
+    print(" ".join(["equivalent", *(f"{v}->{sigma.images[v]}" for v in range(g1.n))]))
     return 0
 
 

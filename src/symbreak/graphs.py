@@ -4,12 +4,15 @@ Adjacency is stored as one neighbor bitmask per vertex, which keeps graphs
 hashable, immutable, and cheap to permute. graph6 follows the standard format
 (one record per line, optional ">>graph6<<" header). Both directions take
 the one-byte size form (n <= 62) and the four-byte long form, up to
-GRAPH6_MAX_N vertices; the eight-byte form is not supported.
+GRAPH6_MAX_N vertices; the eight-byte form is not supported. A graph keeps
+its record once encoded, and a parsed graph the record it was parsed from
+when that is the one the encoder would write, so neither is encoded again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations
 
 from .config import DEFAULT_BUDGET
@@ -75,6 +78,13 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
+
+    @cached_property
+    def graph6(self) -> str:
+        """The graph6 record under the current vertex numbering, encoded on
+        first read unless parse_graph6 kept the record it parsed. It is not a
+        field: equality, hashing and repr ignore it, and pickling keeps it."""
+        return _encoded(self)
 
 
 def complement(g: Graph) -> Graph:
@@ -167,11 +177,21 @@ def parse_graph6(text: str) -> Graph:
         pad = nbytes * 6 - nbits
         if last & ((1 << pad) - 1):
             raise ParseError("nonzero trailing padding bits", offset=body_start + nbytes - 1)
-    return Graph(n, tuple(adj))
+    g = Graph(n, tuple(adj))
+    # the encoder writes the short size form exactly when n <= 62, and the
+    # checks above make a record in that form the one it writes
+    if (body_start == 1) == (n <= 62):
+        g.__dict__["graph6"] = record  # what reading g.graph6 would cache
+    return g
 
 
 def encode_graph6(g: Graph) -> str:
-    """graph6 record of g under its current vertex numbering."""
+    """graph6 record of g under its current vertex numbering, encoded at most
+    once per graph (Graph.graph6)."""
+    return g.graph6
+
+
+def _encoded(g: Graph) -> str:
     if g.n > GRAPH6_MAX_N:
         raise UnsupportedSizeError(f"graph6 supports n <= {GRAPH6_MAX_N}, got {g.n}")
     if g.n <= 62:

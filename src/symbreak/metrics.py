@@ -30,8 +30,10 @@ Search strategy notes:
   colorings in canonical form (a color id may appear only after all smaller
   ids), pruning a partial coloring as soon as some group element moving
   only colored vertices preserves it. The test combines maps_to bitsets, as
-  do the predicates and the walk's Det test; it is the same predicate as
-  testing the elements one by one, so the node counts do not depend on it.
+  do the predicates; it is the same predicate as testing the elements one by
+  one, so the node counts do not depend on it. A determining test, in
+  is_determining_set and the walk, is the AND of the diagonal rows
+  maps_to[v][v] over the set: the elements fixing each member.
 
 analyze and the invariant functions take their groups through autgroup.group_of.
 """
@@ -124,10 +126,19 @@ def _vertex_set(n: int, s) -> set[int]:
     return s
 
 
+def _fixers(aut: PermGroup, vertices) -> int:
+    """The elements fixing every vertex of vertices, the pointwise
+    stabilizer: the AND of the diagonal maps_to rows maps_to[v][v]."""
+    maps_to = aut.maps_to
+    keep = (1 << aut.order) - 1
+    for v in vertices:
+        keep &= maps_to[v][v]
+    return keep
+
+
 def is_determining_set(aut: PermGroup, s) -> bool:
     """True iff only the identity fixes every member of s."""
-    singletons = [(v,) for v in _vertex_set(aut.degree, s)]
-    return _preservers(aut, singletons) == aut.identity_bits
+    return _fixers(aut, _vertex_set(aut.degree, s)) == aut.identity_bits
 
 
 def is_distinguishing_class(aut: PermGroup, s) -> bool:
@@ -141,13 +152,12 @@ def is_distinguishing_class(aut: PermGroup, s) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _mask_vertices(mask: int) -> frozenset[int]:
-    out = set()
+def _mask_bits(mask: int):
+    """The members of the vertex bitmask mask, ascending."""
     while mask:
         low = mask & -mask
-        out.add(low.bit_length() - 1)
+        yield low.bit_length() - 1
         mask ^= low
-    return frozenset(out)
 
 
 class _SubsetScan:
@@ -242,10 +252,10 @@ def _min_sets(aut: PermGroup, budget: config.Budget, det=UNKNOWN, rho=UNKNOWN):
 
     try:
         for k, mask, stab in subset_orbit_representatives(aut, sizes(), budget):
-            if det is UNKNOWN and is_determining_set(aut, _mask_vertices(mask)):
-                det = k, _mask_vertices(mask)
+            if det is UNKNOWN and _fixers(aut, _mask_bits(mask)) == aut.identity_bits:
+                det = k, frozenset(_mask_bits(mask))
             if rho is UNKNOWN and stab == 1:
-                rho = k, _mask_vertices(mask)
+                rho = k, frozenset(_mask_bits(mask))
             if det is not UNKNOWN and rho is not UNKNOWN:
                 break
     except BudgetExceededError:

@@ -446,15 +446,22 @@ def test_regular_and_non_regular_graphs_are_never_isomorphic():
             assert isomorphism(a, b) is None, seed
 
 
-def test_rigid_cubic_graphs_are_discrete_at_the_root():
+def test_rigid_cubic_graphs_are_discrete_at_the_root(monkeypatch):
     """Triangle counts settle every rigid one before any vertex is
-    individualized."""
+    individualized, so its search plans no search order."""
+    planned = []
+    plan = autgroup._plan
+    monkeypatch.setattr(autgroup, "_plan", lambda g: planned.append(g) or plan(g))
     rigid = 0
     for seed in range(50):
         g = random_regular(random.Random(seed), 12, 3)
+        planned.clear()
         if automorphism_group(g).is_trivial:
             rigid += 1
             assert len(autgroup._unit_refined(g, [])) == g.n, seed
+            assert planned == [], seed
+        else:
+            assert planned == [g], seed
     assert rigid >= 10
 
 

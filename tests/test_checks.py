@@ -11,6 +11,7 @@ from helpers import (
     from_cycles,
     mid_group_graphs,
     net_graph,
+    per_element_is_determining_set,
     per_element_pair_rules,
     random_graph,
 )
@@ -187,19 +188,26 @@ def assert_rules_match_scan(g, aut, pair, d):
 
 
 def test_rules_match_the_scan_on_every_determining_pair_of_graphs7():
-    pairs = 0
+    """On every graph, the determining pairs are those the per-element oracle
+    accepts; on the D = 2, Det = 2 graphs they are the pairs the scan's
+    all-pairs (--props) mode runs the rules on, in the same order."""
+    expected = []
     with GRAPHS7_FILE.open(encoding="ascii") as fh:
         corpus = [parse_graph6(line.strip()) for line in fh]
     for g in corpus:
         aut = automorphism_group(g)
+        pairs = list(combinations(range(g.n), 2))
+        determining = [p for p in pairs if per_element_is_determining_set(aut, p)]
+        assert [p for p in pairs if is_determining_set(aut, p)] == determining
         report = analyze(g, aut=aut)
         if not report.det2_d2_case:
             continue
-        for pair in combinations(range(g.n), 2):
-            if is_determining_set(aut, pair):
-                assert assert_rules_match_scan(g, aut, pair, report.d).passed
-                pairs += 1
-    assert pairs == 1674
+        for pair in determining:
+            assert assert_rules_match_scan(g, aut, pair, report.d).passed
+            expected.append((report.graph6, pair))
+    assert len(expected) == 1674
+    scan = scan_corpus(corpus, ScanOptions(jobs=1, all_pairs=True))
+    assert [(rr.graph6, rr.pair) for rr in scan.rule_reports] == expected
 
 
 @pytest.mark.parametrize("name", list(mid_group_graphs()))
@@ -317,6 +325,9 @@ def test_rules_reject_non_determining_pair():
         check_pair_rules(fam("complete", 4), (0, 1))
     with pytest.raises(NotDeterminingPairError):
         check_pair_rules(fam("cycle", 4), (0, 0))
+    for v, pair in ((-1, (-1, 0)), (4, (0, 4))):  # -1 would index maps_to from its end
+        with pytest.raises(IndexError, match=f"vertex {v} out of range for n=4"):
+            check_pair_rules(fam("cycle", 4), pair)
 
 
 def test_rules_pass_on_random_det2_graphs():

@@ -116,6 +116,14 @@ def test_equiv_same_graph_identity(tmp_path, capsys):
     assert out.strip() == "equivalent 0->0 1->1 2->2"
 
 
+def test_equiv_of_two_empty_graphs_is_the_word_alone(tmp_path, capsys):
+    path = tmp_path / "pair.g6"
+    path.write_text("?\n?\n")
+    code, out, _ = run_cli(capsys, "equiv", str(path))
+    assert code == 0
+    assert out == "equivalent\n"
+
+
 def test_equiv_wrong_record_count(tmp_path, capsys):
     path = tmp_path / "pair.g6"
     path.write_text("Bw\n")

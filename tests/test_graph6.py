@@ -1,11 +1,28 @@
+import pickle
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import GRAPHS7_FILE as GRAPHS7
 from conftest import graphs
 from helpers import reference_decode_graph6, reference_encode_graph6
 from symbreak.errors import ParseError, UnsupportedSizeError
-from symbreak.graphs import Graph, encode_graph6, parse_graph6
+from symbreak.graphs import (
+    Graph,
+    complement,
+    encode_graph6,
+    enumerate_graphs,
+    parse_graph6,
+    permuted,
+)
+from symbreak.perms import Perm
+
+
+def cached(g: Graph) -> bool:
+    """Whether g holds its graph6 text, so that encode_graph6 reads it."""
+    return "graph6" in vars(g)
 
 
 def test_k2_round_trip_golden():
@@ -26,11 +43,16 @@ def test_five_vertex_record_round_trips():
 
 
 def test_header_is_stripped():
-    assert parse_graph6(">>graph6<<A_") == parse_graph6("A_")
+    g = parse_graph6(">>graph6<<A_")
+    assert g == parse_graph6("A_")
+    assert cached(g) and encode_graph6(g) == "A_"
 
 
 def test_crlf_terminator_accepted():
-    assert parse_graph6("A_\r\n") == parse_graph6("A_")
+    for text in ("A_\r\n", ">>graph6<<A_\n"):
+        g = parse_graph6(text)
+        assert g == parse_graph6("A_")
+        assert cached(g) and encode_graph6(g) == "A_"
 
 
 def test_empty_record_rejected():
@@ -70,6 +92,10 @@ def test_long_size_form_parses():
     record = "~??~" + "?" * (63 * 62 // 2 // 6 + 1)
     g = parse_graph6(record)
     assert g.n == 63 and g.edge_count == 0
+    # n <= 62 in the long form: not the encoder's form, so not kept
+    g = parse_graph6("~??A_")
+    assert g.edges() == ((0, 1),) and not cached(g)
+    assert encode_graph6(g) == "A_" == reference_encode_graph6(g)
 
 
 def test_eight_byte_size_form_unsupported():
@@ -81,7 +107,9 @@ def test_eight_byte_size_form_unsupported():
 def test_long_size_form_round_trips(n):
     g = Graph.from_edges(n, [(v, (3 * v + 1) % n) for v in range(n) if (3 * v + 1) % n != v])
     record = encode_graph6(g)
-    assert record.startswith("~") and parse_graph6(record) == g
+    parsed = parse_graph6(record)
+    assert record.startswith("~") and parsed == g
+    assert cached(parsed) and encode_graph6(parsed) == record
 
 
 def test_encode_rejects_n_above_512():
@@ -106,7 +134,7 @@ def test_parser_matches_reference(g):
     parsed = parse_graph6(record)
     assert parsed.n == n
     assert set(parsed.edges()) == edges
-    assert encode_graph6(parsed) == record
+    assert cached(parsed) and encode_graph6(parsed) == record
 
 
 @given(st.integers(0, 2**15 - 1))
@@ -121,3 +149,50 @@ def test_arbitrary_six_vertex_codes_round_trip(mask):
             k += 1
     g = Graph(6, tuple(adj))
     assert parse_graph6(encode_graph6(g)) == g
+
+
+# -- the kept text --------------------------------------------------------
+
+
+def built_graphs():
+    """Graphs from every constructor that does not parse graph6."""
+    g = Graph(4, (2, 5, 10, 4))
+    yield g
+    yield Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    yield permuted(g, Perm((2, 0, 3, 1)))
+    yield complement(g)
+    for n in range(1, 5):
+        yield from enumerate_graphs(n)
+
+
+@pytest.mark.parametrize("g", list(built_graphs()), ids=repr)
+def test_a_built_graph_is_encoded_on_first_read(g):
+    assert not cached(g)
+    record = encode_graph6(g)
+    assert cached(g) and record == reference_encode_graph6(g)
+    assert encode_graph6(g) is record
+
+
+def test_the_kept_text_does_not_change_equality_hash_or_repr():
+    for g in built_graphs():
+        fresh = Graph(g.n, g.adj)
+        parsed = parse_graph6(reference_encode_graph6(g))
+        encode_graph6(g)
+        assert cached(g) and cached(parsed) and not cached(fresh)
+        for other in (fresh, parsed):
+            assert other == g and hash(other) == hash(g) and repr(other) == repr(g)
+        assert len({g, fresh, parsed}) == 1
+
+
+def test_pickling_keeps_the_graph_and_its_text():
+    records = GRAPHS7.read_text(encoding="ascii").split()
+    for record in random.Random(0).sample(records, 20) + ["?", "~??A_"]:
+        g = parse_graph6(record)
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and cached(copy) == cached(g)
+        assert encode_graph6(copy) == encode_graph6(g)
+    built = Graph.from_edges(3, [(0, 1)])
+    assert not cached(pickle.loads(pickle.dumps(built)))
+    encode_graph6(built)
+    copy = pickle.loads(pickle.dumps(built))
+    assert cached(copy) and vars(copy)["graph6"] == reference_encode_graph6(built)
