@@ -27,16 +27,23 @@ and first leaves stay those of the unit partition. A random regular graph
 without automorphisms is mostly discrete at the root this way; a strongly
 regular graph, whose counts are all equal, is not.
 
-Refinement runs at the root of each branch order[i] -> x, with order[i]
-individualized on one side and x on the other; below it the walk only reads
-the cells. isomorphism refines the two unit partitions, then each branch
-order[0] -> x. automorphism_elements walks g -> g down the identity path,
-refined with order[:i] individualized; the first leaf under order[i] -> x
-represents a coset of the stabilizer of order[:i+1] in that of order[:i]
+Refinement runs at the root of each branch v -> x, with v individualized on
+one side and x on the other; below it the walk only reads the cells.
+isomorphism refines the two unit partitions, then each branch order[0] -> x.
+automorphism_elements walks g -> g down the identity path on the base
+0, 1, ..., n-1, refined with 0..i-1 individualized; the first leaf under
+i -> x represents a coset of the stabilizer of 0..i in that of 0..i-1
 (Sims), and Aut(g) is every product of one such leaf or the identity per i.
-automorphism_group holds those leaves, the levels of the chain, as the
-group: its order and maps_to come from them, and its image tuples are formed
-only when a caller reads them.
+A branch that walks the vertices left in index order, candidates ascending,
+finds the lexicographically least element of its coset first, since pruning
+drops only branches without a leaf. Small graphs walk so; larger ones walk
+by degree, as isomorphism does (see _INDEX_WALK_MAX_N), and each leaf is
+then replaced by the least element of its coset (_least_in_coset), read off
+the levels below it. Either way the levels are a transversal that depends
+only on the group, and group_key tells equal groups by them.
+automorphism_group holds the levels of the chain as the group: its order and
+maps_to come from them, and its image tuples are formed only when a caller
+reads them.
 
 group_of is how every function taking an optional group gets it: the
 caller's group, checked against g's degree, or else Aut(g).
@@ -52,12 +59,28 @@ from .graphs import Graph
 from .perms import Perm, PermGroup, check_bijection
 
 
-def _plan(g: Graph):
-    """g's search order, descending degree then index, and per position the
-    neighbors placed before it."""
-    order = sorted(range(g.n), key=[-row.bit_count() for row in g.adj].__getitem__)
+# Up to this many vertices, automorphism_elements walks each branch by index,
+# so that its first leaf is the least element of its coset with no further
+# work; such a walk tries on the order of n! partial maps at most. On larger
+# graphs a vertex early in index order with no neighbor placed before it can
+# fit many images whose failure shows only later (a relabelled
+# clique_with_tails(3), n = 24, took up to 0.8 s where its walk by degree
+# takes 1 ms), so those walk by degree.
+_INDEX_WALK_MAX_N = 8
+
+
+def _by_degree(g: Graph) -> list[int]:
+    """g's vertices by descending degree then index."""
+    return sorted(range(g.n), key=[-row.bit_count() for row in g.adj].__getitem__)
+
+
+def _plan(g: Graph, order) -> list[list[int]]:
+    """Per position of the search order, the neighbors of order[pos] placed
+    before it; the vertices not in order are placed first."""
+    placed = (1 << g.n) - 1
+    for v in order:
+        placed ^= 1 << v
     back = []
-    placed = 0
     for v in order:
         nbrs, earlier = g.adj[v] & placed, []
         while nbrs:
@@ -66,7 +89,7 @@ def _plan(g: Graph):
             earlier.append(low.bit_length() - 1)
         back.append(earlier)
         placed |= 1 << v
-    return order, back
+    return back
 
 
 def _refine(adj, cells: list[int], splitters: list[int], trace: list[int], ref=None):
@@ -179,13 +202,13 @@ def _unit_refined(g: Graph, trace: list[int], ref=None):
 
 def _slots(cells: list[int], order: list[int]) -> list[int]:
     """Per position, the index of the cell holding order[pos]."""
-    where = [0] * len(order)
+    where = {}  # vertex bit -> its cell
     for i, cell in enumerate(cells):
         while cell:
             low = cell & -cell
             cell ^= low
-            where[low.bit_length() - 1] = i
-    return [where[v] for v in order]
+            where[low] = i
+    return [where[1 << v] for v in order]
 
 
 def _first_leaf(order, back, slot, cells2, adj2, img: list[int], used: int, pos: int):
@@ -227,7 +250,8 @@ def isomorphism(g1: Graph, g2: Graph):
     cells2 = _unit_refined(g2, [], unit)
     if cells2 is None:
         return None
-    order, back = _plan(g1)
+    order = _by_degree(g1)
+    back = _plan(g1, order)
     if not order:
         return Perm(())
     v = order[0]
@@ -249,47 +273,96 @@ def isomorphism(g1: Graph, g2: Graph):
 
 
 def automorphism_elements(g: Graph, element_cap: int) -> list[list[tuple[int, ...]]]:
-    """Aut(g) as the levels of its stabilizer chain: per position of the
-    search order, first position first, the coset representatives besides
-    the identity, each checked to be a bijection. The elements are their
-    products (PermGroup.from_levels), none of which is formed here, and
-    the name stays the one bench/tracer.py times as the search.
-    GroupTooLargeError if there are more than element_cap of them."""
+    """Aut(g) as the levels of its stabilizer chain on the base 0..n-1: per
+    vertex i, the coset representatives besides the identity, one per image
+    x of i under the stabilizer of 0..i-1, in ascending order of x, each the
+    least element of its coset; every leaf found is checked to be a
+    bijection. Trailing empty levels are dropped, so the levels depend only
+    on the group. The elements are their products (PermGroup.from_levels),
+    none of which is formed here, and the name stays the one bench/tracer.py
+    times as the search. GroupTooLargeError if there are more than
+    element_cap of them."""
     n, adj = g.n, g.adj
-    cells = _unit_refined(g, [])  # refined with order[:pos] individualized
-    # discrete at the root: only the identity, and no search order is needed
-    order, back = _plan(g) if len(cells) < n else ((), ())
+    cells = _unit_refined(g, [])  # refined with 0..v-1 individualized
+    if len(cells) == n:  # discrete at the root: only the identity, and no plan
+        return []
+    # the vertices a branch v -> x places, in _first_leaf's order, and their
+    # plan once a branch needs it
+    rest = list(range(n)) if n <= _INDEX_WALK_MAX_N else _by_degree(g)
+    by_index = rest == sorted(rest)  # then every first leaf is already least
+    back = None
     img = list(range(n))
-    used = 0  # order[:pos], fixed by the identity path
+    used = 0  # 0..v-1, fixed by the identity path
     levels = []
-    for pos, v in enumerate(order):
-        if len(cells) == n:  # discrete: no automorphism moves order[pos:]
+    for v in range(n):
+        if len(cells) == n:  # discrete: no automorphism moves v..n-1
             break
+        k = rest.index(v)
+        del rest[k]
+        if back is not None:  # v is placed before rest now
+            del back[k]
+            for pos in range(k):
+                if adj[rest[pos]] >> v & 1:
+                    back[pos].append(v)
         levels.append(reps := [])
-        i = next(i for i, cell in enumerate(cells) if cell >> v & 1)
+        bit = 1 << v
+        if bit in cells:  # alone in its cell: every automorphism here fixes v
+            img[v] = v
+            used |= bit
+            continue
+        for i, cell in enumerate(cells):
+            if cell & bit:
+                break
         trace: list[int] = []
-        fixed = _individualized(adj, cells, i, 1 << v, trace)
+        fixed = _individualized(adj, cells, i, bit, trace)
         slot = None
-        others = cells[i] ^ 1 << v
-        while others:  # order[pos] -> w, refined with w individualized
+        others = cells[i] ^ bit
+        while others:  # v -> w, refined with w individualized
             low = others & -others  # ascending
             others ^= low
             mapped = _individualized(adj, cells, i, low, [], trace)
             if mapped is None:
                 continue
             if slot is None:
-                slot = _slots(fixed, order)
+                if back is None:
+                    back = _plan(g, rest)
+                slot = _slots(fixed, rest)
             img[v] = low.bit_length() - 1
-            leaf = _first_leaf(order, back, slot, mapped, adj, img, used | low, pos + 1)
+            leaf = _first_leaf(rest, back, slot, mapped, adj, img, used | low, 0)
             if leaf is not None:
                 check_bijection(leaf)  # so every product is one too
                 reps.append(leaf)
         cells = fixed
         img[v] = v
-        used |= 1 << v
+        used |= bit
+    while levels and not levels[-1]:
+        levels.pop()
     if prod(len(r) + 1 for r in levels) > element_cap:
         raise GroupTooLargeError(element_cap)
+    if not by_index:
+        below: list = []  # (j, levels[j]) for each non-empty level j below i
+        for i in range(len(levels) - 1, -1, -1):
+            if levels[i]:
+                if below:
+                    levels[i] = [_least_in_coset(t, below) for t in levels[i]]
+                below.insert(0, (i, levels[i]))
     return levels
+
+
+def _least_in_coset(t: tuple[int, ...], below) -> tuple[int, ...]:
+    """The lexicographically least element of tH, where t is on level i and
+    H, the stabilizer of 0..i, has the levels below: (j, representatives)
+    for each j > i whose level is not empty. Level by level, t after the
+    representative r that gives j the least image t[r[j]], or t itself when
+    t[j] is least; r fixes 0..j-1, so the images already settled stay."""
+    for j, reps in below:
+        best, pick = t[j], None
+        for r in reps:
+            if t[r[j]] < best:
+                best, pick = t[r[j]], r
+        if pick is not None:
+            t = tuple([t[x] for x in pick])
+    return t
 
 
 def automorphism_group(
@@ -301,6 +374,14 @@ def automorphism_group(
             f"automorphism search supports n <= {config.MAX_AUT_VERTICES}, got {g.n}"
         )
     return PermGroup.from_levels(g.n, automorphism_elements(g, element_cap))
+
+
+def group_key(aut: PermGroup) -> tuple:
+    """A key of a group automorphism_group returned, equal for two such
+    groups exactly when they have the same elements: the degree and the
+    levels, which hold the least element of each coset and so depend only
+    on the group. No element is formed."""
+    return aut.degree, tuple(map(tuple, aut.levels))
 
 
 def group_of(g: Graph, aut: PermGroup | None) -> PermGroup:

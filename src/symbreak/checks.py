@@ -53,7 +53,7 @@ from functools import partial
 from itertools import combinations, permutations
 
 from . import config
-from .autgroup import automorphism_group, group_of
+from .autgroup import automorphism_group, group_key, group_of
 from .equivalence import distinguishably_equivalent
 from .errors import (
     BudgetExceededError,
@@ -361,18 +361,21 @@ def _brute_min_class_size(aut: PermGroup, n: int):
 def _scan_list(graphs: list[Graph], options: ScanOptions) -> list[dict]:
     """The per-record results of a list of graphs, in order, inline or in a
     worker. Everything derived from the group is computed once per distinct
-    group in the list: its table maps aut.sorted_images, the same for the
-    same elements in any order, to the first such record's result."""
+    group in the list: its table maps group_key(aut), equal for two groups
+    exactly when they have the same elements, to the first such record's
+    result."""
     by_group: dict[tuple, dict] = {}
     return [_scan_one(g, options, by_group) for g in graphs]
 
 
 def _scan_one(g: Graph, options: ScanOptions, by_group: dict):
-    """Per-graph work. Any exception becomes an error skip with its type and
-    message (and its traceback goes to the log), so one bad record never
-    aborts the scan but still fails it."""
-    g6 = encode_graph6(g)
+    """Per-graph work. Any exception, the graph6 encoding's included,
+    becomes an error skip with its type and message (and its traceback goes
+    to the log), so one bad record never aborts the scan but still fails it.
+    A record with no graph6 text is labelled by its vertex count."""
+    g6 = f"<n={g.n}>"
     try:
+        g6 = encode_graph6(g)
         return _scan_record(g, g6, options, by_group)
     except Exception as exc:
         logging.getLogger(__name__).exception("scan of %s failed", g6)
@@ -413,7 +416,7 @@ def _scan_record(g: Graph, g6: str, options: ScanOptions, by_group: dict):
         aut = automorphism_group(g)
     except (GroupTooLargeError, UnsupportedSizeError) as exc:
         return {"graph6": g6, "skip": f"automorphism group: {exc}"}
-    key = aut.sorted_images
+    key = group_key(aut)
     if key in by_group:
         return _restamp(by_group[key], g, g6)
     by_group[key] = _group_results(g, g6, aut, options)

@@ -22,17 +22,19 @@ are all non-empty conjugates the whole group.
 Every one of these views is built once per group and cached on it, so a
 class representative searched against many groups derives its generators
 and signatures once. equivalence_classes looks each group up before it
-searches: a graph whose group equals, element for element, one already placed
-joins that class without a search, since the identity conjugates the one
-group onto the other. Only the first graph of each distinct group pays for the
-cycle views, and it is searched only against the representatives of the
-classes with its n, order and cycle index, found by one dict lookup.
+searches, by autgroup.group_key, its degree and the levels of its stabilizer
+chain, which depend only on the group: a graph whose group equals, element
+for element, one already placed joins that class without a search, since the
+identity conjugates the one group onto the other, and none of its elements
+is formed. Only the first graph of each distinct group forms its elements
+for the cycle views, and it is searched only against the representatives of
+the classes with its n, order and cycle index, found by one dict lookup.
 """
 
 from __future__ import annotations
 
 from . import config
-from .autgroup import automorphism_group, group_of
+from .autgroup import automorphism_group, group_key, group_of
 from .errors import BudgetExceededError
 from .graphs import Graph
 from .perms import Perm, PermGroup
@@ -133,8 +135,9 @@ def equivalence_classes(
     """Partition indices of the input list under distinguishable equivalence.
 
     A graph whose group equals, element for element, the group of a graph
-    already placed joins that graph's class at once: the identity conjugates
-    one group onto the other, so no cycle views and no search are needed.
+    already placed, found by group_key, joins that graph's class at once:
+    the identity conjugates one group onto the other, so no element, no
+    cycle views and no search are needed.
     Any other graph is tested against the representative of each existing
     class with its key (n, |Aut| and cycle index), in class creation order,
     so transitivity is exploited rather than re-derived. A pair whose search
@@ -146,11 +149,11 @@ def equivalence_classes(
     """
     classes: list[list[int]] = []  # the members of each class, in creation order
     unresolved: list[tuple[int, int]] = []
-    class_of: dict[tuple, list[int]] = {}  # aut.sorted_images -> members of its class
+    class_of: dict[tuple, list[int]] = {}  # group_key(aut) -> members of its class
     by_key: dict[tuple, list] = {}  # key -> (representative's group, members) per class
     for i, g in enumerate(graphs):
         aut = automorphism_group(g)
-        members = class_of.get(elements := aut.sorted_images)
+        members = class_of.get(chain := group_key(aut))
         if members is None:
             same_key = by_key.setdefault((g.n, aut.order, aut.cycle_index), [])
             for rep, cls in same_key:
@@ -164,6 +167,6 @@ def equivalence_classes(
                 members = []
                 classes.append(members)
                 same_key.append((aut, members))
-            class_of[elements] = members
+            class_of[chain] = members
         members.append(i)
     return classes, unresolved

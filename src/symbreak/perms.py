@@ -128,7 +128,10 @@ class PermGroup:
       representatives besides the identity. The elements are every product
       of one representative or the identity per level. order, is_trivial,
       maps_to and identity_bits are read from the levels, and images forms
-      the products only when first read, the identity first.
+      the products only when first read, the identity first. The search's
+      levels, on the base 0..degree-1 with the least element of each coset,
+      depend only on the group: autgroup.group_key, the key by which the
+      scan and equivalence_classes share results, is read from them.
     Construction does not verify closure, that each tuple is a bijection
     or that levels form a group; the cheap degree check runs on given
     images. Two groups are equal when they have the same degree and the
@@ -137,8 +140,6 @@ class PermGroup:
     cached on the group:
     - elements holds the same elements as Perm objects, and is built only
       for callers that ask for it; image_set holds the image tuples.
-      sorted_images, not cached, is the order-free key of the elements
-      that the scan and equivalence_classes share results by.
     - maps_to, identity_bits and chain_generators, which the searches on the
       group read. maps_to needs degree <= 256. It is folded from the levels
       (_folded) when the group has them, else built from the images by its
@@ -231,13 +232,6 @@ class PermGroup:
     @cached_property
     def image_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.images)
-
-    @property
-    def sorted_images(self) -> tuple[tuple[int, ...], ...]:
-        """images, sorted, formed anew on each read: equal for two groups
-        exactly when they have the same elements, whatever order each holds
-        them in, and as a dict key no larger than images."""
-        return tuple(sorted(self.images))
 
     @cached_property
     def maps_to(self) -> tuple[tuple[int, ...], ...]:

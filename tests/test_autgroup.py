@@ -259,12 +259,12 @@ def test_analysis_forms_no_images():
 
 
 def test_sharing_survives_product_order(monkeypatch):
-    """C@ and its complement C} have the same group, whose products the
-    search forms in different orders: the scan and the classes share it all
-    the same, and chain_generators does not depend on the order."""
+    """C@ and its complement C} have the same group, and equal groups have
+    equal levels: the scan and the classes share it, and chain_generators
+    does not depend on the order in which images hold the elements."""
     g, h = parse_graph6("C@"), parse_graph6("C}")
     aut_g, aut_h = automorphism_group(g), automorphism_group(h)
-    assert aut_g.images != aut_h.images and aut_g == aut_h
+    assert aut_g.levels == aut_h.levels and aut_g == aut_h
 
     analyzed = []
 
@@ -299,6 +299,58 @@ def test_sharing_survives_product_order(monkeypatch):
         unsorted += list(aut.images) != sorted(aut.images)
         assert generators(aut) == generators(PermGroup.from_images(g.n, aut.images)), g
     assert unsorted > 0
+
+
+def test_group_key_tells_equal_groups_by_their_levels():
+    """On every graph with n <= 7 and a relabelled complement of each, two
+    groups have equal keys exactly when they have the same elements, and
+    the levels, flattened, are the least coset representatives that
+    chain_generators derives from maps_to on its own."""
+    rng = random.Random(29)
+    cases = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    cases += [permuted(complement(g), Perm(tuple(rng.sample(range(g.n), g.n)))) for g in cases]
+    keys, groups = {}, {}
+    for g in cases:
+        aut = automorphism_group(g)
+        assert [t for reps in aut.levels for t in reps] == [
+            aut.images[j] for j, _ in aut.chain_generators
+        ], g
+        key = autgroup.group_key(aut)
+        keys.setdefault(key, set()).add((g.n, aut.image_set))
+        groups.setdefault((g.n, aut.image_set), set()).add(key)
+    assert all(len(same) == 1 for same in keys.values())
+    assert all(len(same) == 1 for same in groups.values())
+    assert len(keys) < len(cases)
+
+
+def test_walk_by_degree_gives_the_levels_of_the_walk_by_index(monkeypatch):
+    """Above autgroup._INDEX_WALK_MAX_N vertices a branch walks by degree and
+    its first leaves are then made least: the levels are those the walk by
+    index finds, and on these graphs some first leaves are not least."""
+    c = clique_with_tails(3)
+    cases = [permuted(c, Perm(tuple(random.Random(s).sample(range(24), 24)))) for s in (1, 2, 3)]
+    rng = random.Random(37)
+    for n in (5, 6):
+        half = random_graph(rng, n)
+        twice = Graph.from_edges(2 * n, [(u + k, v + k) for u, v in half.edges() for k in (0, n)])
+        cases.append(permuted(twice, Perm(tuple(rng.sample(range(2 * n), 2 * n)))))
+    assert all(g.n > autgroup._INDEX_WALK_MAX_N for g in cases)
+    assert all(len({row.bit_count() for row in g.adj}) > 1 for g in cases)
+    changed = []
+    least = autgroup._least_in_coset
+
+    def counted(t, below):
+        got = least(t, below)
+        changed.append(got != t)
+        return got
+
+    monkeypatch.setattr(autgroup, "_least_in_coset", counted)
+    by_degree = [autgroup.automorphism_elements(g, 10**6) for g in cases]
+    assert any(changed)
+    monkeypatch.setattr(autgroup, "_INDEX_WALK_MAX_N", 40)
+    changed.clear()
+    assert [autgroup.automorphism_elements(g, 10**6) for g in cases] == by_degree
+    assert changed == []
 
 
 def test_orbits_match_closure_oracle():
@@ -451,7 +503,9 @@ def test_rigid_cubic_graphs_are_discrete_at_the_root(monkeypatch):
     individualized, so its search plans no search order."""
     planned = []
     plan = autgroup._plan
-    monkeypatch.setattr(autgroup, "_plan", lambda g: planned.append(g) or plan(g))
+    monkeypatch.setattr(
+        autgroup, "_plan", lambda g, order: planned.append(g) or plan(g, order)
+    )
     rigid = 0
     for seed in range(50):
         g = random_regular(random.Random(seed), 12, 3)

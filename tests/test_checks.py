@@ -506,6 +506,18 @@ def test_scan_skips_a_graph_too_large_for_the_automorphism_search():
     )
 
 
+def test_scan_skips_a_graph_the_graph6_encoder_refuses():
+    """The encoder caps n at 512: that record is an error skip labelled by
+    its vertex count, and the scan goes on past it."""
+    report = scan_corpus([Graph(2, (0, 0)), Graph(513, (0,) * 513)], ScanOptions(jobs=1))
+    assert report.corpus_size == 2 and len(report.graph_reports) == 1
+    assert report.graph_reports[0].graph6 == "A?"
+    assert report.skipped == (
+        ("<n=513>", "error: UnsupportedSizeError: graph6 supports n <= 512, got 513"),
+    )
+    assert report.errors == report.skipped and not report.ok
+
+
 def test_scan_skips_a_record_whose_analysis_raises(monkeypatch):
     corpus = [g for n in range(1, 6) for g in enumerate_graphs(n)]
     clean = scan_corpus(corpus, ScanOptions(jobs=1))

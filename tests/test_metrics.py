@@ -16,6 +16,7 @@ from helpers import (
     disjoint_cliques,
     first_subsets,
     from_cycles,
+    is_connected,
     mid_group_graphs,
     net_graph,
     per_element_is_determining_set,
@@ -519,3 +520,32 @@ def test_coloring_search_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_rho_four_at_det_two_on_two_copies_of_a_cayley_graph():
+    """H, the Cayley graph of Z2^5 with x ~ x XOR s for s in S, is connected
+    and has only its 32 translations. G = 2H, two copies of H on 0..31 and
+    32..63, has the group Aut(H) wr S2 of order 32^2 * 2, built here by hand
+    (the search caps n at 40) and checked element by element against G's
+    edges; there rho = 4 at D = Det = 2, the top of the bound rho in 2..4."""
+    s = (1, 5, 9, 12, 13, 15, 17, 18, 19, 20, 22, 28, 31)
+    h = Graph.from_edges(32, [(x, x ^ d) for x in range(32) for d in s if x < x ^ d])
+    assert is_connected(h)
+    aut_h = automorphism_group(h)
+    assert aut_h.order == 32
+    g = Graph.from_edges(64, [(a + k, b + k) for a, b in h.edges() for k in (0, 32)])
+    images = []
+    for t in aut_h.images:
+        for u in aut_h.images:
+            low, high = tuple(t), tuple(x + 32 for x in u)
+            images += [low + high, high + low]  # the copies kept, then swapped
+    aut = PermGroup.from_images(64, images)
+    assert aut.order == 2048
+    edges = g.edges()
+    for p in aut.images:
+        assert all(g.has_edge(p[a], p[b]) for a, b in edges)
+    line = analyze(g, aut=aut).to_line()
+    assert line.endswith(
+        " n=64 m=416 aut=2048 D=2 Det=2 rho=4 det2_d2=1 rho_in_2_4=1"
+        " det_set=0,32 rho_class=0,1,2,32 degenerate=0"
+    )
