@@ -34,13 +34,14 @@ automorphism_elements walks g -> g down the identity path on the base
 0, 1, ..., n-1, refined with 0..i-1 individualized; the first leaf under
 i -> x represents a coset of the stabilizer of 0..i in that of 0..i-1
 (Sims), and Aut(g) is every product of one such leaf or the identity per i.
-A branch that walks the vertices left in index order, candidates ascending,
-finds the lexicographically least element of its coset first, since pruning
-drops only branches without a leaf. Small graphs walk so; larger ones walk
-by degree, as isomorphism does (see _INDEX_WALK_MAX_N), and each leaf is
-then replaced by the least element of its coset (_least_in_coset), read off
-the levels below it. Either way the levels are a transversal that depends
-only on the group, and group_key tells equal groups by them.
+Each branch walks the vertices left by descending degree then index, as
+isomorphism does, and each leaf is then replaced by the lexicographically
+least element of its coset (_least_in_coset), read off the levels below it.
+When that order is the index order, as on every regular graph, the walk
+finds the least element first, since candidates go in ascending order and
+pruning drops only branches without a leaf, and nothing is replaced. Either
+way the levels are a transversal that depends only on the group, and
+group_key tells equal groups by them.
 automorphism_group holds the levels of the chain as the group: its order and
 maps_to come from them, and its image tuples are formed only when a caller
 reads them.
@@ -57,16 +58,6 @@ from . import config
 from .errors import DegreeError, GroupTooLargeError, UnsupportedSizeError
 from .graphs import Graph
 from .perms import Perm, PermGroup, check_bijection
-
-
-# Up to this many vertices, automorphism_elements walks each branch by index,
-# so that its first leaf is the least element of its coset with no further
-# work; such a walk tries on the order of n! partial maps at most. On larger
-# graphs a vertex early in index order with no neighbor placed before it can
-# fit many images whose failure shows only later (a relabelled
-# clique_with_tails(3), n = 24, took up to 0.8 s where its walk by degree
-# takes 1 ms), so those walk by degree.
-_INDEX_WALK_MAX_N = 8
 
 
 def _by_degree(g: Graph) -> list[int]:
@@ -286,11 +277,9 @@ def automorphism_elements(g: Graph, element_cap: int) -> list[list[tuple[int, ..
     cells = _unit_refined(g, [])  # refined with 0..v-1 individualized
     if len(cells) == n:  # discrete at the root: only the identity, and no plan
         return []
-    # the vertices a branch v -> x places, in _first_leaf's order, and their
-    # plan once a branch needs it
-    rest = list(range(n)) if n <= _INDEX_WALK_MAX_N else _by_degree(g)
+    rest = _by_degree(g)  # the vertices a branch v -> w places, in _first_leaf's order
     by_index = rest == sorted(rest)  # then every first leaf is already least
-    back = None
+    back = None  # rest's plan, made once a branch needs it
     img = list(range(n))
     used = 0  # 0..v-1, fixed by the identity path
     levels = []

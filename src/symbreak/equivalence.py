@@ -26,9 +26,11 @@ searches, by autgroup.group_key, its degree and the levels of its stabilizer
 chain, which depend only on the group: a graph whose group equals, element
 for element, one already placed joins that class without a search, since the
 identity conjugates the one group onto the other, and none of its elements
-is formed. Only the first graph of each distinct group forms its elements
-for the cycle views, and it is searched only against the representatives of
-the classes with its n, order and cycle index, found by one dict lookup.
+is formed. The first graph of each distinct group is tried only against the
+representatives of the classes with its n and order, found by one dict
+lookup; _conjugating_bijection compares cycle indexes before it searches, so
+a group forms its elements for the cycle views only when another group has
+its n and order.
 """
 
 from __future__ import annotations
@@ -139,8 +141,9 @@ def equivalence_classes(
     the identity conjugates one group onto the other, so no element, no
     cycle views and no search are needed.
     Any other graph is tested against the representative of each existing
-    class with its key (n, |Aut| and cycle index), in class creation order,
-    so transitivity is exploited rather than re-derived. A pair whose search
+    class with its key (n and |Aut|), in class creation order, so
+    transitivity is exploited rather than re-derived; a representative whose
+    cycle index differs is ruled out before any search. A pair whose search
     ran out of budget is returned as unresolved, and the graph goes on to the
     next class with its key: it may join a later class, and starts its own
     only when no class with its key takes it. A later graph with the same
@@ -155,7 +158,7 @@ def equivalence_classes(
         aut = automorphism_group(g)
         members = class_of.get(chain := group_key(aut))
         if members is None:
-            same_key = by_key.setdefault((g.n, aut.order, aut.cycle_index), [])
+            same_key = by_key.setdefault((g.n, aut.order), [])
             for rep, cls in same_key:
                 try:
                     if _conjugating_bijection(rep, aut, budget) is not None:

@@ -261,7 +261,12 @@ def test_analysis_forms_no_images():
 def test_sharing_survives_product_order(monkeypatch):
     """C@ and its complement C} have the same group, and equal groups have
     equal levels: the scan and the classes share it, and chain_generators
-    does not depend on the order in which images hold the elements."""
+    does not depend on the order in which images hold the elements; the
+    classes form none of the group's elements. On every graph with n <= 7
+    and a relabelled complement of each, two groups have equal keys exactly
+    when they have the same elements, and the levels, flattened, are the
+    least coset representatives that chain_generators derives from maps_to
+    on its own."""
     g, h = parse_graph6("C@"), parse_graph6("C}")
     aut_g, aut_h = automorphism_group(g), automorphism_group(h)
     assert aut_g.levels == aut_h.levels and aut_g == aut_h
@@ -283,9 +288,17 @@ def test_sharing_survives_product_order(monkeypatch):
         searches.append(args)
         return bijection(*args, **kwargs)
 
+    built = []  # no other group has their n and order: no element is formed
+
+    def kept(g):
+        built.append(automorphism_group(g))
+        return built[-1]
+
     monkeypatch.setattr(equivalence, "_conjugating_bijection", searched)
+    monkeypatch.setattr(equivalence, "automorphism_group", kept)
     assert equivalence.equivalence_classes([g, h]) == ([[0, 1]], [])
-    assert searches == []
+    assert searches == [] and len(built) == 2
+    assert not any("images" in vars(aut) for aut in built)
 
     def generators(aut):
         return [(aut.images[j], inv) for j, inv in aut.chain_generators]
@@ -294,39 +307,22 @@ def test_sharing_survives_product_order(monkeypatch):
     cases = [g for n in range(1, 8) for g in enumerate_graphs(n)]
     cases += [permuted(complement(g), Perm(tuple(rng.sample(range(g.n), g.n)))) for g in cases]
     unsorted = 0
+    groups = {}  # group_key -> the (n, image_set) of each group with that key
     for g in cases:
         aut = automorphism_group(g)
         unsorted += list(aut.images) != sorted(aut.images)
         assert generators(aut) == generators(PermGroup.from_images(g.n, aut.images)), g
+        assert [t for reps in aut.levels for t in reps] == [t for t, _ in generators(aut)], g
+        groups.setdefault(autgroup.group_key(aut), set()).add((g.n, aut.image_set))
     assert unsorted > 0
-
-
-def test_group_key_tells_equal_groups_by_their_levels():
-    """On every graph with n <= 7 and a relabelled complement of each, two
-    groups have equal keys exactly when they have the same elements, and
-    the levels, flattened, are the least coset representatives that
-    chain_generators derives from maps_to on its own."""
-    rng = random.Random(29)
-    cases = [g for n in range(1, 8) for g in enumerate_graphs(n)]
-    cases += [permuted(complement(g), Perm(tuple(rng.sample(range(g.n), g.n)))) for g in cases]
-    keys, groups = {}, {}
-    for g in cases:
-        aut = automorphism_group(g)
-        assert [t for reps in aut.levels for t in reps] == [
-            aut.images[j] for j, _ in aut.chain_generators
-        ], g
-        key = autgroup.group_key(aut)
-        keys.setdefault(key, set()).add((g.n, aut.image_set))
-        groups.setdefault((g.n, aut.image_set), set()).add(key)
-    assert all(len(same) == 1 for same in keys.values())
     assert all(len(same) == 1 for same in groups.values())
-    assert len(keys) < len(cases)
+    assert len(set().union(*groups.values())) == len(groups) < len(cases)
 
 
-def test_walk_by_degree_gives_the_levels_of_the_walk_by_index(monkeypatch):
-    """Above autgroup._INDEX_WALK_MAX_N vertices a branch walks by degree and
-    its first leaves are then made least: the levels are those the walk by
-    index finds, and on these graphs some first leaves are not least."""
+def test_least_in_coset_gives_the_levels_of_the_walk_by_index(monkeypatch):
+    """On these graphs a branch walks by degree, not by index, and some of
+    its first leaves are not least: made least, the levels are those of the
+    walk by index, whose first leaves are least already."""
     c = clique_with_tails(3)
     cases = [permuted(c, Perm(tuple(random.Random(s).sample(range(24), 24)))) for s in (1, 2, 3)]
     rng = random.Random(37)
@@ -334,8 +330,7 @@ def test_walk_by_degree_gives_the_levels_of_the_walk_by_index(monkeypatch):
         half = random_graph(rng, n)
         twice = Graph.from_edges(2 * n, [(u + k, v + k) for u, v in half.edges() for k in (0, n)])
         cases.append(permuted(twice, Perm(tuple(rng.sample(range(2 * n), 2 * n)))))
-    assert all(g.n > autgroup._INDEX_WALK_MAX_N for g in cases)
-    assert all(len({row.bit_count() for row in g.adj}) > 1 for g in cases)
+    assert all(autgroup._by_degree(g) != list(range(g.n)) for g in cases)
     changed = []
     least = autgroup._least_in_coset
 
@@ -347,7 +342,7 @@ def test_walk_by_degree_gives_the_levels_of_the_walk_by_index(monkeypatch):
     monkeypatch.setattr(autgroup, "_least_in_coset", counted)
     by_degree = [autgroup.automorphism_elements(g, 10**6) for g in cases]
     assert any(changed)
-    monkeypatch.setattr(autgroup, "_INDEX_WALK_MAX_N", 40)
+    monkeypatch.setattr(autgroup, "_by_degree", lambda g: list(range(g.n)))
     changed.clear()
     assert [autgroup.automorphism_elements(g, 10**6) for g in cases] == by_degree
     assert changed == []
