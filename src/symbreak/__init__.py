@@ -1,9 +1,9 @@
 """Symmetry-breaking invariants of small graphs.
 
-Core objects: Graph (bitmask adjacency), Perm / PermGroup (elements held as
-image tuples, or as the stabilizer chain of a searched group), Coloring. Core invariants: the automorphism group, the
-distinguishing number D, the determining number Det, and the cost number rho,
-with witnesses.
+Core objects: Graph (bitmask adjacency), Perm / PermGroup (a group held as
+its stabilizer chain, whose elements are formed only when read), Coloring.
+Core invariants: the automorphism group, the distinguishing number D, the
+determining number Det, and the cost number rho, with witnesses.
 On top of those: distinguishable equivalence of graphs, structural rule
 checking for two-vertex determining sets, and deterministic corpus scans.
 """

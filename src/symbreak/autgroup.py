@@ -42,9 +42,10 @@ finds the least element first, since candidates go in ascending order and
 pruning drops only branches without a leaf, and nothing is replaced. Either
 way the levels are a transversal that depends only on the group, and
 group_key tells equal groups by them.
-automorphism_group holds the levels of the chain as the group: its order and
-maps_to come from them, and its image tuples are formed only when a caller
-reads them.
+automorphism_group holds the levels of the chain as the group, PermGroup(n,
+levels=...): its order, maps_to and generators come from them, and its image
+tuples are formed only when a caller reads them. A branch's search order is
+planned once per base point that needs one (_plan).
 
 group_of is how every function taking an optional group gets it: the
 caller's group, checked against g's degree, or else Aut(g).
@@ -263,36 +264,30 @@ def isomorphism(g1: Graph, g2: Graph):
     return None
 
 
-def automorphism_elements(g: Graph, element_cap: int) -> list[list[tuple[int, ...]]]:
+def automorphism_elements(g: Graph) -> list[list[tuple[int, ...]]]:
     """Aut(g) as the levels of its stabilizer chain on the base 0..n-1: per
     vertex i, the coset representatives besides the identity, one per image
     x of i under the stabilizer of 0..i-1, in ascending order of x, each the
     least element of its coset; every leaf found is checked to be a
     bijection. Trailing empty levels are dropped, so the levels depend only
-    on the group. The elements are their products (PermGroup.from_levels),
-    none of which is formed here, and the name stays the one bench/tracer.py
-    times as the search. GroupTooLargeError if there are more than
-    element_cap of them."""
+    on the group. The elements are their products (PermGroup), none of which
+    is formed here, and the name stays the one bench/tracer.py times as the
+    search. GroupTooLargeError if there are more than
+    config.MAX_AUT_ELEMENTS of them."""
     n, adj = g.n, g.adj
     cells = _unit_refined(g, [])  # refined with 0..v-1 individualized
     if len(cells) == n:  # discrete at the root: only the identity, and no plan
         return []
     rest = _by_degree(g)  # the vertices a branch v -> w places, in _first_leaf's order
     by_index = rest == sorted(rest)  # then every first leaf is already least
-    back = None  # rest's plan, made once a branch needs it
     img = list(range(n))
     used = 0  # 0..v-1, fixed by the identity path
     levels = []
     for v in range(n):
         if len(cells) == n:  # discrete: no automorphism moves v..n-1
             break
-        k = rest.index(v)
-        del rest[k]
-        if back is not None:  # v is placed before rest now
-            del back[k]
-            for pos in range(k):
-                if adj[rest[pos]] >> v & 1:
-                    back[pos].append(v)
+        rest.remove(v)
+        back = None  # rest's plan, made once a branch at v needs it
         levels.append(reps := [])
         bit = 1 << v
         if bit in cells:  # alone in its cell: every automorphism here fixes v
@@ -326,8 +321,8 @@ def automorphism_elements(g: Graph, element_cap: int) -> list[list[tuple[int, ..
         used |= bit
     while levels and not levels[-1]:
         levels.pop()
-    if prod(len(r) + 1 for r in levels) > element_cap:
-        raise GroupTooLargeError(element_cap)
+    if prod(len(r) + 1 for r in levels) > config.MAX_AUT_ELEMENTS:
+        raise GroupTooLargeError(config.MAX_AUT_ELEMENTS)
     if not by_index:
         below: list = []  # (j, levels[j]) for each non-empty level j below i
         for i in range(len(levels) - 1, -1, -1):
@@ -354,15 +349,13 @@ def _least_in_coset(t: tuple[int, ...], below) -> tuple[int, ...]:
     return t
 
 
-def automorphism_group(
-    g: Graph, element_cap: int = config.MAX_AUT_ELEMENTS
-) -> PermGroup:
-    """Aut(g), held as the search's stabilizer chain (PermGroup.from_levels)."""
+def automorphism_group(g: Graph) -> PermGroup:
+    """Aut(g), held as the search's stabilizer chain."""
     if g.n > config.MAX_AUT_VERTICES:
         raise UnsupportedSizeError(
             f"automorphism search supports n <= {config.MAX_AUT_VERTICES}, got {g.n}"
         )
-    return PermGroup.from_levels(g.n, automorphism_elements(g, element_cap))
+    return PermGroup(g.n, levels=automorphism_elements(g))
 
 
 def group_key(aut: PermGroup) -> tuple:

@@ -1,8 +1,9 @@
 """Corpus-scale verification of the structural facts behind the invariants.
 
-Everything here runs against explicit automorphism element lists, so each
-fact is checked exactly, in its strongest executable form, and nothing is
-sampled: the pair rules find the elements of each hypothesis pattern, then
+Everything here runs against the whole automorphism group, through its
+maps_to bitsets and, where a few elements are listed, its image tuples, so
+each fact is checked exactly, in its strongest executable form, and nothing
+is sampled: the pair rules find the elements of each hypothesis pattern, then
 assert the forbidden (or required) pattern; the restriction lemma is a group
 inclusion, Aut(g[h]) extended by the identity inside Aut(g); the
 clique-with-tails family's Det and rho come from the exhaustive walk.

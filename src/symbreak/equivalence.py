@@ -11,10 +11,10 @@ filtered by per-vertex statistics (PermGroup.vertex_signatures: the multiset,
 over all group elements, of the cycle length through the vertex paired with
 the element's cycle type, held counted as its sorted (pair, multiplicity)
 items, which are only compared for equality). It conjugates only a generating
-set of the first group, PermGroup.chain_generators: the transversal
-representatives of its point-stabilizer chain, read from PermGroup.maps_to,
-each with its inverse. Each generator keeps a bitset of its possible images in
-the second group, starting from the second group's elements of its cycle type
+set of the first group, PermGroup.generators: the coset representatives of
+its stabilizer chain, read from its levels, each with its inverse and cycle
+type. Each generator keeps a bitset of its possible images in the second
+group, starting from the second group's elements of its cycle type
 (PermGroup.type_bits) and ANDed with a maps_to row as each vertex image is
 fixed; an empty bitset prunes the branch, and a full bijection whose bitsets
 are all non-empty conjugates the whole group.
@@ -64,8 +64,7 @@ def _conjugating_bijection(autA: PermGroup, autB: PermGroup, budget: config.Budg
     # per generator a of autA (with its inverse), the elements of autB that
     # can still be sigma.a.sigma^-1: those of a's cycle type that send
     # sigma(u) to sigma(a(u)) wherever u and a(u) are both mapped
-    gens = autA.chain_generators
-    pairs = [(autA.images[i], inv) for i, inv in gens]
+    gens = autA.generators
     B = autB.maps_to
 
     sigma = [-1] * n
@@ -73,7 +72,7 @@ def _conjugating_bijection(autA: PermGroup, autB: PermGroup, budget: config.Budg
     nodes = 0
     # bits[pos]: the generators' candidate bitsets once order[:pos] is mapped;
     # tries[pos]: the candidate vertices order[pos] has not yet been tried at
-    bits = [[autB.type_bits[autA.cycle_types[i]] for i, _inv in gens]]
+    bits = [[autB.type_bits[ct] for _a, _inv, ct in gens]]
     tries = [iter(cand_vertices[sigA[order[0]]])]
     while tries:
         pos = len(tries) - 1
@@ -91,7 +90,7 @@ def _conjugating_bijection(autA: PermGroup, autB: PermGroup, budget: config.Budg
                 )
             sigma[v] = w
             kept = []
-            for b, (a, inv) in zip(bits[-1], pairs):
+            for b, (a, inv, _ct) in zip(bits[-1], gens):
                 if sigma[a[v]] >= 0:
                     b &= B[w][sigma[a[v]]]
                 if sigma[inv[v]] >= 0:

@@ -361,7 +361,7 @@ def _mask_representatives(n: int) -> tuple[int, ...]:
                 perm[i], perm[x] = x, i
                 swaps.append(tuple(slot[(perm[u], perm[v])] for u, v in pairs))
             levels.append(swaps)
-    slot_action = PermGroup.from_levels(nslots, levels)
+    slot_action = PermGroup(nslots, levels=levels)
     full = (1 << nslots) - 1
     reps = []
     walk = subset_orbit_representatives(slot_action, range(nslots + 1), DEFAULT_BUDGET)

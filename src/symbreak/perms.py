@@ -1,7 +1,6 @@
-"""Permutations on 0..n-1, and permutation groups held as image tuples or
-as a stabilizer chain whose products are formed only when read. A group's
-maps_to table is folded from its chain, or else built from its image tuples
-by its definition."""
+"""Permutations on 0..n-1, and permutation groups held as a stabilizer
+chain whose products are formed only when read. A group's maps_to table is
+folded from its chain."""
 
 from __future__ import annotations
 
@@ -118,38 +117,46 @@ def _folded(n: int, levels) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, rows))
 
 
+def _sifts(t: tuple[int, ...], inverses: list[dict]) -> bool:
+    """Whether t is a product of one representative or the identity per
+    level, given per level i the representatives' inverses by the image of
+    i: t is sifted, each i it moves undone by the inverse of the
+    representative that sends i where t does, and must end as the identity."""
+    for i, by_image in enumerate(inverses):
+        if t[i] != i:
+            if t[i] not in by_image:
+                return False
+            t = itemgetter(*t)(by_image[t[i]])
+    return t == tuple(range(len(t)))  # fails only where some tuple is no bijection
+
+
 class PermGroup:
-    """A permutation group on 0..degree-1, held in one of two ways:
-    - as images, its elements' image tuples. PermGroup(degree, images) keeps
-      them as given; from_images and from_elements sort them and drop
-      duplicates, which puts the identity first. levels is None.
-    - as levels, a stabilizer chain (from_levels, which automorphism_group
-      uses): per base point, first base point first, the coset
-      representatives besides the identity. The elements are every product
-      of one representative or the identity per level. order, is_trivial,
-      maps_to and identity_bits are read from the levels, and images forms
-      the products only when first read, the identity first. The search's
-      levels, on the base 0..degree-1 with the least element of each coset,
-      depend only on the group: autgroup.group_key, the key by which the
-      scan and equivalence_classes share results, is read from them.
-    Construction does not verify closure, that each tuple is a bijection
-    or that levels form a group; the cheap degree check runs on given
-    images. Two groups are equal when they have the same degree and the
-    same elements, however each is held and in whatever order; the hash is
-    that of the element set. The views are built once, on first use, and
-    cached on the group:
-    - elements holds the same elements as Perm objects, and is built only
-      for callers that ask for it; image_set holds the image tuples.
-    - maps_to, identity_bits and chain_generators, which the searches on the
-      group read. maps_to needs degree <= 256. It is folded from the levels
-      (_folded) when the group has them, else built from the images by its
-      definition, one column of marks per (vertex, image); both give the
-      same table for the same images.
+    """A permutation group on 0..degree-1, held as a stabilizer chain on the
+    base 0..degree-1: per base point, first base point first, levels holds
+    the coset representatives besides the identity, and the elements are
+    every product of one representative or the identity per level.
+    PermGroup(degree, levels=...) keeps the levels as given (levels is
+    keyword-only). automorphism_group and from_images give the least element
+    of each coset, in ascending order of the base point's image, without
+    trailing empty levels, so that their levels depend only on the group:
+    autgroup.group_key, the key by which the scan and equivalence_classes
+    share results, is read from them.
+    Construction does not verify closure, that each representative is a
+    bijection or that the levels form a group. Two groups are equal when
+    they have the same degree and the same elements, whatever their levels;
+    the hash is that of the element set. The views are built once, on first
+    use, and cached on the group:
+    - order, is_trivial, maps_to and generators are read from the levels,
+      and no product is formed; identity_bits is bit 0, since images forms
+      the identity first. maps_to needs degree <= 256.
+    - images forms the products; elements holds them as Perm objects, and
+      is built only for callers that ask for it; image_set holds the image
+      tuples.
     - cycle_types, vertex_signatures, cycle_index, signature_index and
-      type_bits, all from one cycle-length pass over the elements
+      type_bits, all from one cycle-length pass over the images
       (_cycle_views). They take any degree. A vertex signature is computed
       once per orbit and shared along it, which holds only for a group:
-      for a set of image tuples that is not closed, vertex_signatures (and
+      for products that are not closed, vertex_signatures (and
       signature_index) may differ from the per-element count.
     elements and cycle_types are aligned with images, and bit i of a
     maps_to, identity_bits or type_bits bitset stands for images[i], also
@@ -157,28 +164,40 @@ class PermGroup:
     iterate over images and test membership of an image tuple in image_set.
     """
 
-    def __init__(self, degree: int, images: tuple[tuple[int, ...], ...]):
-        wrong = set(map(len, images)) - {degree}
-        if wrong:
-            raise DegreeError(f"element of degree {min(wrong)} in group of degree {degree}")
-        self.degree = degree
-        self.images = images  # shadows the cached property, which forms products
-        self.levels: list[list[tuple[int, ...]]] | None = None
+    identity_bits = 1  # the elements fixing every vertex: the first product
 
-    @classmethod
-    def from_levels(cls, degree: int, levels: list[list[tuple[int, ...]]]) -> "PermGroup":
-        """The group whose elements are the products of levels."""
-        group = cls.__new__(cls)
-        group.degree, group.levels = degree, levels
-        return group
+    def __init__(self, degree: int, *, levels: list[list[tuple[int, ...]]]):
+        self.degree = degree
+        self.levels = levels
 
     @classmethod
     def from_images(cls, degree: int, images) -> "PermGroup":
-        """The group of the given image tuples, duplicates dropped, the
-        identity added, sorted."""
-        uniq = dict.fromkeys(images)
-        uniq[tuple(range(degree))] = None
-        return cls(degree, tuple(sorted(uniq)))
+        """The group of the given image tuples, duplicates dropped and the
+        identity added, held as its least coset representatives. In one pass
+        over the sorted tuples, the first that fixes 0..i-1 and sends i to x
+        is the least element of its coset, whose elements all agree on 0..i.
+        ValueError unless the products of those levels are the given set:
+        each tuple must sift to the identity through them, and there must be
+        as many products as tuples. Closure is not verified."""
+        identity = tuple(range(degree))
+        uniq = set(images)
+        wrong = set(map(len, uniq)) - {degree}
+        if wrong:
+            raise DegreeError(f"element of degree {min(wrong)} in group of degree {degree}")
+        uniq.discard(identity)
+        inverses = [{} for _ in range(degree)]  # per level, image of i -> inverse
+        levels = [[] for _ in range(degree)]
+        for t in sorted(uniq):
+            i = next(v for v, x in enumerate(t) if v != x)
+            if t[i] not in inverses[i]:
+                inverses[i][t[i]] = tuple(sorted(identity, key=t.__getitem__))
+                levels[i].append(t)
+        while levels and not levels[-1]:
+            levels.pop()
+        group = cls(degree, levels=levels)
+        if group.order != len(uniq) + 1 or not all(_sifts(t, inverses) for t in uniq):
+            raise ValueError(f"{len(uniq) + 1} image tuples are not the products of their levels")
+        return group
 
     @classmethod
     def from_elements(cls, degree: int, elements) -> "PermGroup":
@@ -193,18 +212,14 @@ class PermGroup:
         return hash(self.image_set)
 
     def __repr__(self):
-        """A group held as levels is shown by them, so that no product is
-        formed; either form evaluates to an equal group."""
-        if self.levels is not None:
-            return f"PermGroup.from_levels({self.degree}, {self.levels!r})"
-        return f"PermGroup(degree={self.degree}, images={self.images!r})"
+        """Shown by the levels, so that no product is formed."""
+        return f"PermGroup({self.degree}, levels={self.levels!r})"
 
     @cached_property
     def images(self) -> tuple[tuple[int, ...], ...]:
-        """A group held as levels: its products, formed from the bottom level
-        up. The stabilizer H built so far comes first, then for the j-th
-        representative t (j >= 1) of the next level the block t after H, in
-        H's order, at offset j|H|."""
+        """The products, formed from the bottom level up. The stabilizer H
+        built so far comes first, then for the j-th representative t (j >= 1)
+        of the next level the block t after H, in H's order, at offset j|H|."""
         elements = [tuple(range(self.degree))]
         getters = []  # itemgetter(*h)(t) is t after h, a tuple as reps need degree >= 2
         for reps in reversed(self.levels):
@@ -215,10 +230,7 @@ class PermGroup:
 
     @cached_property
     def order(self) -> int:
-        """The number of elements; for a group held as levels, the product
-        of the level sizes, known before any element is formed."""
-        if self.levels is None:
-            return len(self.images)
+        """The number of products, known before any is formed."""
         return prod(len(reps) + 1 for reps in self.levels)
 
     @property
@@ -236,65 +248,24 @@ class PermGroup:
     @cached_property
     def maps_to(self) -> tuple[tuple[int, ...], ...]:
         """maps_to[u][x] is the bitset of the elements sending u to x, so
-        each row partitions the elements by the image of one vertex.
-
-        A group held as levels has its table folded from them (_folded):
-        one shifted OR per coset block and orbit point, and no image is
-        formed. Without levels it is built by its definition: per vertex u,
-        the column of u's images, last element first, is translated to "1"
-        where the image is x and "0" elsewhere, which spelled in binary has
-        bit i for images[i]. An image is spelled as one byte: DegreeError
-        above degree 256.
+        each row partitions the elements by the image of one vertex. Folded
+        from the levels (_folded): one shifted OR per coset block and orbit
+        point, and no image is formed. DegreeError above degree 256.
         """
         n = self.degree
         if n > 256:
             raise DegreeError(f"maps_to supports degree <= 256, got {n}")
-        if self.levels is not None:
-            return _folded(n, self.levels)
-        images = self.images
-        if not images:  # no element sends anything anywhere, and int("", 2) raises
-            return ((0,) * n,) * n
-        marks = [b"0" * x + b"1" + b"0" * (255 - x) for x in range(n)]
-        columns = (bytes(map(itemgetter(u), reversed(images))) for u in range(n))
-        return tuple(tuple(int(col.translate(m), 2) for m in marks) for col in columns)
+        return _folded(n, self.levels)
 
     @cached_property
-    def identity_bits(self) -> int:
-        """The bitset of the elements that fix every vertex: for a group
-        held as levels, bit 0, its first product."""
-        if self.levels is not None:
-            return 1
-        bits = (1 << len(self.images)) - 1
-        for u, row in enumerate(self.maps_to):
-            bits &= row[u]
-        return bits
-
-    @cached_property
-    def chain_generators(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """For each i and each x != i that an element fixing 0..i-1 sends i
-        to, the lexicographically least such element, as its index in images
-        and its inverse's image tuple: transversal representatives of the
-        point-stabilizer chain, which generate the group (Sims). Read from
-        maps_to, whatever the order of images: the elements of such a coset
-        agree on 0..i, and the least of them takes the least image of i+1
-        that any of them takes, then of i+2, and so on."""
-        rows = self.maps_to
-        stab = (1 << self.order) - 1
-        gens = []
-        for i, row in enumerate(rows):
-            for x, least in enumerate(row):
-                least &= stab
-                if x == i or not least:
-                    continue
-                for later in rows[i + 1 :]:
-                    if not least & (least - 1):
-                        break
-                    least &= next(bits for bits in later if bits & least)
-                gens.append((least & -least).bit_length() - 1)
-            stab &= row[i]
+    def generators(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]:
+        """(image tuple, inverse's image tuple, cycle type) of each level's
+        representatives, first level first: transversals of each step of the
+        chain, which generate the group (Sims). Read from the levels."""
         return tuple(
-            (j, tuple(sorted(range(self.degree), key=self.images[j].__getitem__)))
-            for j in gens
+            (t, tuple(sorted(range(self.degree), key=t.__getitem__)), _type_of(_cycle_lengths(t)))
+            for reps in self.levels
+            for t in reps
         )
 
     @property

@@ -6,8 +6,10 @@ and a from-scratch graph6 codec. These are the reference implementations
 the fast paths are checked against.
 """
 
+from functools import cached_property
 from itertools import combinations, permutations, product
 from math import factorial
+from operator import itemgetter
 
 from symbreak.checks import RULES
 from symbreak.errors import DegreeError
@@ -58,6 +60,50 @@ def inverse(p: Perm) -> Perm:
     for v, img in enumerate(p.images):
         images[img] = v
     return Perm(tuple(images))
+
+
+class ElementList:
+    """Image tuples on 0..degree-1 kept as given, in order: not necessarily
+    closed, duplicate-free or holding the identity. It has the views of
+    PermGroup that the predicates, the pair rules and the oracles here read,
+    each computed from the tuples by its definition, so that its maps_to is
+    also the oracle for the table PermGroup folds from its levels."""
+
+    def __init__(self, degree: int, images):
+        self.degree, self.images = degree, tuple(images)
+
+    @property
+    def order(self) -> int:
+        return len(self.images)
+
+    @cached_property
+    def elements(self) -> tuple[Perm, ...]:
+        return tuple(map(Perm, self.images))
+
+    @cached_property
+    def image_set(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(self.images)
+
+    @cached_property
+    def maps_to(self) -> tuple[tuple[int, ...], ...]:
+        """maps_to[u][x], the bitset of the elements sending u to x: per
+        vertex u, the column of u's images, last element first, translated
+        to "1" where the image is x and "0" elsewhere, spells in binary a
+        bitset with bit i for images[i]. An image is spelled as one byte."""
+        n, images = self.degree, self.images
+        if not images:  # no element sends anything anywhere, and int("", 2) raises
+            return ((0,) * n,) * n
+        marks = [b"0" * x + b"1" + b"0" * (255 - x) for x in range(n)]
+        columns = (bytes(map(itemgetter(u), reversed(images))) for u in range(n))
+        return tuple(tuple(int(col.translate(m), 2) for m in marks) for col in columns)
+
+    @cached_property
+    def identity_bits(self) -> int:
+        """The bitset of the elements that fix every vertex."""
+        bits = (1 << self.order) - 1
+        for u, row in enumerate(self.maps_to):
+            bits &= row[u]
+        return bits
 
 
 def validate_group(group: PermGroup) -> None:

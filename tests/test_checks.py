@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import GRAPHS7_FILE
 from helpers import (
+    ElementList,
     from_cycles,
     mid_group_graphs,
     net_graph,
@@ -45,7 +46,7 @@ from symbreak.graphs import (
     permuted,
 )
 from symbreak.metrics import analyze, determining_number, is_determining_set
-from symbreak.perms import Perm, PermGroup
+from symbreak.perms import Perm
 
 
 def fam(kind, p):
@@ -56,7 +57,7 @@ def synthetic_group(n, *cycle_lists):
     """Element list for rule-detector tests; not necessarily closed."""
     images = [tuple(range(n))]
     images += [from_cycles(n, cycles).images for cycles in cycle_lists]
-    return PermGroup(n, tuple(images))
+    return ElementList(n, images)
 
 
 # -- rule detectors on synthetic element lists -------------------------------
@@ -221,7 +222,7 @@ def test_rules_match_the_scan_on_mid_groups_without_their_anchor_fixers(name):
     failed = set()
     for x, y in [(0, 1)] if name == "K7" else combinations(range(g.n), 2):
         kept = [t for t in aut.images if t[x] != x or t[y] != y or t == aut.images[0]]
-        rep = assert_rules_match_scan(g, PermGroup(g.n, tuple(kept)), (x, y), 2)
+        rep = assert_rules_match_scan(g, ElementList(g.n, kept), (x, y), 2)
         failed |= {rule for rule, status in rep.statuses.items() if status == "fail"}
     assert failed
 
@@ -277,7 +278,7 @@ def anchored_lists(draw):
 @given(anchored_lists(), st.sampled_from([2, 3]))
 def test_rules_match_the_scan_on_random_element_lists(case, d):
     n, pair, images = case
-    assert_rules_match_scan(carrier(n), PermGroup(n, images), pair, d)
+    assert_rules_match_scan(carrier(n), ElementList(n, images), pair, d)
 
 
 def test_rules_reject_a_group_of_another_degree():

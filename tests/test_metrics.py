@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import graphs
 from helpers import (
+    ElementList,
     brute_cost_number,
     brute_determining_number,
     brute_distinguishing_number,
@@ -116,7 +117,7 @@ def test_distinguishing_equals_no_preserver(g, seed):
 
 @st.composite
 def element_lists(draw):
-    """A hand-built PermGroup of degree <= 6 whose elements need not form a
+    """A hand-built ElementList of degree <= 6 whose elements need not form a
     group: some repeat an element, some lack the identity."""
     n = draw(st.integers(0, 6))
     count = draw(st.integers(1, 5))
@@ -124,7 +125,7 @@ def element_lists(draw):
     perms += draw(st.lists(st.sampled_from(perms), max_size=2))
     if draw(st.booleans()):
         perms.append(Perm.identity(n))
-    return PermGroup(n, tuple(p.images for p in draw(st.permutations(perms))))
+    return ElementList(n, (p.images for p in draw(st.permutations(perms))))
 
 
 @settings(max_examples=200)

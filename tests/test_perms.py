@@ -6,6 +6,7 @@ from hypothesis import given
 
 from conftest import perm_lists
 from helpers import (
+    ElementList,
     compose,
     cycles,
     disjoint_cliques,
@@ -94,11 +95,11 @@ def test_cycles_partition_and_reproduce(ps):
 
 
 def test_permgroup_validate_accepts_symmetric_group():
-    validate_group(PermGroup(3, tuple(permutations(range(3)))))
+    validate_group(ElementList(3, permutations(range(3))))
 
 
 def test_permgroup_validate_rejects_non_closed():
-    bad = PermGroup(3, ((0, 1, 2), (1, 2, 0)))
+    bad = ElementList(3, ((0, 1, 2), (1, 2, 0)))
     with pytest.raises(ValueError):
         validate_group(bad)
 
@@ -148,3 +149,13 @@ def test_permgroup_from_elements_sorts_and_dedupes():
     )
     assert g.order == 2
     assert g.elements[0].is_identity
+
+
+def test_permgroup_takes_levels_by_keyword_and_rejects_sets_its_chain_misses():
+    """An image tuple given where levels go raises TypeError, and from_images
+    raises ValueError on a set that the products of its levels do not
+    reproduce: the identity, (0 1) and (2 3) lack (0 1)(2 3)."""
+    with pytest.raises(TypeError):
+        PermGroup(3, ((0, 1, 2), (1, 2, 0)))
+    with pytest.raises(ValueError, match="not the products of their levels"):
+        PermGroup.from_images(4, [(1, 0, 2, 3), (0, 1, 3, 2)])
