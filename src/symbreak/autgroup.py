@@ -30,16 +30,22 @@ regular graph, whose counts are all equal, is not.
 Refinement runs at the root of each branch v -> x, with v individualized on
 one side and x on the other; below it the walk only reads the cells.
 isomorphism refines the two unit partitions, then each branch order[0] -> x.
-automorphism_elements walks g -> g down the identity path on the base
-0, 1, ..., n-1, refined with 0..i-1 individualized; the first leaf under
-i -> x represents a coset of the stabilizer of 0..i in that of 0..i-1
-(Sims), and Aut(g) is every product of one such leaf or the identity per i.
-Each branch walks the vertices left by descending degree then index, as
-isomorphism does, and each leaf is then replaced by the lexicographically
-least element of its coset (_least_in_coset), read off the levels below it.
-When that order is the index order, as on every regular graph, the walk
-finds the least element first, since candidates go in ascending order and
-pruning drops only branches without a leaf, and nothing is replaced. Either
+automorphism_elements refines g's identity path on the base 0, 1, ...,
+n-1, with 0..i-1 individualized at level i; a leaf under i -> x represents a
+coset of the stabilizer of 0..i in that of 0..i-1 (Sims), and Aut(g) is
+every product of one representative or the identity per level. The levels
+are settled from the deepest up, so the leaves searched below i generate
+the stabilizer of 0..i. With the leaves found at i they reach part of the
+orbit of i, closed under them point by point (_close): the branch i -> x is
+searched only for an x of i's cell they do not reach yet, and every point
+they reach takes the product that reached it. This is nauty's pruning by
+the orbits of the automorphisms found so far. Each branch walks the
+vertices left by descending degree then index, as isomorphism does, and
+each representative is then made the lexicographically least element of
+its coset (_least_in_coset), read off the levels below it, final by then.
+When that order is the index order, as on every regular graph, a searched
+leaf is least already, since candidates go in ascending order and pruning
+drops only branches without a leaf; only the products are replaced. Either
 way the levels are a transversal that depends only on the group, and
 group_key tells equal groups by them.
 automorphism_group holds the levels of the chain as the group, PermGroup(n,
@@ -52,8 +58,6 @@ caller's group, checked against g's degree, or else Aut(g).
 """
 
 from __future__ import annotations
-
-from math import prod
 
 from . import config
 from .errors import DegreeError, GroupTooLargeError, UnsupportedSizeError
@@ -266,40 +270,46 @@ def isomorphism(g1: Graph, g2: Graph):
 
 def automorphism_elements(g: Graph) -> list[list[tuple[int, ...]]]:
     """Aut(g) as the levels of its stabilizer chain on the base 0..n-1: per
-    vertex i, the coset representatives besides the identity, one per image
-    x of i under the stabilizer of 0..i-1, in ascending order of x, each the
-    least element of its coset; every leaf found is checked to be a
-    bijection. Trailing empty levels are dropped, so the levels depend only
-    on the group. The elements are their products (PermGroup), none of which
-    is formed here, and the name stays the one bench/tracer.py times as the
-    search. GroupTooLargeError if there are more than
-    config.MAX_AUT_ELEMENTS of them."""
+    vertex v, the coset representatives besides the identity, one per image
+    x of v under the stabilizer of 0..v-1, in ascending order of x, each the
+    least element of its coset. The levels are settled from the deepest up:
+    at v the branch v -> w is searched only for a w that the leaves found so
+    far do not reach, and every point they reach takes the product that
+    reached it (_close), made least in its coset from the levels below,
+    final by then (_least_in_coset). Every leaf found is checked to be a
+    bijection, so every product is one too. Trailing empty levels are
+    dropped, so the levels depend only on the group. The elements are their
+    products (PermGroup), none of which is formed here, and the name stays
+    the one bench/tracer.py times as the search. GroupTooLargeError if there
+    are more than config.MAX_AUT_ELEMENTS of them."""
     n, adj = g.n, g.adj
     cells = _unit_refined(g, [])  # refined with 0..v-1 individualized
-    if len(cells) == n:  # discrete at the root: only the identity, and no plan
-        return []
-    rest = _by_degree(g)  # the vertices a branch v -> w places, in _first_leaf's order
-    by_index = rest == sorted(rest)  # then every first leaf is already least
-    img = list(range(n))
-    used = 0  # 0..v-1, fixed by the identity path
-    levels = []
-    for v in range(n):
-        if len(cells) == n:  # discrete: no automorphism moves v..n-1
-            break
-        rest.remove(v)
-        back = None  # rest's plan, made once a branch at v needs it
-        levels.append(reps := [])
+    path = []  # (v, cells, v's cell index, its trace, cells with v too) per v not alone
+    v = 0
+    while len(cells) < n:  # not discrete: some automorphism may move v..n-1
         bit = 1 << v
-        if bit in cells:  # alone in its cell: every automorphism here fixes v
-            img[v] = v
-            used |= bit
-            continue
-        for i, cell in enumerate(cells):
-            if cell & bit:
-                break
-        trace: list[int] = []
-        fixed = _individualized(adj, cells, i, bit, trace)
-        slot = None
+        if bit not in cells:  # else v is alone in its cell, fixed by every automorphism here
+            for i, cell in enumerate(cells):
+                if cell & bit:
+                    break
+            trace: list[int] = []
+            fixed = _individualized(adj, cells, i, bit, trace)
+            path.append((v, cells, i, trace, fixed))
+            cells = fixed
+        v += 1
+    if not path:  # discrete at the root: only the identity, and no plan
+        return []
+    order = _by_degree(g)  # the vertices a branch places, in _first_leaf's order
+    by_index = order == sorted(order)  # then every searched leaf is already least
+    img = list(range(n))  # 0..v-1 stay fixed; a branch writes v and rest before reading them
+    below: list = []  # (j, representatives) for each non-empty level j > v
+    gens: list = []  # the leaves searched at levels >= v; those below v generate 0..v's stabilizer
+    size = 1  # the order of the stabilizer of 0..v-1
+    for v, cells, i, trace, fixed in reversed(path):
+        bit = 1 << v
+        found = {}  # image x of v -> an automorphism fixing 0..v-1 that sends v to x
+        made = 0  # the images whose automorphism is a product, not a searched leaf
+        rest = None  # the vertices a branch v -> w places, once one needs them
         others = cells[i] ^ bit
         while others:  # v -> w, refined with w individualized
             low = others & -others  # ascending
@@ -307,30 +317,55 @@ def automorphism_elements(g: Graph) -> list[list[tuple[int, ...]]]:
             mapped = _individualized(adj, cells, i, low, [], trace)
             if mapped is None:
                 continue
-            if slot is None:
-                if back is None:
-                    back = _plan(g, rest)
+            if rest is None:
+                rest = [u for u in order if u > v]
+                back = _plan(g, rest)
                 slot = _slots(fixed, rest)
-            img[v] = low.bit_length() - 1
-            leaf = _first_leaf(rest, back, slot, mapped, adj, img, used | low, 0)
+            w = img[v] = low.bit_length() - 1
+            leaf = _first_leaf(rest, back, slot, mapped, adj, img, bit - 1 | low, 0)
             if leaf is not None:
-                check_bijection(leaf)  # so every product is one too
-                reps.append(leaf)
-        cells = fixed
-        img[v] = v
-        used |= bit
-    while levels and not levels[-1]:
-        levels.pop()
-    if prod(len(r) + 1 for r in levels) > config.MAX_AUT_ELEMENTS:
-        raise GroupTooLargeError(config.MAX_AUT_ELEMENTS)
-    if not by_index:
-        below: list = []  # (j, levels[j]) for each non-empty level j below i
-        for i in range(len(levels) - 1, -1, -1):
-            if levels[i]:
-                if below:
-                    levels[i] = [_least_in_coset(t, below) for t in levels[i]]
-                below.insert(0, (i, levels[i]))
+                check_bijection(leaf)
+                found[w] = leaf
+                gens.append(leaf)
+                if others:  # drop the branches to the orbit's points
+                    made |= _close(found, gens, v)
+                    others &= ~made
+        if not found:
+            continue
+        reps = []
+        for x in sorted(found) if made else found:  # only closure adds out of order
+            t = found[x]
+            if below and (made >> x & 1 or not by_index):
+                t = _least_in_coset(t, below)
+            reps.append(t)
+        size *= len(reps) + 1
+        if size > config.MAX_AUT_ELEMENTS:
+            raise GroupTooLargeError(config.MAX_AUT_ELEMENTS)
+        below.insert(0, (v, reps))
+    levels: list = []
+    for v, reps in below:
+        while len(levels) < v:
+            levels.append([])
+        levels.append(reps)
     return levels
+
+
+def _close(orbit: dict, gens: list, base: int) -> int:
+    """orbit, which maps points x other than base to automorphisms sending
+    base to x, extended to the orbit of base under gens: each point s[x]
+    reached by a generator s from a point x (or from base, the identity)
+    takes the product s after orbit[x]. The bitmask of the points added."""
+    added = 0
+    frontier = [base, *orbit]
+    for x in frontier:  # grows as points are added
+        p = orbit.get(x)
+        for s in gens:
+            y = s[x]
+            if y != base and y not in orbit:
+                orbit[y] = s if p is None else tuple([s[z] for z in p])
+                added |= 1 << y
+                frontier.append(y)
+    return added
 
 
 def _least_in_coset(t: tuple[int, ...], below) -> tuple[int, ...]:

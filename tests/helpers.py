@@ -470,6 +470,22 @@ def disjoint_cliques(copies: int, size: int) -> Graph:
     return Graph.from_edges(copies * size, edges)
 
 
+def latin_square_graph(k: int) -> Graph:
+    """The Latin-square graph of Z_k: the cells (r, c) of its addition table,
+    adjacent when they share a row, a column or a symbol r + c mod k.
+    Strongly regular, SRG(k^2, 3(k - 1), k, 6) for k > 2."""
+    n = k * k
+    return Graph.from_edges(
+        n,
+        [
+            (a, b)
+            for b in range(n)
+            for a in range(b)
+            if a // k == b // k or a % k == b % k or (a // k + a % k - b // k - b % k) % k == 0
+        ],
+    )
+
+
 def mid_group_graphs() -> dict[str, Graph]:
     """Graphs whose groups (order 48 to 5040) are larger than any on a few
     vertices but small enough to sweep in a test."""

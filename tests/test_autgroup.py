@@ -14,6 +14,7 @@ from helpers import (
     closure_orbits,
     conjugate_group,
     disjoint_cliques,
+    latin_square_graph,
     mid_group_graphs,
     preserves_adjacency,
     random_graph,
@@ -172,6 +173,11 @@ def test_identity_bits_on_hand_built_element_lists():
     empty = ElementList(3, ())
     assert empty.maps_to == ((0, 0, 0),) * 3
     assert empty.identity_bits == 0
+    aut = automorphism_group(fam("hypercube", 3))
+    fix_all = -1  # the elements that fix every vertex
+    for v, row in enumerate(aut.maps_to):
+        fix_all &= row[v]
+    assert fix_all == aut.identity_bits == 1
 
 
 def test_repr_of_a_chain_held_group_forms_no_images():
@@ -214,7 +220,7 @@ def test_folded_maps_to_matches_the_table_built_from_images():
     cases += [*_large_group_graphs().values(), _relabelled_q5()]
     for g in cases:
         aut = automorphism_group(g)
-        assert aut.levels is not None, g
+        assert PermGroup.from_images(aut.degree, aut.images).levels == aut.levels, g
         built = ElementList(aut.degree, aut.images)
         assert aut.maps_to == built.maps_to, g
         assert aut.identity_bits == built.identity_bits == 1, g
@@ -224,9 +230,9 @@ def test_relabelled_q5_keeps_its_levels_and_knows_its_order_unformed():
     """Relabelled Q5's products do not come out sorted; the group still
     holds its levels, and its order is known before any image is formed."""
     aut = automorphism_group(_relabelled_q5())
-    assert aut.levels is not None
     assert aut.order == 3840 and not aut.is_trivial
     assert "images" not in vars(aut)
+    assert PermGroup.from_images(aut.degree, aut.images).levels == aut.levels
     assert list(aut.images) != sorted(aut.images)
     assert aut == PermGroup.from_images(aut.degree, aut.images)  # the same elements
     assert hash(aut) == hash(PermGroup.from_images(aut.degree, aut.images))
@@ -316,7 +322,9 @@ def test_sharing_survives_product_order(monkeypatch):
 def test_least_in_coset_gives_the_levels_of_the_walk_by_index(monkeypatch):
     """On these graphs a branch walks by degree, not by index, and some of
     its first leaves are not least: made least, the levels are those of the
-    walk by index, whose first leaves are least already."""
+    walk by index, whose searched leaves are least already and kept as
+    found (the products of orbit closure are made least under either
+    walk)."""
     c = clique_with_tails(3)
     cases = [permuted(c, Perm(tuple(random.Random(s).sample(range(24), 24)))) for s in (1, 2, 3)]
     rng = random.Random(37)
@@ -337,9 +345,20 @@ def test_least_in_coset_gives_the_levels_of_the_walk_by_index(monkeypatch):
     by_degree = [autgroup.automorphism_elements(g) for g in cases]
     assert any(changed)
     monkeypatch.setattr(autgroup, "_by_degree", lambda g: list(range(g.n)))
-    changed.clear()
-    assert [autgroup.automorphism_elements(g) for g in cases] == by_degree
-    assert changed == []
+    leaves = []
+    first_leaf = autgroup._first_leaf
+
+    def searched(*args):
+        leaf = first_leaf(*args)
+        if leaf is not None:
+            leaves.append(leaf)
+        return leaf
+
+    monkeypatch.setattr(autgroup, "_first_leaf", searched)
+    by_index = [autgroup.automorphism_elements(g) for g in cases]
+    assert by_index == by_degree
+    kept = {t for levels in by_index for reps in levels for t in reps}
+    assert leaves and all(leaf in kept for leaf in leaves)
 
 
 def test_orbits_match_closure_oracle():
@@ -400,6 +419,54 @@ def test_non_bijective_representative_is_rejected(monkeypatch):
     monkeypatch.setattr(autgroup, "_first_leaf", broken)
     with pytest.raises(ValueError, match="not a bijection"):
         automorphism_group(fam("path", 3))
+
+
+def _linear_q5():
+    """Q5 as the Cayley graph of Z2^5 with x ~ x XOR s for s in a basis other
+    than the unit vectors: Q5 under a linear relabelling."""
+    s = (18, 21, 25, 28, 29)
+    return Graph.from_edges(32, [(x, x ^ d) for x in range(32) for d in s if x < x ^ d])
+
+
+def test_linearly_relabelled_q5_and_latin_square_graphs_are_searched():
+    """Before the search skipped the branches its automorphisms already
+    reach, automorphism_group ran for over 10 minutes on the first graph
+    without finishing, and took 61-96 ms on each of these relabellings of
+    the Latin-square graph of Z6, SRG(36, 15, 6, 6), whose triangle counts
+    are all equal."""
+    q5 = fam("hypercube", 5)
+    g = _linear_q5()
+    sigma = isomorphism(q5, g)
+    aut = automorphism_group(g)
+    assert aut.order == 3840
+    assert aut.image_set == conjugate_group(automorphism_group(q5), sigma).image_set
+    latin = latin_square_graph(6)
+    aut = automorphism_group(latin)
+    assert aut.order == 432
+    for seed in range(3):
+        pi = Perm(tuple(random.Random(seed).sample(range(36), 36)))
+        image = automorphism_group(permuted(latin, pi))
+        assert image.image_set == conjugate_group(aut, pi).image_set, seed
+
+
+def test_search_skips_the_branches_its_automorphisms_reach(monkeypatch):
+    """Each level searches v -> w only for a w outside the orbit of v that
+    the automorphisms already found reach: Q5 tries at most 8 branches (41
+    with every w of v's cell searched), K8 one per level."""
+    branches = []
+    first_leaf = autgroup._first_leaf
+
+    def counted(*args):
+        if args[-1] == 0:  # the root of a branch v -> w
+            branches.append(args)
+        return first_leaf(*args)
+
+    monkeypatch.setattr(autgroup, "_first_leaf", counted)
+    assert automorphism_group(fam("hypercube", 5)).order == 3840
+    assert 5 <= len(branches) <= 8
+    branches.clear()
+    assert automorphism_group(fam("complete", 8)).order == 40320
+    assert len(branches) == 7
 
 
 def test_vertex_ceiling():
