@@ -26,17 +26,27 @@ searches, by autgroup.group_key, its degree and the levels of its stabilizer
 chain, which depend only on the group: a graph whose group equals, element
 for element, one already placed joins that class without a search, since the
 identity conjugates the one group onto the other, and none of its elements
-is formed. The first graph of each distinct group is tried only against the
-representatives of the classes with its n and order, found by one dict
-lookup; _conjugating_bijection compares cycle indexes before it searches, so
-a group forms its elements for the cycle views only when another group has
-its n and order.
+is formed. A new group that is the symmetric group on each of its orbits
+(orbit-symmetric: |Aut| is the product of |O|! over its orbits O, read off
+autgroup.orbits and the order) is keyed by n and its sorted orbit sizes. It
+always lies in the product of Sym(O), so equal orders make it that product;
+two such products are conjugate exactly when their orbit sizes agree, by any
+bijection mapping orbits onto orbits of equal size, and conjugation keeps
+a group orbit-symmetric. Such a graph thus joins or starts the class of its
+key without a search and without forming an element. Any other group is
+tried only against the representatives of the classes with its n and
+order, found by one dict lookup, none of them orbit-symmetric;
+_conjugating_bijection compares cycle indexes before it searches, so a group
+forms its elements for the cycle views only when another such group has its
+n and order.
 """
 
 from __future__ import annotations
 
+from math import factorial, prod
+
 from . import config
-from .autgroup import automorphism_group, group_key, group_of
+from .autgroup import automorphism_group, group_key, group_of, orbits
 from .errors import BudgetExceededError
 from .graphs import Graph
 from .perms import Perm, PermGroup
@@ -138,7 +148,10 @@ def equivalence_classes(
     A graph whose group equals, element for element, the group of a graph
     already placed, found by group_key, joins that graph's class at once:
     the identity conjugates one group onto the other, so no element, no
-    cycle views and no search are needed.
+    cycle views and no search are needed. A graph whose group is the
+    symmetric group on each of its orbits joins the class of the graphs on
+    n vertices with its sorted orbit sizes, or starts it, also without an
+    element or a search: those groups are conjugate exactly to each other.
     Any other graph is tested against the representative of each existing
     class with its key (n and |Aut|), in class creation order, so
     transitivity is exploited rather than re-derived; a representative whose
@@ -146,29 +159,38 @@ def equivalence_classes(
     ran out of budget is returned as unresolved, and the graph goes on to the
     next class with its key: it may join a later class, and starts its own
     only when no class with its key takes it. A later graph with the same
-    group as one already placed is never unresolved, even under a budget too
-    small to settle the pair by search: it joins that graph's class.
+    group as one already placed, like a graph whose group is orbit-symmetric,
+    is never unresolved, even under a budget too small to settle a pair by
+    search: it joins its class by key.
     """
     classes: list[list[int]] = []  # the members of each class, in creation order
     unresolved: list[tuple[int, int]] = []
     class_of: dict[tuple, list[int]] = {}  # group_key(aut) -> members of its class
+    by_sizes: dict[tuple, list[int]] = {}  # (n, sorted orbit sizes) -> an orbit-symmetric class
     by_key: dict[tuple, list] = {}  # key -> (representative's group, members) per class
     for i, g in enumerate(graphs):
         aut = automorphism_group(g)
         members = class_of.get(chain := group_key(aut))
         if members is None:
-            same_key = by_key.setdefault((g.n, aut.order), [])
-            for rep, cls in same_key:
-                try:
-                    if _conjugating_bijection(rep, aut, budget) is not None:
-                        members = cls
-                        break
-                except BudgetExceededError:
-                    unresolved.append((cls[0], i))
+            sizes = tuple(sorted(map(len, orbits(aut))))
+            if aut.order == prod(map(factorial, sizes)):  # Sym(O) on each orbit O
+                members = by_sizes.get(sized := (g.n, sizes))
+                if members is None:
+                    members = by_sizes[sized] = []
+                    classes.append(members)
             else:
-                members = []
-                classes.append(members)
-                same_key.append((aut, members))
+                same_key = by_key.setdefault((g.n, aut.order), [])
+                for rep, cls in same_key:
+                    try:
+                        if _conjugating_bijection(rep, aut, budget) is not None:
+                            members = cls
+                            break
+                    except BudgetExceededError:
+                        unresolved.append((cls[0], i))
+                else:
+                    members = []
+                    classes.append(members)
+                    same_key.append((aut, members))
             class_of[chain] = members
         members.append(i)
     return classes, unresolved

@@ -369,6 +369,19 @@ def test_orbits_match_closure_oracle():
         assert orbits(aut) == closure_orbits(aut), g
 
 
+def test_orbits_read_only_the_levels():
+    """orbits takes any degree, past maps_to's 256, and forms neither the
+    products nor the maps_to table."""
+    swap = tuple([299, *range(1, 299), 0])  # (0 299)
+    assert orbits(PermGroup(300, levels=[[swap]])) == (
+        frozenset({0, 299}),
+        *(frozenset({v}) for v in range(1, 299)),
+    )
+    aut = automorphism_group(fam("complete", 8))
+    assert orbits(aut) == (frozenset(range(8)),)
+    assert "maps_to" not in aut.__dict__ and "images" not in aut.__dict__
+
+
 def test_pointwise_subset_of_setwise():
     """The pointwise stabilizer of s lies in its setwise stabilizer, so
     when only the identity maps s onto itself, only the identity fixes each

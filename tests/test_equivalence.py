@@ -1,6 +1,7 @@
 import random
 import sys
 from itertools import permutations
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from conftest import graphs
 from helpers import (
     brute_equivalent,
     brute_group,
+    closure_orbits,
     conjugate_group,
     from_cycles,
     inverse,
@@ -19,7 +21,7 @@ from helpers import (
     preserves_adjacency,
     random_graph,
 )
-from symbreak.autgroup import automorphism_group, isomorphism
+from symbreak.autgroup import automorphism_group, group_key, isomorphism
 from symbreak.equivalence import (
     _conjugating_bijection,
     distinguishably_equivalent,
@@ -382,25 +384,35 @@ def test_classes_match_conjugacy_by_every_bijection():
     assert partition == list(by_key.values())
 
 
+def orbit_symmetric(aut: PermGroup) -> bool:
+    """Whether aut is the symmetric group on each of its orbits, by the
+    closure oracle's orbits."""
+    return aut.order == prod(factorial(len(o)) for o in closure_orbits(aut))
+
+
 def test_unresolved_pairs_follow_class_creation_order():
     """Under a budget of one node every search that needs a second node is
-    unresolved, and the graph goes on to the next class with its key: the
-    pairs and classes below were captured before classes were looked up by
-    key, when each graph scanned every class in creation order."""
+    unresolved, and the graph goes on to the next class with its key. The
+    pairs below were captured before classes were looked up by key, when
+    each graph scanned every class in creation order. An orbit-symmetric
+    group is placed by its orbit sizes and never searched, so only the
+    pairs in which neither group is orbit-symmetric stay unresolved."""
     rng = random.Random(3)
     base = [g for n in range(1, 5) for g in enumerate_graphs(n)]
     graphs = base + [
         permuted(complement(g), Perm(tuple(rng.sample(range(g.n), g.n)))) for g in base
     ]
     partition, unresolved = equivalence_classes(graphs, Budget.uniform(1))
-    assert unresolved == [
+    captured = [
         (4, 5), (10, 11), (12, 15), (4, 22), (5, 22), (8, 26),
         (10, 29), (11, 29), (13, 31), (9, 32), (8, 34), (26, 34),
     ]
+    symmetric = [orbit_symmetric(automorphism_group(g)) for g in graphs]
+    assert unresolved == [(i, j) for i, j in captured if not (symmetric[i] or symmetric[j])]
     assert partition == [
-        [0, 18], [1, 2, 19, 20], [3, 6, 21, 24], [4, 23], [5], [7, 17, 25, 35],
-        [8, 16], [9, 14, 27], [10], [11, 28], [12], [13], [15, 30, 33], [22],
-        [26], [29], [31], [32], [34],
+        [0, 18], [1, 2, 19, 20], [3, 6, 21, 24], [4, 5, 22, 23], [7, 17, 25, 35],
+        [8, 16, 26, 34], [9, 14, 27, 32], [10, 11, 28, 29], [12], [13],
+        [15, 30, 33], [31],
     ]
 
 
@@ -412,6 +424,80 @@ def test_a_known_group_joins_its_class_under_any_budget():
     )
     # the complement shares C6's group; the relabelled copy needs a search
     assert partition == [[0, 1], [2]] and unresolved == [(0, 2)]
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """The arguments of every _conjugating_bijection call that
+    equivalence_classes makes."""
+    import symbreak.equivalence as equivalence
+
+    calls = []
+    real_search = equivalence._conjugating_bijection
+
+    def search(*args, **kwargs):
+        calls.append(args)
+        return real_search(*args, **kwargs)
+
+    monkeypatch.setattr(equivalence, "_conjugating_bijection", search)
+    return calls
+
+
+def test_equal_order_groups_split_by_orbit_sizes(searched):
+    """P4 and the paw both have n = 4 and |Aut| = 2, but <(0 3)(1 2)> and
+    <(0 1)> are not conjugate. The paw's group is orbit-symmetric, so it
+    starts its own class by its orbit sizes, without a search."""
+    p4 = fam("path", 4)
+    paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    a, b = automorphism_group(p4), automorphism_group(paw)
+    assert a.order == b.order == 2
+    assert not orbit_symmetric(a) and orbit_symmetric(b)
+    assert equivalence_classes([p4, paw]) == ([[0], [1]], [])
+    assert searched == []
+    assert distinguishably_equivalent(p4, paw) is None
+
+
+def complete_multipartite(sizes) -> Graph:
+    """Every edge between two of the consecutive parts of the given sizes."""
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    n = len(part)
+    return Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v) if part[u] != part[v]])
+
+
+def test_orbit_symmetric_groups_join_by_orbit_sizes_without_a_search(monkeypatch, searched):
+    """Complete multipartite graphs and disjoint unions of cliques with parts
+    of distinct sizes have Sym(part) on each part as their group, so seeded
+    relabellings of those with equal part sizes form one class. None is
+    searched, and no group forms its products."""
+    import symbreak.equivalence as equivalence
+
+    rng = random.Random(11)
+    graphs = []
+    for sizes in [(1, 2, 4), (3, 5), (2, 4, 1)]:
+        multipartite = complete_multipartite(sizes)
+        for g in (multipartite, complement(multipartite)):  # the cliques on the parts
+            for _ in range(3):
+                graphs.append(permuted(g, Perm(tuple(rng.sample(range(g.n), g.n)))))
+    groups = []  # every group built, in order
+    real_group = equivalence.automorphism_group
+
+    def group(g):
+        groups.append(real_group(g))
+        return groups[-1]
+
+    monkeypatch.setattr(equivalence, "automorphism_group", group)
+    partition, unresolved = equivalence_classes(graphs)
+    assert unresolved == [] and searched == []
+    assert partition == [[*range(6), *range(12, 18)], list(range(6, 12))]
+    assert len(groups) == len(graphs) and len({group_key(a) for a in groups}) > 2
+    assert all("images" not in a.__dict__ and "maps_to" not in a.__dict__ for a in groups)
+
+
+def test_empty_graphs_and_a_single_vertex():
+    """The trivial groups on 0 and on 1 vertices are orbit-symmetric and are
+    not conjugate."""
+    empty = Graph(0, ())
+    assert equivalence_classes([empty, empty, Graph(1, (0,))]) == ([[0, 1], [2]], [])
 
 
 def test_isomorphic_graphs_are_equivalent():
