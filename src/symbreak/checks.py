@@ -50,7 +50,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import combinations, permutations
 
 from . import config
@@ -281,14 +280,9 @@ VERIFY_SMALLER_CLASS_UPTO = 10
 # skip reason of a record whose scan raised; such a skip fails the scan
 ERROR_SKIP = "error: "
 
-# records per task of the scan's process pool; each task keeps its own table
-# of group results
-SCAN_CHUNK = 16
-
 
 @dataclass(frozen=True)
 class ScanOptions:
-    jobs: int = 1
     budget: config.Budget = config.DEFAULT_BUDGET
     all_pairs: bool = False  # run pair rules on every size-2 determining pair
 
@@ -359,28 +353,19 @@ def _brute_min_class_size(aut: PermGroup, n: int):
     return None
 
 
-def _scan_list(graphs: list[Graph], options: ScanOptions) -> list[dict]:
-    """The per-record results of a list of graphs, in order, inline or in a
-    worker. Everything derived from the group is computed once per distinct
-    group in the list: its table maps group_key(aut), equal for two groups
-    exactly when they have the same elements, to the first such record's
-    result."""
-    by_group: dict[tuple, dict] = {}
-    return [_scan_one(g, options, by_group) for g in graphs]
-
-
 def _scan_one(g: Graph, options: ScanOptions, by_group: dict):
-    """Per-graph work. Any exception, the graph6 encoding's included,
-    becomes an error skip with its type and message (and its traceback goes
-    to the log), so one bad record never aborts the scan but still fails it.
-    A record with no graph6 text is labelled by its vertex count."""
+    """Per-graph work: the record's group, None when it was not built, and
+    its result. Any exception, the graph6 encoding's included, becomes an
+    error skip with its type and message (and its traceback goes to the log),
+    so one bad record never aborts the scan but still fails it. A record with
+    no graph6 text is labelled by its vertex count."""
     g6 = f"<n={g.n}>"
     try:
         g6 = encode_graph6(g)
         return _scan_record(g, g6, options, by_group)
     except Exception as exc:
         logging.getLogger(__name__).exception("scan of %s failed", g6)
-        return {"graph6": g6, "skip": f"{ERROR_SKIP}{type(exc).__name__}: {exc}"}
+        return None, {"graph6": g6, "skip": f"{ERROR_SKIP}{type(exc).__name__}: {exc}"}
 
 
 def _restamp(res: dict, g: Graph, g6: str) -> dict:
@@ -410,18 +395,18 @@ def _restamp(res: dict, g: Graph, g6: str) -> dict:
 
 
 def _scan_record(g: Graph, g6: str, options: ScanOptions, by_group: dict):
-    """A skip when the group cannot be built, else a re-stamped copy of the
-    table's result for the group, else the group results, entered in the
-    table only once they are complete."""
+    """The record's group and a skip when the group cannot be built, else a
+    re-stamped copy of the table's result for the group, else the group
+    results, entered in the table only once they are complete."""
     try:
         aut = automorphism_group(g)
     except (GroupTooLargeError, UnsupportedSizeError) as exc:
-        return {"graph6": g6, "skip": f"automorphism group: {exc}"}
+        return None, {"graph6": g6, "skip": f"automorphism group: {exc}"}
     key = group_key(aut)
     if key in by_group:
-        return _restamp(by_group[key], g, g6)
+        return aut, _restamp(by_group[key], g, g6)
     by_group[key] = _group_results(g, g6, aut, options)
-    return by_group[key]
+    return aut, by_group[key]
 
 
 def _group_results(g: Graph, g6: str, aut: PermGroup, options: ScanOptions):
@@ -488,26 +473,18 @@ def _group_results(g: Graph, g6: str, aut: PermGroup, options: ScanOptions):
 
 def scan_corpus(graphs, options: ScanOptions = ScanOptions()) -> ScanReport:
     """Analyze every graph, enforce the rho bound and the pair rules on the
-    D=2, Det=2 subset, and aggregate deterministically in input order.
+    D=2, Det=2 subset, and aggregate as it goes, in input order.
 
     The group results (the report's invariants and witnesses, their
     re-verification, the direct rho cross-check and the pair rules) are
-    computed once per distinct group per worker call, and re-stamped with the
-    graph6, n and m of each later record with that group. Inline the whole
-    list is one call; the process pool takes consecutive chunks of SCAN_CHUNK
-    records. The output is the same for any number of jobs."""
-    graphs = list(graphs)
-    scan = partial(_scan_list, options=options)
-    if options.jobs > 1 and len(graphs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = [graphs[i : i + SCAN_CHUNK] for i in range(0, len(graphs), SCAN_CHUNK)]
-        # a fork pool starts all its workers at once, so never more than chunks
-        with ProcessPoolExecutor(max_workers=min(options.jobs, len(chunks))) as pool:
-            results = [res for part in pool.map(scan, chunks) for res in part]
-    else:
-        results = scan(graphs)
-
+    computed once per distinct group of the corpus: a table maps
+    group_key(aut), equal for two groups exactly when they have the same
+    elements, to the first such record's result, which is re-stamped with
+    the graph6, n and m of each later record with that group. Each record's
+    group is searched once; the hunt for two graphs with groups of one order
+    that are not equivalent compares the groups the records already have."""
+    by_group: dict[tuple, dict] = {}
+    corpus_size = 0
     skipped: list[tuple[str, str]] = []
     det2_d2 = 0
     histogram: dict[int, int] = {}
@@ -516,11 +493,13 @@ def scan_corpus(graphs, options: ScanOptions = ScanOptions()) -> ScanReport:
     violations: list[Violation] = []
     rule_reports: list[RuleReport] = []
     graph_reports: list[SymmetryReport] = []
-    first_by_order: dict[int, Graph] = {}
-    first_aut: dict[int, PermGroup] = {}  # their groups, searched when first compared
+    # per group order, the first record with it: graph, group and graph6
+    first_by_order: dict[int, tuple[Graph, PermGroup, str]] = {}
     evidence: tuple[str, str] | None = None
 
-    for g, res in zip(graphs, results):
+    for g in graphs:
+        corpus_size += 1
+        aut, res = _scan_one(g, options, by_group)
         if "skip" in res:
             skipped.append((res["graph6"], res["skip"]))
             continue
@@ -542,19 +521,21 @@ def scan_corpus(graphs, options: ScanOptions = ScanOptions()) -> ScanReport:
         if evidence is None:
             seen = first_by_order.get(report.aut_order)
             if seen is None:
-                first_by_order[report.aut_order] = g
+                first_by_order[report.aut_order] = (g, aut, report.graph6)
             else:
-                if report.aut_order not in first_aut:
-                    first_aut[report.aut_order] = automorphism_group(seen)
-                aut1 = first_aut[report.aut_order]
+                seen_g, seen_aut, seen_g6 = seen
                 try:
-                    if distinguishably_equivalent(seen, g, options.budget, aut1=aut1) is None:
-                        evidence = (encode_graph6(seen), report.graph6)
+                    sigma = distinguishably_equivalent(
+                        seen_g, g, options.budget, aut1=seen_aut, aut2=aut
+                    )
                 except BudgetExceededError:
-                    pass
+                    pass  # undecided, so no evidence either way
+                else:
+                    if sigma is None:
+                        evidence = (seen_g6, report.graph6)
 
     return ScanReport(
-        corpus_size=len(graphs),
+        corpus_size=corpus_size,
         skipped=tuple(skipped),
         det2_d2_count=det2_d2,
         rho_histogram=histogram,

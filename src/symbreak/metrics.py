@@ -160,6 +160,11 @@ def _mask_bits(mask: int):
         mask ^= low
 
 
+def _over_budget(cap: int) -> BudgetExceededError:
+    """The error of a subset walk that needs more than cap first subsets."""
+    return BudgetExceededError(f"subset search exceeded {cap} orbit representatives")
+
+
 class _SubsetScan:
     """Shared machinery: subsets by increasing size, one visit per orbit."""
 
@@ -219,7 +224,7 @@ class _SubsetScan:
         """Count a first subset, raising once there are more than the cap."""
         self.tests += 1
         if self.tests > self.cap:
-            raise BudgetExceededError(f"subset search exceeded {self.cap} candidate tests")
+            raise _over_budget(self.cap)
 
 
 def subset_orbit_representatives(aut: PermGroup, sizes, budget: config.Budget):
@@ -265,8 +270,7 @@ def _min_sets(aut: PermGroup, budget: config.Budget, det=UNKNOWN, rho=UNKNOWN):
 
 def _settled(value, budget: config.Budget):
     if value is UNKNOWN:
-        cap = budget.subset_tests
-        raise BudgetExceededError(f"subset search exceeded {cap} candidate tests")
+        raise _over_budget(budget.subset_tests)
     return value
 
 

@@ -42,9 +42,6 @@ RHO_Q5 = 5
 N7_HISTOGRAM = {2: 292, 3: 42}
 N7_DET2_D2_COUNT = 334
 
-JOBS = 2
-
-
 def fam(kind, p):
     return generate_family(FamilySpec(kind, p))
 
@@ -106,7 +103,7 @@ def test_criterion_4_and_5_full_scan(graphs7_path):
     corpus += seven
     assert len(corpus) == 1252
 
-    report = scan_corpus(corpus, ScanOptions(jobs=JOBS, all_pairs=True))
+    report = scan_corpus(corpus, ScanOptions(all_pairs=True))
     assert not report.skipped
     assert report.violations == (), report.violations[:5]
     assert set(report.rho_histogram) <= {2, 3, 4}

@@ -282,7 +282,7 @@ def test_sharing_survives_product_order(monkeypatch):
         return analyze(*args, **kwargs)
 
     monkeypatch.setattr(checks, "analyze", counted)
-    scan_corpus([g, h], ScanOptions(jobs=1))
+    scan_corpus([g, h], ScanOptions())
     assert len(analyzed) == 1
 
     searches = []
@@ -411,7 +411,7 @@ def test_analysis_builds_no_perm_objects(monkeypatch):
 
     monkeypatch.setattr(checks, "automorphism_group", recorded)
     monkeypatch.setattr(equivalence, "automorphism_group", recorded)
-    scan_corpus(cases, ScanOptions(jobs=1))
+    scan_corpus(cases, ScanOptions())
     assert len(built) >= len(cases)
     assert not any("elements" in vars(aut) for aut in built)
 

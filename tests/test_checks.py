@@ -207,7 +207,7 @@ def test_rules_match_the_scan_on_every_determining_pair_of_graphs7():
             assert assert_rules_match_scan(g, aut, pair, report.d).passed
             expected.append((report.graph6, pair))
     assert len(expected) == 1674
-    scan = scan_corpus(corpus, ScanOptions(jobs=1, all_pairs=True))
+    scan = scan_corpus(corpus, ScanOptions(all_pairs=True))
     assert [(rr.graph6, rr.pair) for rr in scan.rule_reports] == expected
 
 
@@ -439,50 +439,20 @@ def test_scan_empty_corpus():
     assert report.rho_histogram == {}
 
 
-def test_scan_deterministic_across_jobs():
+def test_scan_lines_are_the_reports_of_analyze():
     # each complement on the same labels repeats a group, and the shuffle
-    # spreads the records of one group over several of the pool's chunks
+    # spreads the records of one group over the list, so most records take
+    # a re-stamped copy of an earlier record's result
     rng = random.Random(3)
     base = [g for n in range(1, 6) for g in enumerate_graphs(n)]
     corpus = base + [complement(g) for g in base]
     corpus += [permuted(g, Perm(tuple(rng.sample(range(g.n), g.n)))) for g in corpus]
     rng.shuffle(corpus)
     assert len({automorphism_group(g).images for g in corpus}) < len(corpus) // 2
-    r1 = scan_corpus(corpus, ScanOptions(jobs=1))
-    r2 = scan_corpus(corpus, ScanOptions(jobs=2))
-    assert r1.ok and r1 == r2
-    lines1 = [rep.to_line() for rep in r1.graph_reports]
-    lines2 = [rep.to_line() for rep in r2.graph_reports]
-    assert lines1 == lines2
-
-
-def test_scan_pool_never_has_more_workers_than_chunks(monkeypatch):
-    """A fork pool starts every worker at once, so --jobs beyond the number
-    of chunks must not reach it. The fake pool records its size and maps
-    inline; no process is started."""
-    import concurrent.futures
-
-    sizes = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, chunks):
-            return map(fn, chunks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    corpus = [g for n in range(1, 6) for g in enumerate_graphs(n)]  # 52 graphs
-    inline = scan_corpus(corpus, ScanOptions(jobs=1))
-    for jobs, workers in [(2, 2), (4, 4), (1000, 4)]:
-        assert scan_corpus(corpus, ScanOptions(jobs=jobs)) == inline
-        assert sizes.pop() == workers
+    report = scan_corpus(corpus)
+    assert report.ok and not report.skipped
+    lines = [rep.to_line() for rep in report.graph_reports]
+    assert lines == [analyze(g).to_line() for g in corpus]
 
 
 def test_scan_all_pairs_mode():
@@ -510,7 +480,7 @@ def test_scan_skips_a_graph_too_large_for_the_automorphism_search():
 def test_scan_skips_a_graph_the_graph6_encoder_refuses():
     """The encoder caps n at 512: that record is an error skip labelled by
     its vertex count, and the scan goes on past it."""
-    report = scan_corpus([Graph(2, (0, 0)), Graph(513, (0,) * 513)], ScanOptions(jobs=1))
+    report = scan_corpus([Graph(2, (0, 0)), Graph(513, (0,) * 513)], ScanOptions())
     assert report.corpus_size == 2 and len(report.graph_reports) == 1
     assert report.graph_reports[0].graph6 == "A?"
     assert report.skipped == (
@@ -521,7 +491,7 @@ def test_scan_skips_a_graph_the_graph6_encoder_refuses():
 
 def test_scan_skips_a_record_whose_analysis_raises(monkeypatch):
     corpus = [g for n in range(1, 6) for g in enumerate_graphs(n)]
-    clean = scan_corpus(corpus, ScanOptions(jobs=1))
+    clean = scan_corpus(corpus, ScanOptions())
     assert clean.ok and not clean.errors
     bad = corpus[30]
     real_analyze = checks.analyze
@@ -532,7 +502,7 @@ def test_scan_skips_a_record_whose_analysis_raises(monkeypatch):
         return real_analyze(g, *args, **kwargs)
 
     monkeypatch.setattr(checks, "analyze", analyze)
-    report = scan_corpus(corpus, ScanOptions(jobs=1))
+    report = scan_corpus(corpus, ScanOptions())
     assert report.corpus_size == len(corpus)
     assert report.skipped == ((encode_graph6(bad), "error: RuntimeError: injected fault"),)
     assert report.graph_reports == tuple(
@@ -554,7 +524,7 @@ def test_scan_restamps_a_shared_group_with_each_record(monkeypatch):
         return -1  # disagrees with every rho, so each record has a violation
 
     monkeypatch.setattr(checks, "_brute_min_class_size", brute)
-    report = scan_corpus([g, h], ScanOptions(jobs=1, all_pairs=True))
+    report = scan_corpus([g, h], ScanOptions(all_pairs=True))
     assert len(brute_calls) == 1
     assert [r.to_line() for r in report.graph_reports] == [
         analyze(g).to_line(),

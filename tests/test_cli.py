@@ -132,7 +132,7 @@ def test_equiv_wrong_record_count(tmp_path, capsys):
 
 
 def test_scan_enumerate_clean(capsys):
-    code, out, _ = run_cli(capsys, "scan", "--enumerate", "5", "--jobs", "1")
+    code, out, _ = run_cli(capsys, "scan", "--enumerate", "5")
     assert code == 0
     lines = out.strip().splitlines()
     summary = json.loads(lines[-1])
@@ -141,9 +141,9 @@ def test_scan_enumerate_clean(capsys):
     assert len(lines) == 53  # one per graph + summary
 
 
-def test_scan_deterministic_across_jobs(capsys):
-    code1, out1, _ = run_cli(capsys, "scan", "--enumerate", "5", "--jobs", "1")
-    code2, out2, _ = run_cli(capsys, "scan", "--enumerate", "5", "--jobs", "2")
+def test_scan_accepts_jobs_and_ignores_it(capsys):
+    code1, out1, _ = run_cli(capsys, "scan", "--enumerate", "5")
+    code2, out2, _ = run_cli(capsys, "scan", "--enumerate", "5", "--jobs", "3")
     assert code1 == code2 == 0
     assert out1 == out2
 
@@ -155,7 +155,7 @@ def test_scan_exits_1_when_a_record_raises(capsys, monkeypatch):
         raise RuntimeError("injected fault")
 
     monkeypatch.setattr(checks, "analyze", analyze)
-    code, out, _ = run_cli(capsys, "scan", "--enumerate", "3", "--jobs", "1")
+    code, out, _ = run_cli(capsys, "scan", "--enumerate", "3")
     assert code == 1
     summary = json.loads(out.strip().splitlines()[-1])
     assert summary["violations"] == []
@@ -163,7 +163,7 @@ def test_scan_exits_1_when_a_record_raises(capsys, monkeypatch):
 
 
 def test_scan_props_flag(capsys):
-    code, out, _ = run_cli(capsys, "scan", "--enumerate", "4", "--props", "--jobs", "1")
+    code, out, _ = run_cli(capsys, "scan", "--enumerate", "4", "--props")
     assert code == 0
     summary = json.loads(out.strip().splitlines()[-1])
     assert summary["rule_checks"] >= 2
@@ -172,7 +172,7 @@ def test_scan_props_flag(capsys):
 def test_scan_corpus_file(tmp_path, capsys):
     path = tmp_path / "corpus.g6"
     path.write_text("Bw\nDhc\n")
-    code, out, _ = run_cli(capsys, "scan", str(path), "--jobs", "1")
+    code, out, _ = run_cli(capsys, "scan", str(path))
     assert code == 0
     summary = json.loads(out.strip().splitlines()[-1])
     assert summary["corpus_size"] == 2
@@ -182,7 +182,7 @@ def test_scan_corpus_file(tmp_path, capsys):
 def test_scan_reports_a_bad_record_and_scans_the_rest(tmp_path, capsys):
     path = tmp_path / "corpus.g6"
     path.write_text("Bw\n!!bad\nBg\n?bad\n")
-    code, out, err = run_cli(capsys, "scan", str(path), "--jobs", "1")
+    code, out, err = run_cli(capsys, "scan", str(path))
     assert code == 1
     assert [line.split(":")[:2] for line in err.splitlines()] == [
         ["error", " line 2"],
@@ -207,7 +207,7 @@ def test_scan_takes_a_file_or_enumerate_not_both(tmp_path, capsys):
     path = tmp_path / "corpus.g6"
     path.write_text("Bw\n")
     for argv in ([str(path), "--enumerate", "2"], ["--enumerate", "2", str(path)]):
-        code, out, err = run_cli(capsys, "scan", *argv, "--jobs", "1")
+        code, out, err = run_cli(capsys, "scan", *argv)
         assert (code, out) == (2, "")
         assert "not allowed with argument" in err
 
@@ -222,8 +222,7 @@ def test_unknown_subcommand_exits_2(capsys):
 
 
 def test_scan_json_format(capsys):
-    code, out, _ = run_cli(capsys, "scan", "--enumerate", "3", "--jobs", "1",
-                           "--format", "json")
+    code, out, _ = run_cli(capsys, "scan", "--enumerate", "3", "--format", "json")
     assert code == 0
     for line in out.strip().splitlines():
         json.loads(line)
@@ -243,9 +242,7 @@ def test_scan_rejects_counts_below_one(capsys, option):
 # each had a walk of its own.
 @pytest.mark.parametrize("budget", [1, 2, 5, 50])
 def test_budget_limited_scan_matches_golden(capsys, budget):
-    code, out, _ = run_cli(
-        capsys, "scan", "--enumerate", "5", "--budget", str(budget), "--jobs", "1"
-    )
+    code, out, _ = run_cli(capsys, "scan", "--enumerate", "5", "--budget", str(budget))
     assert code == 0
     assert out == (GOLDENS / f"scan5_budget{budget}.out").read_text()
 

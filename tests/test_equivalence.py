@@ -41,7 +41,7 @@ from symbreak.graphs import (
     parse_graph6,
     permuted,
 )
-from symbreak.metrics import distinguishing_number
+from symbreak.metrics import analyze, distinguishing_number
 from symbreak.perms import Perm, PermGroup, cycle_type
 
 GOLDENS = Path(__file__).resolve().parent / "goldens"
@@ -604,11 +604,33 @@ def test_equivalence_reuses_given_groups(aut_calls):
 
 def test_scan_searches_a_compared_representative_once(aut_calls, graphs7_path):
     graphs = [parse_graph6(record) for record in graphs7_path.read_text().split()]
-    report = scan_corpus(graphs, ScanOptions(jobs=1))
+    report = scan_corpus(graphs, ScanOptions())
     assert report.same_order_nonequivalent == ("F???W", "F??G_")
-    # one search per graph, then for the evidence one for the representative
-    # of the order and one per graph compared with it, two before they differ
-    assert len(aut_calls) == len(graphs) + 3
+    # one search per graph: the evidence compares the groups the scan has
+    assert len(aut_calls) == len(graphs)
+
+
+def test_scan_of_the_rigid_graphs_searches_each_group_once(aut_calls):
+    """No two of the 152 rigid graphs on 7 vertices give evidence, so every
+    record after the first is compared with the first; each comparison takes
+    both groups from the scan."""
+    rigid = [g for g in enumerate_graphs(7) if automorphism_group(g).order == 1]
+    assert len(rigid) == 152
+    report = scan_corpus(rigid)
+    assert len(aut_calls) == 152
+    assert report.summary_obj() == {
+        "analyzed": 152,
+        "corpus_size": 152,
+        "det2_d2_count": 0,
+        "max_rho_per_det": {"0": 0},
+        "rho4_witnesses": [],
+        "rho_histogram": {},
+        "rule_checks": 0,
+        "same_order_nonequivalent": None,
+        "skipped": [],
+        "violations": [],
+    }
+    assert report.graph_reports == tuple(analyze(g) for g in rigid)
 
 
 def test_bijection_search_leaves_no_reference_cycles():
