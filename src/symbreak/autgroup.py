@@ -31,10 +31,21 @@ Refinement runs at the root of each branch v -> x, with v individualized on
 one side and x on the other; below it the walk only reads the cells.
 isomorphism refines the two unit partitions, then each branch order[0] -> x.
 automorphism_elements refines g's identity path on the base 0, 1, ...,
-n-1, with 0..i-1 individualized at level i; a leaf under i -> x represents a
+n-1, with 0..i-1 individualized at level i, and stops at the first
+partition whose cells of two or more vertices are each a set of mutual
+twins (_twin_cells): vertices with equal rows outside their cell, which is
+a clique or an independent set. Refinement is label-invariant, so every
+automorphism that fixes the vertices individualized there maps each refined
+cell onto itself, and the stabilizer lies in the product of the symmetric
+groups on the cells; swapping two twins is itself such an automorphism, so
+the two are equal. This holds at the root too, where the triangle-count
+seed is invariant as well, and a discrete partition is the case with no
+such cell. The levels below that point are written in closed form
+(_twin_levels), once the product of the cells' factorials is known to be
+within config.MAX_AUT_ELEMENTS. Above it, a leaf under i -> x represents a
 coset of the stabilizer of 0..i in that of 0..i-1 (Sims), and Aut(g) is
 every product of one representative or the identity per level. The levels
-are settled from the deepest up, so the leaves searched below i generate
+are settled from the deepest up, so the representatives below i generate
 the stabilizer of 0..i. With the leaves found at i they reach part of the
 orbit of i, closed under them point by point (_close): the branch i -> x is
 searched only for an x of i's cell they do not reach yet, and every point
@@ -58,6 +69,8 @@ caller's group, checked against g's degree, or else Aut(g).
 """
 
 from __future__ import annotations
+
+import math
 
 from . import config
 from .errors import DegreeError, GroupTooLargeError, UnsupportedSizeError
@@ -268,43 +281,110 @@ def isomorphism(g1: Graph, g2: Graph):
     return None
 
 
+def _twin_cells(adj, cells: list[int]) -> bool:
+    """Whether every cell of two or more vertices is a set of mutual twins:
+    a clique whose vertices have equal closed neighborhoods, or an
+    independent set whose vertices have equal open ones. True at once on a
+    discrete partition; False at the first cell that is not twins."""
+    if len(cells) == len(adj):
+        return True
+    for cell in cells:
+        if cell & (cell - 1):
+            low = cell & -cell
+            row = adj[low.bit_length() - 1]
+            closed = row & cell  # a clique: closed neighborhoods are compared
+            if closed:
+                row |= low
+            rest = cell ^ low
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if adj[low.bit_length() - 1] | (low if closed else 0) != row:
+                    return False
+    return True
+
+
+def _twin_levels(n: int, cells: list[int]) -> list:
+    """The stabilizer chain of the product of the symmetric groups on the
+    cells, disjoint vertex bitmasks, on the base 0..n-1: (c(a),
+    representatives) for each cell c0 < c1 < ... < c(m-1) and a < m-1. The
+    representative sending c(a) to c(k) maps c(i) to c(i-1) for a < i <= k
+    and fixes every other point, the least element of its coset; they go in
+    ascending order of c(k)."""
+    below = []
+    for cell in cells:
+        c = []
+        while cell:
+            low = cell & -cell
+            cell ^= low
+            c.append(low.bit_length() - 1)
+        for a in range(len(c) - 1):
+            reps = []
+            t = list(range(n))
+            for k in range(a + 1, len(c)):
+                t[c[a]], t[c[k]] = c[k], c[k - 1]
+                reps.append(tuple(t))
+            below.append((c[a], reps))
+    below.sort()
+    return below
+
+
 def automorphism_elements(g: Graph) -> list[list[tuple[int, ...]]]:
     """Aut(g) as the levels of its stabilizer chain on the base 0..n-1: per
     vertex v, the coset representatives besides the identity, one per image
     x of v under the stabilizer of 0..v-1, in ascending order of x, each the
-    least element of its coset. The levels are settled from the deepest up:
-    at v the branch v -> w is searched only for a w that the leaves found so
-    far do not reach, and every point they reach takes the product that
-    reached it (_close), made least in its coset from the levels below,
-    final by then (_least_in_coset). Every leaf found is checked to be a
-    bijection, so every product is one too. Trailing empty levels are
-    dropped, so the levels depend only on the group. The elements are their
-    products (PermGroup), none of which is formed here, and the name stays
-    the one bench/tracer.py times as the search. GroupTooLargeError if there
-    are more than config.MAX_AUT_ELEMENTS of them."""
+    least element of its coset.
+
+    The identity path stops at the first refined partition whose cells of
+    two or more vertices are each a set of mutual twins (_twin_cells).
+    Refinement is label-invariant, so every automorphism fixing the
+    vertices individualized there maps each refined cell onto itself: the
+    stabilizer lies in the product of the symmetric groups on the cells.
+    Swapping two twins is itself an automorphism fixing those vertices, so
+    the product lies in the stabilizer, and the two are equal; at the root
+    too, where the triangle-count seed is invariant as well. A discrete
+    partition is the case without such a cell. The levels below that point
+    are written in closed form (_twin_levels), once their order, the
+    product of the cells' factorials, is known to be within the cap.
+
+    The levels above it are settled from the deepest up: at v the branch
+    v -> w is searched only for a w that the automorphisms found so far do
+    not reach, and every point they reach takes the product that reached it
+    (_close), made least in its coset from the levels below, final by then
+    (_least_in_coset). Every leaf found is checked to be a bijection, so
+    every product is one too. Trailing empty levels are dropped, so the
+    levels depend only on the group. The elements are their products
+    (PermGroup), none of which is formed here, and the name stays the one
+    bench/tracer.py times as the search. GroupTooLargeError if there are
+    more than config.MAX_AUT_ELEMENTS of them."""
     n, adj = g.n, g.adj
     cells = _unit_refined(g, [])  # refined with 0..v-1 individualized
-    path = []  # (v, cells, v's cell index, its trace, cells with v too) per v not alone
+    path = []  # (v, cells, v's cell index, its trace, cells with v too) per v individualized
     v = 0
-    while len(cells) < n:  # not discrete: some automorphism may move v..n-1
+    while not _twin_cells(adj, cells):  # some cell holds vertices that are not twins
+        while 1 << v in cells:  # v is alone in its cell, fixed by every automorphism here
+            v += 1
         bit = 1 << v
-        if bit not in cells:  # else v is alone in its cell, fixed by every automorphism here
-            for i, cell in enumerate(cells):
-                if cell & bit:
-                    break
-            trace: list[int] = []
-            fixed = _individualized(adj, cells, i, bit, trace)
-            path.append((v, cells, i, trace, fixed))
-            cells = fixed
+        for i, cell in enumerate(cells):
+            if cell & bit:
+                break
+        trace: list[int] = []
+        fixed = _individualized(adj, cells, i, bit, trace)
+        path.append((v, cells, i, trace, fixed))
+        cells = fixed
         v += 1
-    if not path:  # discrete at the root: only the identity, and no plan
-        return []
-    order = _by_degree(g)  # the vertices a branch places, in _first_leaf's order
-    by_index = order == sorted(order)  # then every searched leaf is already least
-    img = list(range(n))  # 0..v-1 stay fixed; a branch writes v and rest before reading them
-    below: list = []  # (j, representatives) for each non-empty level j > v
-    gens: list = []  # the leaves searched at levels >= v; those below v generate 0..v's stabilizer
+    twins = [cell for cell in cells if cell & (cell - 1)]
     size = 1  # the order of the stabilizer of 0..v-1
+    for cell in twins:
+        size *= math.factorial(cell.bit_count())
+    if size > config.MAX_AUT_ELEMENTS:
+        raise GroupTooLargeError(config.MAX_AUT_ELEMENTS)
+    below = _twin_levels(n, twins)  # (j, representatives) for each non-empty level j > v
+    gens = [t for _, reps in below for t in reps]  # they generate the stabilizer of 0..v
+    if path:
+        order = _by_degree(g)  # the vertices a branch places, in _first_leaf's order
+        by_index = order == sorted(order)  # then every searched leaf is already least
+        img = list(range(n))  # 0..v-1 stay fixed; a branch writes v and rest before reading them
     for v, cells, i, trace, fixed in reversed(path):
         bit = 1 << v
         found = {}  # image x of v -> an automorphism fixing 0..v-1 that sends v to x

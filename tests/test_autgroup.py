@@ -423,6 +423,8 @@ def test_analysis_builds_no_perm_objects(monkeypatch):
 
 
 def test_non_bijective_representative_is_rejected(monkeypatch):
+    """P4's cells {0, 3} and {1, 2} are not twins, so its level 0 is
+    searched; P3's cells {1} and {0, 2} are, and it searches nothing."""
     first_leaf = autgroup._first_leaf
 
     def broken(*args):
@@ -431,7 +433,7 @@ def test_non_bijective_representative_is_rejected(monkeypatch):
 
     monkeypatch.setattr(autgroup, "_first_leaf", broken)
     with pytest.raises(ValueError, match="not a bijection"):
-        automorphism_group(fam("path", 3))
+        automorphism_group(fam("path", 4))
 
 
 def _linear_q5():
@@ -462,24 +464,111 @@ def test_linearly_relabelled_q5_and_latin_square_graphs_are_searched():
         assert image.image_set == conjugate_group(aut, pi).image_set, seed
 
 
-def test_search_skips_the_branches_its_automorphisms_reach(monkeypatch):
-    """Each level searches v -> w only for a w outside the orbit of v that
-    the automorphisms already found reach: Q5 tries at most 8 branches (41
-    with every w of v's cell searched), K8 one per level."""
-    branches = []
+def _branch_roots(monkeypatch) -> list:
+    """The branches v -> w the search tries, as they happen: each as the
+    bitmask of the images of 0..v-1 and of w."""
+    roots = []
     first_leaf = autgroup._first_leaf
 
     def counted(*args):
-        if args[-1] == 0:  # the root of a branch v -> w
-            branches.append(args)
+        if args[-1] == 0:
+            roots.append(args[-2])
         return first_leaf(*args)
 
     monkeypatch.setattr(autgroup, "_first_leaf", counted)
+    return roots
+
+
+def test_search_skips_the_branches_its_automorphisms_reach(monkeypatch):
+    """Each level searches v -> w only for a w outside the orbit of v that
+    the automorphisms already found reach: Q5, which has no twins, tries at
+    most 8 branches (41 with every w of v's cell searched). K8 tries none:
+    its one cell is a clique of twins at the root, and its levels are
+    written in closed form (7 branches, one per level, before that)."""
+    branches = _branch_roots(monkeypatch)
     assert automorphism_group(fam("hypercube", 5)).order == 3840
     assert 5 <= len(branches) <= 8
     branches.clear()
     assert automorphism_group(fam("complete", 8)).order == 40320
-    assert len(branches) == 7
+    assert branches == []
+
+
+def _small_graphs_and_relabelled_complements():
+    """Every graph on 1 to 6 vertices, then its complement under a seeded
+    relabelling, whose twin cells are not runs of consecutive vertices."""
+    rng = random.Random(0)
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            yield g
+            yield permuted(complement(g), Perm(tuple(rng.sample(range(n), n))))
+
+
+def test_twin_levels_match_the_brute_force_chain():
+    """The levels written in closed form below the first partition of twin
+    cells, and those searched above it, are the least coset elements of the
+    group found by filtering all n! permutations."""
+    cases = list(_small_graphs_and_relabelled_complements())
+    assert len(cases) == 416
+    for g in cases:
+        want = PermGroup.from_images(g.n, brute_automorphisms(g)).levels
+        assert automorphism_group(g).levels == want, g
+
+
+def test_twin_cells_after_a_searched_level_and_at_the_root(monkeypatch):
+    """K3,3 is one cell of vertices that are not twins; with 0
+    individualized, the cells {1, 2} and {3, 4, 5} are, and only level 0
+    is searched. K3 joined to 3K1 is a clique cell and an independent cell
+    at the root."""
+    roots = _branch_roots(monkeypatch)
+    k33 = Graph.from_edges(6, [(u, w) for u in range(3) for w in range(3, 6)])
+    aut = automorphism_group(k33)
+    assert aut.order == 72 == len(brute_automorphisms(k33))
+    # 0 -> 1 and 0 -> 3: the twin swaps take 1 on to 2, and 3 on to 4 and 5
+    assert roots == [1 << 1, 1 << 3]
+    assert [len(reps) for reps in aut.levels] == [5, 1, 0, 2, 1]
+    roots.clear()
+    edges = [(0, 1), (0, 2), (1, 2), *((u, w) for u in range(3) for w in range(3, 6))]
+    joined = Graph.from_edges(6, edges)
+    assert len(autgroup._unit_refined(joined, [])) == 2
+    aut = automorphism_group(joined)
+    assert aut.order == 36 == len(brute_automorphisms(joined))
+    assert roots == []
+    assert aut.levels == PermGroup.from_images(6, brute_automorphisms(joined)).levels
+
+
+def test_cap_is_applied_from_the_twin_cell_sizes(monkeypatch):
+    """The empty graph on 40 vertices is one independent twin cell, 40!
+    elements: refused from the cell sizes, before any representative."""
+
+    def formed(*args):
+        raise AssertionError("a representative was formed")
+
+    monkeypatch.setattr(autgroup, "_twin_levels", formed)
+    with pytest.raises(GroupTooLargeError):
+        automorphism_group(Graph(40, (0,) * 40))
+
+
+def test_search_work_on_every_graph_on_at_most_seven_vertices(monkeypatch):
+    """Work counters over the 1252 graphs on 1 to 7 vertices: vertices
+    individualized (_individualized calls, for the identity path and for
+    each branch) and branches tried. Before the path stopped at the first
+    partition of twin cells, they were 4340 and 2200."""
+    individualized = 0
+    individualize = autgroup._individualized
+
+    def counted(*args):
+        nonlocal individualized
+        individualized += 1
+        return individualize(*args)
+
+    monkeypatch.setattr(autgroup, "_individualized", counted)
+    roots = _branch_roots(monkeypatch)
+    corpus = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    corpus += map(parse_graph6, GRAPHS7_FILE.read_text().split())
+    assert len(corpus) == 1252
+    for g in corpus:
+        automorphism_group(g)
+    assert (individualized, len(roots)) == (1128, 594)
 
 
 def test_vertex_ceiling():
@@ -573,7 +662,9 @@ def test_regular_and_non_regular_graphs_are_never_isomorphic():
 
 def test_rigid_cubic_graphs_are_discrete_at_the_root(monkeypatch):
     """Triangle counts settle every rigid one before any vertex is
-    individualized, so its search plans no search order."""
+    individualized, so its search plans no search order. A graph with
+    automorphisms plans only its own, and none when its group is a product
+    of twin swaps (seed 4)."""
     planned = []
     plan = autgroup._plan
     monkeypatch.setattr(
@@ -588,7 +679,7 @@ def test_rigid_cubic_graphs_are_discrete_at_the_root(monkeypatch):
             assert len(autgroup._unit_refined(g, [])) == g.n, seed
             assert planned == [], seed
         else:
-            assert planned and all(h is g for h in planned), seed
+            assert all(h is g for h in planned), seed
     assert rigid >= 10
 
 
