@@ -60,7 +60,7 @@ drops only branches without a leaf; only the products are replaced. Either
 way the levels are a transversal that depends only on the group, and
 group_key tells equal groups by them.
 automorphism_group holds the levels of the chain as the group, PermGroup(n,
-levels=...): its order, maps_to and generators come from them, and its image
+levels=...): its order, maps_to and orbits come from them, and its image
 tuples are formed only when a caller reads them. A branch's search order is
 planned once per base point that needs one (_plan).
 

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations, permutations
 
 from . import config
@@ -373,24 +373,10 @@ def _restamp(res: dict, g: Graph, g6: str) -> dict:
     n and m of this one: nothing else in it depends on the graph."""
     out = dict(res, graph6=g6)
     if "report" in res:
-        r = res["report"]
-        out["report"] = SymmetryReport(
-            graph6=g6,
-            n=g.n,
-            edge_count=g.edge_count,
-            aut_order=r.aut_order,
-            d=r.d,
-            d_witness=r.d_witness,
-            det=r.det,
-            det_witness=r.det_witness,
-            rho=r.rho,
-            rho_witness=r.rho_witness,
-        )
+        out["report"] = replace(res["report"], graph6=g6, n=g.n, edge_count=g.edge_count)
     if "violations" in res:
-        out["violations"] = [Violation(v.kind, g6, v.detail) for v in res["violations"]]
-        out["rule_reports"] = [
-            RuleReport(g6, rr.pair, rr.statuses, rr.violations) for rr in res["rule_reports"]
-        ]
+        out["violations"] = [replace(v, graph6=g6) for v in res["violations"]]
+        out["rule_reports"] = [replace(rr, graph6=g6) for rr in res["rule_reports"]]
     return out
 
 

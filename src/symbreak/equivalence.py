@@ -4,27 +4,31 @@ Two graphs are equivalent when some bijection of their vertex sets conjugates
 the automorphism group of one onto the other, element for element; that is the
 same as the two groups having equal labeled cycle representations under
 suitable labelings. Under one labelling, two groups have equal representations
-exactly when their image_set views are equal. Before any search, the two
-groups' cycle indexes (PermGroup.cycle_index, the multiset of cycle types) and
-signature indexes must agree. The search backtracks over vertex images,
-filtered by per-vertex statistics (PermGroup.vertex_signatures: the multiset,
-over all group elements, of the cycle length through the vertex paired with
-the element's cycle type, held counted as its sorted (pair, multiplicity)
-items, which are only compared for equality). It conjugates only a generating
-set of the first group, PermGroup.generators: the coset representatives of
-its stabilizer chain, read from its levels, each with its inverse and cycle
-type. Each generator keeps a bitset of its possible images in the second
-group, starting from the second group's elements of its cycle type
-(PermGroup.type_bits) and ANDed with a maps_to row as each vertex image is
-fixed; an empty bitset prunes the branch, and a full bijection whose bitsets
-are all non-empty conjugates the whole group.
+exactly when their image_set views are equal.
 
-Every one of these views is built once per group and cached on it, so a
-class representative searched against many groups derives its generators
-and signatures once. equivalence_classes looks each group up before it
-searches, by autgroup.group_key, its degree and the levels of its stabilizer
-chain, which depend only on the group: a graph whose group equals, element
-for element, one already placed joins that class without a search, since the
+_conjugating_bijection compares, cheapest first, the degrees and orders, the
+sorted orbit sizes (autgroup.orbits, read off the levels) and the cycle
+indexes (PermGroup.cycle_index, the multiset of cycle types, the only check
+that forms elements). It then chooses sigma(0), sigma(1), ... in the order
+of the first group A's base. Once 0..i-1 is mapped, sigma(i) is tried only
+at the least unused point of each orbit of B_sigma(0..i-1), the elements of
+the second group B fixing the points mapped so far, whose size is that of
+i's orbit under A_0..i-1, read off the levels of A's chain. B_sigma(0..i-1)
+is the AND of the diagonal maps_to rows B[w][w] of those points, and the
+orbit of x under it is {y : B[x][y] meets it}. This is exact: a conjugator
+sends A_0..i-1 onto B_sigma(0..i-1), so it maps i's orbit onto an orbit of
+the same size; and for b in B_sigma(0..i-1), b.sigma is again a conjugator
+that agrees with sigma on 0..i-1, so one image per orbit is enough. Each
+coset representative t of A's levels keeps a bitset of its possible images
+in B, ANDed with a maps_to row as each vertex image is fixed; an empty
+bitset prunes the branch. At a full leaf each bitset is {sigma.t.sigma^-1},
+the representatives generate A and the orders are equal, so sigma conjugates
+A onto B.
+
+equivalence_classes looks each group up before it searches, by
+autgroup.group_key, its degree and the levels of its stabilizer chain,
+which depend only on the group: a graph whose group equals, element for
+element, one already placed joins that class without a search, since the
 identity conjugates the one group onto the other, and none of its elements
 is formed. A new group that is the symmetric group on each of its orbits
 (orbit-symmetric: |Aut| is the product of |O|! over its orbits O, read off
@@ -35,10 +39,11 @@ bijection mapping orbits onto orbits of equal size, and conjugation keeps
 a group orbit-symmetric. Such a graph thus joins or starts the class of its
 key without a search and without forming an element. Any other group is
 tried only against the representatives of the classes with its n and
-order, found by one dict lookup, none of them orbit-symmetric;
-_conjugating_bijection compares cycle indexes before it searches, so a group
-forms its elements for the cycle views only when another such group has its
-n and order.
+order, found by one dict lookup, none of them orbit-symmetric; a group
+forms its elements, for its cycle index, only when another such group has
+its n, order and orbit sizes. Both cached views a search reads, maps_to and
+cycle_index, are built once per group, so a class representative searched
+against many groups builds them once.
 """
 
 from __future__ import annotations
@@ -52,6 +57,22 @@ from .graphs import Graph
 from .perms import Perm, PermGroup
 
 
+def _orbit_heads(B, fix: int, size: int, used: list[bool]):
+    """The least point of each orbit of exactly size points under the
+    elements fix of the group whose maps_to is B, in ascending order, where
+    that point is not used: the orbit of x is {y : B[x][y] & fix}. Yielded
+    one at a time, so that an orbit past the first head that settles is
+    never formed; used must not change between heads."""
+    seen = [False] * len(B)
+    for x, row in enumerate(B):
+        if not seen[x]:
+            orbit = [y for y, b in enumerate(row) if b & fix]
+            for y in orbit:
+                seen[y] = True
+            if len(orbit) == size and not used[x]:
+                yield x
+
+
 def _conjugating_bijection(autA: PermGroup, autB: PermGroup, budget: config.Budget):
     """A vertex bijection sigma with sigma.autA.sigma^-1 == autB, or None."""
     n = autA.degree
@@ -59,40 +80,36 @@ def _conjugating_bijection(autA: PermGroup, autB: PermGroup, budget: config.Budg
         return None
     if autA.order == 1:
         return Perm.identity(n)
+    if sorted(map(len, orbits(autA))) != sorted(map(len, orbits(autB))):
+        return None
     if autA.cycle_index != autB.cycle_index:
         return None
-    if autA.signature_index != autB.signature_index:
-        return None
-    sigA = autA.vertex_signatures
-    sigB = autB.vertex_signatures
 
-    cand_vertices = {
-        sig: [w for w in range(n) if sigB[w] == sig] for sig in set(sigA)
-    }
-    order = sorted(range(n), key=lambda v: (len(cand_vertices[sigA[v]]), v))
-
-    # per generator a of autA (with its inverse), the elements of autB that
-    # can still be sigma.a.sigma^-1: those of a's cycle type that send
-    # sigma(u) to sigma(a(u)) wherever u and a(u) are both mapped
-    gens = autA.generators
+    # per representative t of autA's levels (with its inverse), the elements
+    # of autB that can still be sigma.t.sigma^-1: those that send sigma(u)
+    # to sigma(t(u)) wherever u and t(u) are both mapped
+    gens = [(t, tuple(sorted(range(n), key=t.__getitem__))) for reps in autA.levels for t in reps]
     B = autB.maps_to
+    # sizes[v]: the size of v's orbit under the elements of autA fixing 0..v-1
+    sizes = [len(reps) + 1 for reps in autA.levels] + [1] * (n - len(autA.levels))
 
     sigma = [-1] * n
     used = [False] * n
     nodes = 0
-    # bits[pos]: the generators' candidate bitsets once order[:pos] is mapped;
-    # tries[pos]: the candidate vertices order[pos] has not yet been tried at
-    bits = [[autB.type_bits[ct] for _a, _inv, ct in gens]]
-    tries = [iter(cand_vertices[sigA[order[0]]])]
+    every = (1 << autB.order) - 1
+    # fixes[v]: the elements of autB fixing sigma(0..v-1); bits[v]: the
+    # generators' candidate bitsets once 0..v-1 is mapped; tries[v]: the
+    # orbit heads v has not yet been tried at
+    fixes = [every]
+    bits = [[every] * len(gens)]
+    tries = [_orbit_heads(B, every, sizes[0], used)]
     while tries:
-        pos = len(tries) - 1
-        v = order[pos]
+        v = len(tries) - 1
         if sigma[v] >= 0:  # back from the subtree under sigma[v]
             used[sigma[v]] = False
+            fixes.pop()
             bits.pop()
         for w in tries[-1]:
-            if used[w]:
-                continue
             nodes += 1
             if nodes > budget.equivalence_nodes:
                 raise BudgetExceededError(
@@ -100,9 +117,9 @@ def _conjugating_bijection(autA: PermGroup, autB: PermGroup, budget: config.Budg
                 )
             sigma[v] = w
             kept = []
-            for b, (a, inv, _ct) in zip(bits[-1], gens):
-                if sigma[a[v]] >= 0:
-                    b &= B[w][sigma[a[v]]]
+            for b, (t, inv) in zip(bits[-1], gens):
+                if sigma[t[v]] >= 0:
+                    b &= B[w][sigma[t[v]]]
                 if sigma[inv[v]] >= 0:
                     b &= B[sigma[inv[v]]][w]
                 if not b:
@@ -114,13 +131,14 @@ def _conjugating_bijection(autA: PermGroup, autB: PermGroup, budget: config.Budg
             sigma[v] = -1
             tries.pop()
             continue
-        # at a full leaf each bitset is exactly {sigma.a.sigma^-1}, so
-        # sigma.autA.sigma^-1 lies in autB, and the orders are equal
-        if pos + 1 == n:
+        # at a full leaf each bitset is exactly {sigma.t.sigma^-1}; the
+        # representatives generate autA, and the orders are equal
+        if v + 1 == n:
             return Perm(tuple(sigma))
         used[w] = True
+        fixes.append(fix := fixes[-1] & B[w][w])
         bits.append(kept)
-        tries.append(iter(cand_vertices[sigA[order[pos + 1]]]))
+        tries.append(_orbit_heads(B, fix, sizes[v + 1], used))
     return None
 
 
@@ -148,20 +166,20 @@ def equivalence_classes(
     A graph whose group equals, element for element, the group of a graph
     already placed, found by group_key, joins that graph's class at once:
     the identity conjugates one group onto the other, so no element, no
-    cycle views and no search are needed. A graph whose group is the
+    cycle index and no search are needed. A graph whose group is the
     symmetric group on each of its orbits joins the class of the graphs on
     n vertices with its sorted orbit sizes, or starts it, also without an
     element or a search: those groups are conjugate exactly to each other.
     Any other graph is tested against the representative of each existing
     class with its key (n and |Aut|), in class creation order, so
     transitivity is exploited rather than re-derived; a representative whose
-    cycle index differs is ruled out before any search. A pair whose search
-    ran out of budget is returned as unresolved, and the graph goes on to the
-    next class with its key: it may join a later class, and starts its own
-    only when no class with its key takes it. A later graph with the same
-    group as one already placed, like a graph whose group is orbit-symmetric,
-    is never unresolved, even under a budget too small to settle a pair by
-    search: it joins its class by key.
+    orbit sizes or cycle index differ is ruled out before any search. A pair
+    whose search ran out of budget is returned as unresolved, and the graph
+    goes on to the next class with its key: it may join a later class, and
+    starts its own only when no class with its key takes it. A later graph
+    with the same group as one already placed, like a graph whose group is
+    orbit-symmetric, is never unresolved, even under a budget too small to
+    settle a pair by search: it joins its class by key.
     """
     classes: list[list[int]] = []  # the members of each class, in creation order
     unresolved: list[tuple[int, int]] = []

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 from operator import itemgetter
-from types import MappingProxyType
 
 from .errors import DegreeError
 
@@ -146,21 +145,15 @@ class PermGroup:
     they have the same degree and the same elements, whatever their levels;
     the hash is that of the element set. The views are built once, on first
     use, and cached on the group:
-    - order, is_trivial, maps_to and generators are read from the levels,
-      and no product is formed; identity_bits is bit 0, since images forms
-      the identity first. maps_to needs degree <= 256.
+    - order, is_trivial and maps_to are read from the levels, and no
+      product is formed; identity_bits is bit 0, since images forms the
+      identity first. maps_to needs degree <= 256.
     - images forms the products; elements holds them as Perm objects, and
       is built only for callers that ask for it; image_set holds the image
-      tuples.
-    - cycle_types, vertex_signatures, cycle_index, signature_index and
-      type_bits, all from one cycle-length pass over the images
-      (_cycle_views). They take any degree. A vertex signature is computed
-      once per orbit and shared along it, which holds only for a group:
-      for products that are not closed, vertex_signatures (and
-      signature_index) may differ from the per-element count.
-    elements and cycle_types are aligned with images, and bit i of a
-    maps_to, identity_bits or type_bits bitset stands for images[i], also
-    before images is formed. The group is not itself a container: callers
+      tuples; cycle_index counts their cycle types, at any degree.
+    elements is aligned with images, and bit i of a maps_to or
+    identity_bits bitset stands for images[i], also before images is
+    formed. The group is not itself a container: callers
     iterate over images and test membership of an image tuple in image_set.
     """
 
@@ -258,76 +251,8 @@ class PermGroup:
         return _folded(n, self.levels)
 
     @cached_property
-    def generators(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]:
-        """(image tuple, inverse's image tuple, cycle type) of each level's
-        representatives, first level first: transversals of each step of the
-        chain, which generate the group (Sims). Read from the levels."""
-        return tuple(
-            (t, tuple(sorted(range(self.degree), key=t.__getitem__)), _type_of(_cycle_lengths(t)))
-            for reps in self.levels
-            for t in reps
-        )
-
-    @property
-    def cycle_types(self) -> tuple[tuple[int, ...], ...]:
-        return self._cycle_views[0]
-
-    @property
-    def vertex_signatures(self) -> tuple[tuple, ...]:
-        """Per vertex, the multiset over elements of (cycle type, length of
-        the cycle through the vertex), held counted: its sorted ((cycle type,
-        cycle length), multiplicity) pairs. Conjugation preserves it."""
-        return self._cycle_views[1]
-
-    @property
-    def cycle_index(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """The multiset of cycle_types as sorted (cycle type, multiplicity)
-        pairs: two groups have equal cycle-type multisets exactly when their
-        cycle indexes are equal."""
-        return self._cycle_views[2]
-
-    @property
-    def signature_index(self) -> tuple[tuple[tuple, int], ...]:
-        """The multiset of vertex_signatures as sorted (signature, number of
-        vertices) pairs."""
-        return self._cycle_views[3]
-
-    @property
-    def type_bits(self) -> MappingProxyType[tuple[int, ...], int]:
-        """Per cycle type, the bitset of the elements of that type."""
-        return self._cycle_views[4]
-
-    @cached_property
-    def _cycle_views(self):
-        """The cycle views from one _cycle_lengths pass over the elements.
-        The cycle type is derived once per distinct tuple of lengths, and
-        equal types share one tuple, which keeps Aut(K9)'s list small. A
-        signature is counted once per orbit, read from the images: vertices
-        in one orbit of a group have equal signatures, since conjugating by
-        an element that sends u to v maps the one multiset onto the other.
-        That assumes closure, which construction does not check. Each type's
-        bitset is parsed once from a string of marks, so that building them
-        all is linear in the order."""
-        images, n = self.images, self.degree
-        lengths = list(map(_cycle_lengths, images))
-        type_of, shared = {}, {}
-        for lt in dict.fromkeys(lengths):
-            ct = _type_of(lt)
-            type_of[lt] = shared.setdefault(ct, ct)
-        cycle_types = tuple(map(type_of.__getitem__, lengths))
-        signatures: list = [None] * n
-        for v in range(n):
-            if signatures[v] is None:
-                counted = Counter(zip(cycle_types, map(itemgetter(v), lengths)))
-                sig = tuple(sorted(counted.items()))
-                for u in set(map(itemgetter(v), images)):
-                    signatures[u] = sig
-        # per type, its elements marked "1" in a string spelling its bitset
-        marks = {ct: bytearray(b"0") * len(images) for ct in shared}
-        for i, ct in enumerate(reversed(cycle_types)):
-            marks[ct][i] = 49
-        type_bits = {ct: int(m, 2) for ct, m in marks.items()}
-        cycle_index = tuple(sorted((ct, b.bit_count()) for ct, b in type_bits.items()))
-        signature_index = tuple(sorted(Counter(signatures).items()))
-        views = cycle_types, tuple(signatures), cycle_index, signature_index
-        return *views, MappingProxyType(type_bits)
+    def cycle_index(self) -> Counter:
+        """The multiset of the elements' cycle types, counted: two groups
+        have equal cycle-type multisets exactly when their cycle indexes are
+        equal. Formed from the images, so it costs one pass over the order."""
+        return Counter(_type_of(_cycle_lengths(t)) for t in self.images)

@@ -226,17 +226,6 @@ def per_element_cycle_types(group: PermGroup) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def per_element_vertex_signatures(group: PermGroup) -> tuple[tuple, ...]:
-    """Per vertex, the sorted ((cycle type, length of the cycle through the
-    vertex), multiplicity) pairs over the elements, from cycles()."""
-    sigs: list[dict] = [{} for _ in range(group.degree)]
-    for p, ct in zip(group.elements, per_element_cycle_types(group)):
-        for cyc in cycles(p):
-            for v in cyc:
-                sigs[v][ct, len(cyc)] = sigs[v].get((ct, len(cyc)), 0) + 1
-    return tuple(tuple(sorted(s.items())) for s in sigs)
-
-
 def per_element_pair_rules(group: PermGroup, x: int, y: int, d):
     """The pair rules of symbreak.checks for the anchors x and y at
     distinguishing number d, checked by scanning the image tuples for each

@@ -242,9 +242,10 @@ def _complement_pairs():
         yield g, permuted(complement(g), Perm(tuple(images)))
 
 
-# Captured before the search conjugated only a generating set of the first
-# group: per pair, both graph6 strings, the bijection found and the smallest
-# equivalence_nodes budget at which the search settles.
+# Per pair, both graph6 strings, the bijection found and the smallest
+# equivalence_nodes budget at which the search settles. The bijections were
+# captured before the search conjugated only a generating set of the first
+# group, the budgets since it branches on the orbits of point stabilizers.
 def test_bijection_node_counts_match_golden():
     lines = (GOLDENS / "equivalence_nodes.txt").read_text().splitlines()
     pairs = list(_complement_pairs())

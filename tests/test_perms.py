@@ -14,7 +14,6 @@ from helpers import (
     inverse,
     mid_group_graphs,
     per_element_cycle_types,
-    per_element_vertex_signatures,
     validate_group,
 )
 from symbreak.autgroup import automorphism_group
@@ -109,15 +108,13 @@ def test_cycle_views_match_per_element_oracle():
     cases += [*mid_group_graphs().values(), generate_family(FamilySpec("hypercube", 5))]
     for g in cases:
         aut = automorphism_group(g)
-        assert aut.cycle_types == per_element_cycle_types(aut), g
-        assert aut.vertex_signatures == per_element_vertex_signatures(aut), g
+        assert aut.cycle_index == Counter(per_element_cycle_types(aut)), g
 
 
 def test_cycle_views_beyond_the_corpus():
-    """The views of Aut(K8) (40,320 elements), Aut(4K3), a cyclic group of
-    degree 300 (above maps_to's degree limit) and the degree-0 group of ?:
-    the per-element oracles, both indexes as counts of their views, and
-    type_bits as a partition of the elements by cycle type."""
+    """The cycle index of Aut(K8) (40,320 elements), Aut(4K3), a cyclic
+    group of degree 300 (above maps_to's degree limit) and the degree-0
+    group of ?, against the per-element oracle counted."""
     shift = tuple((v + 1) % 300 for v in range(300))
     powers = [tuple(range(300))]
     while len(powers) < 300:
@@ -130,17 +127,7 @@ def test_cycle_views_beyond_the_corpus():
     ]
     assert [g.order for g in groups] == [40320, 31104, 300, 1]
     for aut in groups:
-        assert aut.cycle_types == per_element_cycle_types(aut)
-        assert aut.vertex_signatures == per_element_vertex_signatures(aut)
-        assert aut.cycle_index == tuple(sorted(Counter(aut.cycle_types).items()))
-        signature_counts = Counter(aut.vertex_signatures)
-        assert aut.signature_index == tuple(sorted(signature_counts.items()))
-        union = 0
-        for bits in aut.type_bits.values():
-            assert not union & bits
-            union |= bits
-        assert union == (1 << aut.order) - 1
-        assert all(aut.type_bits[ct] >> i & 1 for i, ct in enumerate(aut.cycle_types))
+        assert aut.cycle_index == Counter(per_element_cycle_types(aut))
 
 
 def test_permgroup_from_elements_sorts_and_dedupes():

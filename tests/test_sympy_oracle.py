@@ -34,7 +34,7 @@ def test_sigma_conjugates_the_representatives_generators_onto_the_members_group(
     for cls in partition:
         rep = graphs[cls[0]]
         aut_rep = automorphism_group(rep)
-        gens = [a for a, _inv, _ct in aut_rep.generators]
+        gens = [a for reps in aut_rep.levels for a in reps]
         for i in cls[1:]:
             g = graphs[i]
             aut = automorphism_group(g)
@@ -48,7 +48,7 @@ def test_sigma_conjugates_the_representatives_generators_onto_the_members_group(
                     c[sigma[v]] = sigma[a[v]]  # sigma . a . sigma^-1
                 conjugated.append(tuple(c))
             image = sympy_group(g.n, conjugated)
-            target = sympy_group(g.n, (a for a, _inv, _ct in aut.generators))
+            target = sympy_group(g.n, (a for reps in aut.levels for a in reps))
             assert image.is_subgroup(target) and target.is_subgroup(image), i
             assert target.order() == aut.order
             checked += 1
