@@ -8,15 +8,13 @@ On top of those: distinguishable equivalence of graphs, structural rule
 checking for two-vertex determining sets, and deterministic corpus scans.
 """
 
-from .autgroup import automorphism_group, isomorphism, orbits
+from .autgroup import automorphism_group, isomorphism
 from .checks import (
     FamilyCheck,
     RuleReport,
     ScanOptions,
     ScanReport,
     check_pair_rules,
-    check_restriction,
-    check_shared_distinguishing_number,
     family_bounds_check,
     scan_corpus,
 )
@@ -84,8 +82,6 @@ __all__ = [
     "analyze",
     "automorphism_group",
     "check_pair_rules",
-    "check_restriction",
-    "check_shared_distinguishing_number",
     "complement",
     "cost_number",
     "cycle_type",
@@ -102,7 +98,6 @@ __all__ = [
     "is_distinguishing",
     "is_distinguishing_class",
     "isomorphism",
-    "orbits",
     "parse_graph6",
     "permuted",
     "scan_corpus",

@@ -1,4 +1,4 @@
-"""Exact automorphism groups of small graphs, and their orbits.
+"""Exact automorphism groups of small graphs.
 
 _first_leaf is the one search for adjacency-preserving bijections g1 -> g2:
 g1's vertices, by descending degree then index, go in ascending order to the
@@ -490,28 +490,3 @@ def group_of(g: Graph, aut: PermGroup | None) -> PermGroup:
         raise DegreeError(f"group of degree {aut.degree} given for a graph on {g.n} vertices")
     return aut
 
-
-def orbits(group: PermGroup) -> tuple[frozenset[int], ...]:
-    """Vertex orbits, as a partition sorted by least member. The coset
-    representatives of every level generate the group (Sims), so the orbits
-    are the classes of the union-find that joins u and t[u] for every
-    representative t and vertex u. Only the levels are read: no product and
-    no maps_to table is formed, and any degree is taken."""
-    least = list(range(group.degree))  # a vertex -> a smaller one of its orbit, or itself
-    for reps in group.levels:
-        for t in reps:
-            for u, x in enumerate(t):
-                while least[u] != u:
-                    least[u] = u = least[least[u]]
-                while least[x] != x:
-                    least[x] = x = least[least[x]]
-                if u < x:
-                    least[x] = u
-                elif x < u:
-                    least[u] = x
-    blocks: dict[int, list[int]] = {}  # least member -> its orbit, in ascending order
-    for v, up in enumerate(least):
-        if up != v:  # up < v, whose entry already holds its orbit's least member
-            least[v] = least[up]
-        blocks.setdefault(least[v], []).append(v)
-    return tuple(map(frozenset, blocks.values()))

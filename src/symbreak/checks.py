@@ -4,9 +4,8 @@ Everything here runs against the whole automorphism group, through its
 maps_to bitsets and, where a few elements are listed, its image tuples, so
 each fact is checked exactly, in its strongest executable form, and nothing
 is sampled: the pair rules find the elements of each hypothesis pattern, then
-assert the forbidden (or required) pattern; the restriction lemma is a group
-inclusion, Aut(g[h]) extended by the identity inside Aut(g); the
-clique-with-tails family's Det and rho come from the exhaustive walk.
+assert the forbidden (or required) pattern; the clique-with-tails family's
+Det and rho come from the exhaustive walk.
 
 Each pair-rule pattern is a few ANDs of maps_to rows, M[a][b] being the
 elements sending a to b: swaps M[x][y] & M[y][x], half swaps x <-> e with y
@@ -58,7 +57,6 @@ from .equivalence import distinguishably_equivalent
 from .errors import (
     BudgetExceededError,
     GroupTooLargeError,
-    NotApplicableError,
     NotDeterminingPairError,
     UnsupportedSizeError,
 )
@@ -66,7 +64,6 @@ from .graphs import (
     Graph,
     clique_with_tails,
     encode_graph6,
-    induced_subgraph,
     string_color_class,
 )
 from .metrics import (
@@ -214,59 +211,6 @@ def check_pair_rules(
         statuses["bare_swap_absent"] = "skipped"
 
     return RuleReport(encode_graph6(g), (x, y), statuses, tuple(violations))
-
-
-# ---------------------------------------------------------------------------
-# restriction of distinguishing colorings
-# ---------------------------------------------------------------------------
-
-
-def check_restriction(g: Graph, h) -> bool:
-    """For vertex sets h whose members all share the same neighbors outside h:
-    every distinguishing coloring of g restricts to a distinguishing coloring
-    of the subgraph induced on h.
-
-    Checked as the lemma's proof step: since the members of h share their
-    outside neighbors, every automorphism of g[h], extended by the identity
-    outside h, is an automorphism of g. A non-identity automorphism of g[h]
-    that preserved the restriction would then extend to one of g preserving
-    the coloring, for any number of colors. Returns True iff every extension
-    is in Aut(g).
-    """
-    h = sorted(set(h))
-    if not h:
-        raise NotApplicableError("h must be a nonempty vertex set")
-    if h[0] < 0 or h[-1] >= g.n:
-        raise NotApplicableError(f"h holds a vertex outside 0..{g.n - 1}")
-    hmask = 0
-    for v in h:
-        hmask |= 1 << v
-    outside = [g.adj[v] & ~hmask for v in h]
-    if any(o != outside[0] for o in outside):
-        raise NotApplicableError("members of h differ in their outside neighborhoods")
-
-    aut_g = automorphism_group(g).image_set
-    sub, _ = induced_subgraph(g, h)  # vertex i of sub is h[i]
-    for t in automorphism_group(sub).images:
-        extension = list(range(g.n))
-        for i, v in enumerate(h):
-            extension[v] = h[t[i]]
-        if tuple(extension) not in aut_g:
-            return False
-    return True
-
-
-def check_shared_distinguishing_number(
-    g1: Graph, g2: Graph, budget: config.Budget = config.DEFAULT_BUDGET
-) -> bool:
-    """Equivalent graphs must have equal distinguishing numbers."""
-    if g1.n != g2.n:
-        raise NotApplicableError("graphs are not distinguishably equivalent")
-    aut1, aut2 = automorphism_group(g1), automorphism_group(g2)
-    if distinguishably_equivalent(g1, g2, budget, aut1=aut1, aut2=aut2) is None:
-        raise NotApplicableError("graphs are not distinguishably equivalent")
-    d1 = distinguishing_number(g1, budget, aut=aut1)[0]
-    return d1 == distinguishing_number(g2, budget, aut=aut2)[0]
 
 
 # ---------------------------------------------------------------------------

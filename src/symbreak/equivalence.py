@@ -6,43 +6,45 @@ same as the two groups having equal labeled cycle representations under
 suitable labelings. Under one labelling, two groups have equal representations
 exactly when their image_set views are equal.
 
-_conjugating_bijection compares, cheapest first, the degrees and orders, the
-sorted orbit sizes (autgroup.orbits, read off the levels) and the cycle
+_conjugating_bijection compares, cheapest first, the degrees and orders and
+the sorted orbit sizes (PermGroup.orbits, read off the levels). A group
+whose order is the product of |O|! over its orbits O is orbit-symmetric: it
+always lies in the product of Sym(O), so it is that product, and a group of
+equal order and orbit sizes is orbit-symmetric too. Two such products are
+conjugate by any bijection mapping orbits onto orbits of equal size, and the
+least of them is built directly: each orbit of the first group A, by least
+member, takes the next unused orbit of its size of the second group B, by
+least member, point for point in ascending order. That settles every trivial
+group too, and forms no element, maps_to or cycle index. Otherwise the cycle
 indexes (PermGroup.cycle_index, the multiset of cycle types, the only check
-that forms elements). It then chooses sigma(0), sigma(1), ... in the order
-of the first group A's base. Once 0..i-1 is mapped, sigma(i) is tried only
-at the least unused point of each orbit of B_sigma(0..i-1), the elements of
-the second group B fixing the points mapped so far, whose size is that of
-i's orbit under A_0..i-1, read off the levels of A's chain. B_sigma(0..i-1)
-is the AND of the diagonal maps_to rows B[w][w] of those points, and the
-orbit of x under it is {y : B[x][y] meets it}. This is exact: a conjugator
-sends A_0..i-1 onto B_sigma(0..i-1), so it maps i's orbit onto an orbit of
-the same size; and for b in B_sigma(0..i-1), b.sigma is again a conjugator
-that agrees with sigma on 0..i-1, so one image per orbit is enough. Each
-coset representative t of A's levels keeps a bitset of its possible images
-in B, ANDed with a maps_to row as each vertex image is fixed; an empty
-bitset prunes the branch. At a full leaf each bitset is {sigma.t.sigma^-1},
-the representatives generate A and the orders are equal, so sigma conjugates
-A onto B.
+that forms elements) are compared, and the search chooses sigma(0),
+sigma(1), ... in the order of A's base. Once 0..i-1 is mapped, sigma(i) is
+tried only at the least unused point of each orbit of B_sigma(0..i-1), the
+elements of B fixing the points mapped so far, whose size is that of i's
+orbit under A_0..i-1, read off the levels of A's chain. B_sigma(0..i-1) is
+the AND of the diagonal maps_to rows B[w][w] of those points, and the orbit
+of x under it is {y : B[x][y] meets it}. This is exact: a conjugator sends
+A_0..i-1 onto B_sigma(0..i-1), so it maps i's orbit onto an orbit of the
+same size; and for b in B_sigma(0..i-1), b.sigma is again a conjugator that
+agrees with sigma on 0..i-1, so one image per orbit is enough. Each coset
+representative t of A's levels keeps a bitset of its possible images in B,
+ANDed with a maps_to row as each vertex image is fixed; an empty bitset
+prunes the branch. At a full leaf each bitset is {sigma.t.sigma^-1}, the
+representatives generate A and the orders are equal, so sigma conjugates A
+onto B.
 
 equivalence_classes looks each group up before it searches, by
 autgroup.group_key, its degree and the levels of its stabilizer chain,
 which depend only on the group: a graph whose group equals, element for
 element, one already placed joins that class without a search, since the
 identity conjugates the one group onto the other, and none of its elements
-is formed. A new group that is the symmetric group on each of its orbits
-(orbit-symmetric: |Aut| is the product of |O|! over its orbits O, read off
-autgroup.orbits and the order) is keyed by n and its sorted orbit sizes. It
-always lies in the product of Sym(O), so equal orders make it that product;
-two such products are conjugate exactly when their orbit sizes agree, by any
-bijection mapping orbits onto orbits of equal size, and conjugation keeps
-a group orbit-symmetric. Such a graph thus joins or starts the class of its
-key without a search and without forming an element. Any other group is
-tried only against the representatives of the classes with its n and
-order, found by one dict lookup, none of them orbit-symmetric; a group
-forms its elements, for its cycle index, only when another such group has
-its n, order and orbit sizes. Both cached views a search reads, maps_to and
-cycle_index, are built once per group, so a class representative searched
+is formed. A new group is tried only against the representatives of the
+classes with its n, order and sorted orbit sizes, found by one dict lookup.
+For an orbit-symmetric group that bucket holds at most one class, which it
+joins with no search node. A group forms its elements, for its cycle index,
+only when another group that is not orbit-symmetric has its n, order and
+orbit sizes. The cached views a search reads, orbits, maps_to and
+cycle_index, are built once per group, so a class representative tried
 against many groups builds them once.
 """
 
@@ -51,7 +53,7 @@ from __future__ import annotations
 from math import factorial, prod
 
 from . import config
-from .autgroup import automorphism_group, group_key, group_of, orbits
+from .autgroup import automorphism_group, group_key, group_of
 from .errors import BudgetExceededError
 from .graphs import Graph
 from .perms import Perm, PermGroup
@@ -78,10 +80,18 @@ def _conjugating_bijection(autA: PermGroup, autB: PermGroup, budget: config.Budg
     n = autA.degree
     if autB.degree != n or autA.order != autB.order:
         return None
-    if autA.order == 1:
-        return Perm.identity(n)
-    if sorted(map(len, orbits(autA))) != sorted(map(len, orbits(autB))):
+    sizes = sorted(map(len, autA.orbits))
+    if sizes != sorted(map(len, autB.orbits)):
         return None
+    if autA.order == prod(map(factorial, sizes)):  # Sym(O) on each orbit O, in both
+        free: dict[int, list] = {}  # orbit size -> B's orbits of that size, least member last
+        for orbit in reversed(autB.orbits):
+            free.setdefault(len(orbit), []).append(orbit)
+        sigma = [0] * n
+        for orbit in autA.orbits:
+            for v, w in zip(sorted(orbit), sorted(free[len(orbit)].pop())):
+                sigma[v] = w
+        return Perm(tuple(sigma))
     if autA.cycle_index != autB.cycle_index:
         return None
 
@@ -90,8 +100,8 @@ def _conjugating_bijection(autA: PermGroup, autB: PermGroup, budget: config.Budg
     # to sigma(t(u)) wherever u and t(u) are both mapped
     gens = [(t, tuple(sorted(range(n), key=t.__getitem__))) for reps in autA.levels for t in reps]
     B = autB.maps_to
-    # sizes[v]: the size of v's orbit under the elements of autA fixing 0..v-1
-    sizes = [len(reps) + 1 for reps in autA.levels] + [1] * (n - len(autA.levels))
+    # wanted[v]: the size of v's orbit under the elements of autA fixing 0..v-1
+    wanted = [len(reps) + 1 for reps in autA.levels] + [1] * (n - len(autA.levels))
 
     sigma = [-1] * n
     used = [False] * n
@@ -102,7 +112,7 @@ def _conjugating_bijection(autA: PermGroup, autB: PermGroup, budget: config.Budg
     # orbit heads v has not yet been tried at
     fixes = [every]
     bits = [[every] * len(gens)]
-    tries = [_orbit_heads(B, every, sizes[0], used)]
+    tries = [_orbit_heads(B, every, wanted[0], used)]
     while tries:
         v = len(tries) - 1
         if sigma[v] >= 0:  # back from the subtree under sigma[v]
@@ -138,7 +148,7 @@ def _conjugating_bijection(autA: PermGroup, autB: PermGroup, budget: config.Budg
         used[w] = True
         fixes.append(fix := fixes[-1] & B[w][w])
         bits.append(kept)
-        tries.append(_orbit_heads(B, fix, sizes[v + 1], used))
+        tries.append(_orbit_heads(B, fix, wanted[v + 1], used))
     return None
 
 
@@ -166,49 +176,42 @@ def equivalence_classes(
     A graph whose group equals, element for element, the group of a graph
     already placed, found by group_key, joins that graph's class at once:
     the identity conjugates one group onto the other, so no element, no
-    cycle index and no search are needed. A graph whose group is the
-    symmetric group on each of its orbits joins the class of the graphs on
-    n vertices with its sorted orbit sizes, or starts it, also without an
-    element or a search: those groups are conjugate exactly to each other.
-    Any other graph is tested against the representative of each existing
-    class with its key (n and |Aut|), in class creation order, so
-    transitivity is exploited rather than re-derived; a representative whose
-    orbit sizes or cycle index differ is ruled out before any search. A pair
-    whose search ran out of budget is returned as unresolved, and the graph
-    goes on to the next class with its key: it may join a later class, and
-    starts its own only when no class with its key takes it. A later graph
-    with the same group as one already placed, like a graph whose group is
-    orbit-symmetric, is never unresolved, even under a budget too small to
-    settle a pair by search: it joins its class by key.
+    cycle index and no search are needed. Any other graph is tested against
+    the representative of each existing class with its key (n, |Aut| and
+    sorted orbit sizes), in class creation order, so transitivity is
+    exploited rather than re-derived; a representative whose cycle index
+    differs is ruled out before any search. A graph whose group is the
+    symmetric group on each of its orbits finds at most one class with its
+    key, and _conjugating_bijection settles that pair without a search. A
+    pair whose search ran out of budget is returned as unresolved, and the
+    graph goes on to the next class with its key: it may join a later class,
+    and starts its own only when no class with its key takes it. A later
+    graph with the same group as one already placed, like a graph whose
+    group is orbit-symmetric, is never unresolved, even under a budget too
+    small to settle a pair by search.
     """
     classes: list[list[int]] = []  # the members of each class, in creation order
     unresolved: list[tuple[int, int]] = []
     class_of: dict[tuple, list[int]] = {}  # group_key(aut) -> members of its class
-    by_sizes: dict[tuple, list[int]] = {}  # (n, sorted orbit sizes) -> an orbit-symmetric class
     by_key: dict[tuple, list] = {}  # key -> (representative's group, members) per class
     for i, g in enumerate(graphs):
         aut = automorphism_group(g)
         members = class_of.get(chain := group_key(aut))
         if members is None:
-            sizes = tuple(sorted(map(len, orbits(aut))))
-            if aut.order == prod(map(factorial, sizes)):  # Sym(O) on each orbit O
-                members = by_sizes.get(sized := (g.n, sizes))
-                if members is None:
-                    members = by_sizes[sized] = []
-                    classes.append(members)
+            same_key = by_key.setdefault(
+                (g.n, aut.order, tuple(sorted(map(len, aut.orbits)))), []
+            )
+            for rep, cls in same_key:
+                try:
+                    if _conjugating_bijection(rep, aut, budget) is not None:
+                        members = cls
+                        break
+                except BudgetExceededError:
+                    unresolved.append((cls[0], i))
             else:
-                same_key = by_key.setdefault((g.n, aut.order), [])
-                for rep, cls in same_key:
-                    try:
-                        if _conjugating_bijection(rep, aut, budget) is not None:
-                            members = cls
-                            break
-                    except BudgetExceededError:
-                        unresolved.append((cls[0], i))
-                else:
-                    members = []
-                    classes.append(members)
-                    same_key.append((aut, members))
+                members = []
+                classes.append(members)
+                same_key.append((aut, members))
             class_of[chain] = members
         members.append(i)
     return classes, unresolved

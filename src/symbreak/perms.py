@@ -145,9 +145,9 @@ class PermGroup:
     they have the same degree and the same elements, whatever their levels;
     the hash is that of the element set. The views are built once, on first
     use, and cached on the group:
-    - order, is_trivial and maps_to are read from the levels, and no
-      product is formed; identity_bits is bit 0, since images forms the
-      identity first. maps_to needs degree <= 256.
+    - order, is_trivial, orbits and maps_to are read from the levels, and
+      no product is formed; identity_bits is bit 0, since images forms the
+      identity first. maps_to needs degree <= 256; orbits takes any degree.
     - images forms the products; elements holds them as Perm objects, and
       is built only for callers that ask for it; image_set holds the image
       tuples; cycle_index counts their cycle types, at any degree.
@@ -237,6 +237,31 @@ class PermGroup:
     @cached_property
     def image_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.images)
+
+    @cached_property
+    def orbits(self) -> tuple[frozenset[int], ...]:
+        """Vertex orbits, as a partition sorted by least member. The coset
+        representatives of every level generate the group (Sims), so the
+        orbits are the classes of the union-find that joins u and t[u] for
+        every representative t and vertex u."""
+        least = list(range(self.degree))  # a vertex -> a smaller one of its orbit, or itself
+        for reps in self.levels:
+            for t in reps:
+                for u, x in enumerate(t):
+                    while least[u] != u:
+                        least[u] = u = least[least[u]]
+                    while least[x] != x:
+                        least[x] = x = least[least[x]]
+                    if u < x:
+                        least[x] = u
+                    elif x < u:
+                        least[u] = x
+        blocks: dict[int, list[int]] = {}  # least member -> its orbit, in ascending order
+        for v, up in enumerate(least):
+            if up != v:  # up < v, whose entry already holds its orbit's least member
+                least[v] = least[up]
+            blocks.setdefault(least[v], []).append(v)
+        return tuple(map(frozenset, blocks.values()))
 
     @cached_property
     def maps_to(self) -> tuple[tuple[int, ...], ...]:

@@ -3,7 +3,8 @@
 Everything here is deliberately independent of the library's search code:
 brute-force filters over all n! permutations, all subsets, all colorings,
 and a from-scratch graph6 codec. These are the reference implementations
-the fast paths are checked against.
+the fast paths are checked against. The two lemma checks at the end are
+the exception: they run the library's searches on a lemma's hypotheses.
 """
 
 from functools import cached_property
@@ -11,9 +12,13 @@ from itertools import combinations, permutations, product
 from math import factorial
 from operator import itemgetter
 
+from symbreak import autgroup
 from symbreak.checks import RULES
-from symbreak.errors import DegreeError
-from symbreak.graphs import FamilySpec, Graph, generate_family
+from symbreak.config import DEFAULT_BUDGET
+from symbreak.equivalence import distinguishably_equivalent
+from symbreak.errors import DegreeError, NotApplicableError
+from symbreak.graphs import FamilySpec, Graph, generate_family, induced_subgraph
+from symbreak.metrics import distinguishing_number
 from symbreak.perms import Perm, PermGroup
 
 
@@ -540,3 +545,54 @@ def two_diamonds() -> Graph:
     diamond = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
     edges = diamond + [(u + 4, v + 4) for u, v in diamond]
     return Graph.from_edges(8, edges + [(2, 6), (3, 7)])
+
+
+# -- lemma checks ------------------------------------------------------------
+# Both read Aut through autgroup.automorphism_group at each call, so that a
+# test can replace or count it there.
+
+
+def check_restriction(g: Graph, h) -> bool:
+    """For vertex sets h whose members all share the same neighbors outside h:
+    every distinguishing coloring of g restricts to a distinguishing coloring
+    of the subgraph induced on h.
+
+    Checked as the lemma's proof step: since the members of h share their
+    outside neighbors, every automorphism of g[h], extended by the identity
+    outside h, is an automorphism of g. A non-identity automorphism of g[h]
+    that preserved the restriction would then extend to one of g preserving
+    the coloring, for any number of colors. Returns True iff every extension
+    is in Aut(g).
+    """
+    h = sorted(set(h))
+    if not h:
+        raise NotApplicableError("h must be a nonempty vertex set")
+    if h[0] < 0 or h[-1] >= g.n:
+        raise NotApplicableError(f"h holds a vertex outside 0..{g.n - 1}")
+    hmask = 0
+    for v in h:
+        hmask |= 1 << v
+    outside = [g.adj[v] & ~hmask for v in h]
+    if any(o != outside[0] for o in outside):
+        raise NotApplicableError("members of h differ in their outside neighborhoods")
+
+    aut_g = autgroup.automorphism_group(g).image_set
+    sub, _ = induced_subgraph(g, h)  # vertex i of sub is h[i]
+    for t in autgroup.automorphism_group(sub).images:
+        extension = list(range(g.n))
+        for i, v in enumerate(h):
+            extension[v] = h[t[i]]
+        if tuple(extension) not in aut_g:
+            return False
+    return True
+
+
+def check_shared_distinguishing_number(g1: Graph, g2: Graph, budget=DEFAULT_BUDGET) -> bool:
+    """Equivalent graphs must have equal distinguishing numbers."""
+    if g1.n != g2.n:
+        raise NotApplicableError("graphs are not distinguishably equivalent")
+    aut1, aut2 = autgroup.automorphism_group(g1), autgroup.automorphism_group(g2)
+    if distinguishably_equivalent(g1, g2, budget, aut1=aut1, aut2=aut2) is None:
+        raise NotApplicableError("graphs are not distinguishably equivalent")
+    d1 = distinguishing_number(g1, budget, aut=aut1)[0]
+    return d1 == distinguishing_number(g2, budget, aut=aut2)[0]

@@ -11,6 +11,8 @@ from helpers import (
     ElementList,
     from_cycles,
     mid_group_graphs,
+    check_restriction,
+    check_shared_distinguishing_number,
     net_graph,
     per_element_is_determining_set,
     per_element_pair_rules,
@@ -22,8 +24,6 @@ from symbreak.checks import (
     RULES,
     ScanOptions,
     check_pair_rules,
-    check_restriction,
-    check_shared_distinguishing_number,
     family_bounds_check,
     scan_corpus,
 )

@@ -1,16 +1,21 @@
 """The ways _conjugating_bijection can fail once the orders agree: orbit
 sizes that differ, cycle indexes that differ, and a search that exhausts
-without a bijection."""
+without a bijection; and the bijection it builds, with no search, between
+two groups that are the symmetric group on each of their orbits."""
 
+import random
 from itertools import permutations
+from math import factorial, prod
 
 import pytest
 
-from symbreak.autgroup import orbits
+from helpers import conjugate_group
+from symbreak.autgroup import automorphism_group, group_key
 from symbreak.config import Budget
-from symbreak.equivalence import _conjugating_bijection
+from symbreak.equivalence import _conjugating_bijection, distinguishably_equivalent
 from symbreak.errors import BudgetExceededError
-from symbreak.perms import PermGroup
+from symbreak.graphs import FamilySpec, complement, enumerate_graphs, generate_family, permuted
+from symbreak.perms import Perm, PermGroup
 
 
 def closure(n, generators) -> PermGroup:
@@ -43,8 +48,8 @@ def test_klein_groups_with_equal_cycle_types_differ_in_orbit_sizes():
     b = closure(6, [(1, 0, 3, 2, 4, 5), (1, 0, 2, 3, 5, 4)])
     assert a.order == b.order == 4
     assert a.cycle_index == b.cycle_index
-    assert sorted(map(len, orbits(a))) == [1, 1, 4]
-    assert sorted(map(len, orbits(b))) == [2, 2, 2]
+    assert sorted(map(len, a.orbits)) == [1, 1, 4]
+    assert sorted(map(len, b.orbits)) == [2, 2, 2]
     assert _conjugating_bijection(a, b, Budget(equivalence_nodes=0)) is None
 
 
@@ -61,7 +66,7 @@ def test_regular_groups_with_equal_orbit_sizes_differ_in_cycle_index():
 
     z4_z2_3 = closure(32, [tuple(add(x, g) for x in range(32)) for g in (1, 4, 8, 16)])
     assert z2_5.order == z4_z2_3.order == 32
-    assert [len(o) for o in orbits(z2_5)] == [len(o) for o in orbits(z4_z2_3)] == [32]
+    assert [len(o) for o in z2_5.orbits] == [len(o) for o in z4_z2_3.orbits] == [32]
     assert z2_5.cycle_index != z4_z2_3.cycle_index
     assert _conjugating_bijection(z2_5, z4_z2_3, Budget(equivalence_nodes=0)) is None
 
@@ -75,8 +80,52 @@ def test_search_exhausts_on_non_conjugate_groups_with_equal_signatures():
     a, b = closure(8, gens_a), closure(8, gens_b)
     assert a.order == b.order == 192
     assert a.cycle_index == b.cycle_index
-    assert [len(o) for o in orbits(a)] == [len(o) for o in orbits(b)] == [8]
+    assert [len(o) for o in a.orbits] == [len(o) for o in b.orbits] == [8]
     assert not any(conjugates_into(s, gens_a, b) for s in permutations(range(8)))
     assert _conjugating_bijection(a, b, Budget(equivalence_nodes=1)) is None
     with pytest.raises(BudgetExceededError):  # None only once the search ran
         _conjugating_bijection(a, b, Budget(equivalence_nodes=0))
+
+
+def test_orbit_symmetric_groups_get_the_least_conjugator_without_a_search():
+    """Every ordered pair of groups, a group with itself included, that are
+    the symmetric group on each of their orbits and have equal degree, order
+    and sorted orbit sizes, among the graphs on at most 6 vertices and a
+    seeded relabelled complement of each. Under a budget of zero nodes the
+    bijection returned conjugates the one group onto the other, and it is
+    the least, in lexicographic order, of the n! bijections that conjugate
+    the first group's levels into the second group, which is what the
+    search returns."""
+    rng = random.Random(0)
+    base = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    graphs = base + [
+        permuted(complement(g), Perm(tuple(rng.sample(range(g.n), g.n)))) for g in base
+    ]
+    by_key: dict[tuple, dict] = {}  # (n, order, orbit sizes) -> distinct groups by group_key
+    for g in graphs:
+        aut = automorphism_group(g)
+        sizes = tuple(sorted(map(len, aut.orbits)))
+        if aut.order == prod(map(factorial, sizes)):
+            by_key.setdefault((g.n, aut.order, sizes), {})[group_key(aut)] = aut
+    pairs = [(a, b) for same in by_key.values() for a in same.values() for b in same.values()]
+    assert len(by_key) >= 20 and len(pairs) >= 1000
+    for a, b in pairs:
+        sigma = _conjugating_bijection(a, b, Budget(equivalence_nodes=0))
+        assert conjugate_group(a, sigma).image_set == b.image_set
+        gens = [t for reps in a.levels for t in reps]
+        least = next(s for s in permutations(range(a.degree)) if conjugates_into(s, gens, b))
+        assert sigma.images == least, (a, b)
+
+
+def test_k8_against_a_relabelled_k8_forms_nothing():
+    """K8 against a seeded relabelling of K8, the pair of the tests
+    workflow: S8 against S8 settles at a budget of zero nodes, on the
+    identity the search returned, and neither group forms its 40,320
+    products, maps_to or cycle index."""
+    k8 = generate_family(FamilySpec("complete", 8))
+    relabelled = permuted(k8, Perm(tuple(random.Random(0).sample(range(8), 8))))
+    a, b = automorphism_group(k8), automorphism_group(relabelled)
+    sigma = distinguishably_equivalent(k8, relabelled, Budget(equivalence_nodes=0), aut1=a, aut2=b)
+    assert sigma == Perm.identity(8)
+    formed = {"images", "maps_to", "cycle_index"}
+    assert formed.isdisjoint(a.__dict__) and formed.isdisjoint(b.__dict__)

@@ -12,6 +12,7 @@ from conftest import graphs
 from helpers import (
     brute_equivalent,
     brute_group,
+    check_shared_distinguishing_number,
     closure_orbits,
     conjugate_group,
     from_cycles,
@@ -27,7 +28,7 @@ from symbreak.equivalence import (
     distinguishably_equivalent,
     equivalence_classes,
 )
-from symbreak.checks import ScanOptions, check_shared_distinguishing_number, scan_corpus
+from symbreak.checks import ScanOptions, scan_corpus
 from symbreak.cli import main
 from symbreak.errors import BudgetExceededError, DegreeError, NotApplicableError
 from symbreak.config import Budget
@@ -245,7 +246,8 @@ def _complement_pairs():
 # Per pair, both graph6 strings, the bijection found and the smallest
 # equivalence_nodes budget at which the search settles. The bijections were
 # captured before the search conjugated only a generating set of the first
-# group, the budgets since it branches on the orbits of point stabilizers.
+# group, the budgets since a pair of groups that are the symmetric group on
+# each of their orbits settles before the search, at 0.
 def test_bijection_node_counts_match_golden():
     lines = (GOLDENS / "equivalence_nodes.txt").read_text().splitlines()
     pairs = list(_complement_pairs())
@@ -259,7 +261,7 @@ def test_bijection_node_counts_match_golden():
             g, h, Budget(equivalence_nodes=nodes), aut1=a, aut2=b
         )
         assert found.images == tuple(map(int, sigma.split(","))), line
-        if nodes:  # a trivial group settles before the search
+        if nodes:  # an orbit-symmetric group settles before the search
             with pytest.raises(BudgetExceededError):
                 distinguishably_equivalent(
                     g, h, Budget(equivalence_nodes=nodes - 1), aut1=a, aut2=b
@@ -395,9 +397,10 @@ def test_unresolved_pairs_follow_class_creation_order():
     """Under a budget of one node every search that needs a second node is
     unresolved, and the graph goes on to the next class with its key. The
     pairs below were captured before classes were looked up by key, when
-    each graph scanned every class in creation order. An orbit-symmetric
-    group is placed by its orbit sizes and never searched, so only the
-    pairs in which neither group is orbit-symmetric stay unresolved."""
+    each graph scanned every class in creation order. A pair of
+    orbit-symmetric groups settles with no search node, and such a group
+    is tried only against groups of its orbit sizes, so only the pairs in
+    which neither group is orbit-symmetric stay unresolved."""
     rng = random.Random(3)
     base = [g for n in range(1, 5) for g in enumerate_graphs(n)]
     graphs = base + [
@@ -446,8 +449,8 @@ def searched(monkeypatch):
 
 def test_equal_order_groups_split_by_orbit_sizes(searched):
     """P4 and the paw both have n = 4 and |Aut| = 2, but <(0 3)(1 2)> and
-    <(0 1)> are not conjugate. The paw's group is orbit-symmetric, so it
-    starts its own class by its orbit sizes, without a search."""
+    <(0 1)> are not conjugate. Their orbit sizes differ, so the paw starts
+    its own class without being tried against P4."""
     p4 = fam("path", 4)
     paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     a, b = automorphism_group(p4), automorphism_group(paw)
@@ -465,11 +468,12 @@ def complete_multipartite(sizes) -> Graph:
     return Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v) if part[u] != part[v]])
 
 
-def test_orbit_symmetric_groups_join_by_orbit_sizes_without_a_search(monkeypatch, searched):
+def test_orbit_symmetric_groups_join_by_orbit_sizes_without_a_search(monkeypatch):
     """Complete multipartite graphs and disjoint unions of cliques with parts
     of distinct sizes have Sym(part) on each part as their group, so seeded
-    relabellings of those with equal part sizes form one class. None is
-    searched, and no group forms its products."""
+    relabellings of those with equal part sizes form one class. Each pair
+    settles with no search node, so none is unresolved under a budget of
+    zero nodes, and no group forms its products, maps_to or cycle index."""
     import symbreak.equivalence as equivalence
 
     rng = random.Random(11)
@@ -487,11 +491,12 @@ def test_orbit_symmetric_groups_join_by_orbit_sizes_without_a_search(monkeypatch
         return groups[-1]
 
     monkeypatch.setattr(equivalence, "automorphism_group", group)
-    partition, unresolved = equivalence_classes(graphs)
-    assert unresolved == [] and searched == []
+    partition, unresolved = equivalence_classes(graphs, Budget(equivalence_nodes=0))
+    assert unresolved == []
     assert partition == [[*range(6), *range(12, 18)], list(range(6, 12))]
     assert len(groups) == len(graphs) and len({group_key(a) for a in groups}) > 2
-    assert all("images" not in a.__dict__ and "maps_to" not in a.__dict__ for a in groups)
+    formed = {"images", "maps_to", "cycle_index"}
+    assert all(formed.isdisjoint(a.__dict__) for a in groups)
 
 
 def test_empty_graphs_and_a_single_vertex():
@@ -635,18 +640,17 @@ def test_scan_of_the_rigid_graphs_searches_each_group_once(aut_calls):
 
 
 def test_bijection_search_leaves_no_reference_cycles():
+    """C6 and its complement share a dihedral group of order 12, which is
+    not the symmetric group on its orbit, so both calls run the search."""
     import gc
 
-    g = fam("complete", 6)
-    h = complement(g)
-    a, b = automorphism_group(g), automorphism_group(h)
     c = fam("cycle", 6)
     d = complement(c)
     c_aut, d_aut = automorphism_group(c), automorphism_group(d)
     gc.collect()
     gc.disable()
     try:
-        assert distinguishably_equivalent(g, h, aut1=a, aut2=b) is not None
+        assert distinguishably_equivalent(c, d, aut1=c_aut, aut2=d_aut) is not None
         assert gc.collect() == 0
         with pytest.raises(BudgetExceededError):
             distinguishably_equivalent(c, d, Budget.uniform(1), aut1=c_aut, aut2=d_aut)

@@ -2,9 +2,8 @@ from itertools import product
 
 import pytest
 
-from helpers import ElementList, brute_is_distinguishing
-from symbreak import checks
-from symbreak.checks import check_restriction
+from helpers import ElementList, brute_is_distinguishing, check_restriction
+from symbreak import autgroup
 from symbreak.graphs import FamilySpec, Graph, generate_family, induced_subgraph
 
 STAR = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
@@ -22,7 +21,7 @@ def test_restriction_fails_when_an_extension_is_missing(monkeypatch):
     """A group of the 4-star without the swap of leaves 1 and 2: the identity
     extension of that swap of g[{1, 2, 3}] is not found in it."""
     swap = (0, 2, 1, 3)
-    real = checks.automorphism_group
+    real = autgroup.automorphism_group
 
     def faulty(g):
         aut = real(g)
@@ -31,7 +30,7 @@ def test_restriction_fails_when_an_extension_is_missing(monkeypatch):
         assert swap in aut.image_set
         return ElementList(aut.degree, (t for t in aut.images if t != swap))
 
-    monkeypatch.setattr(checks, "automorphism_group", faulty)
+    monkeypatch.setattr(autgroup, "automorphism_group", faulty)
     assert check_restriction(STAR, {1, 2, 3}) is False
 
 
