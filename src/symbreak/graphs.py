@@ -2,11 +2,22 @@
 
 Adjacency is stored as one neighbor bitmask per vertex, which keeps graphs
 hashable, immutable, and cheap to permute. graph6 follows the standard format
-(one record per line, optional ">>graph6<<" header). Both directions take
-the one-byte size form (n <= 62) and the four-byte long form, up to
-GRAPH6_MAX_N vertices; the eight-byte form is not supported. A graph keeps
-its record once encoded, and a parsed graph the record it was parsed from
-when that is the one the encoder would write, so neither is encoded again.
+(B. McKay, https://users.cecs.anu.edu.au/~bdm/data/formats.txt: one record
+per line, optional ">>graph6<<" header). Both directions take the one-byte
+size form (n <= 62) and the four-byte long form, up to GRAPH6_MAX_N
+vertices; the eight-byte form is not supported. A graph keeps its record
+once encoded, and a parsed graph the record it was parsed from when that is
+the one the encoder would write, so neither is encoded again.
+
+The body packs the upper triangle column by column, six bits per character,
+first bit most significant. Read with bit k of the stream as bit k of an
+integer, column v is the v bits at offset v(v - 1)/2, which are exactly
+adj[v] below v. So the codec moves whole columns: the parser turns the body
+into that integer with str.translate and int(), and the encoder ORs each row
+below its diagonal into a pending integer that it empties six bits at a time
+through a table of bit-reversed digits. No loop of either, nor of the check
+in Graph, runs once per vertex pair: each runs once per vertex, per edge or
+per character, up to the n = 512 cap.
 """
 
 from __future__ import annotations
@@ -17,7 +28,7 @@ from itertools import combinations, permutations
 
 from .config import DEFAULT_BUDGET
 from .errors import DegreeError, FamilySpecError, ParseError, UnsupportedSizeError
-from .perms import Perm, PermGroup
+from .perms import Perm, PermGroup, apply_mask
 
 GRAPH6_HEADER = ">>graph6<<"
 GRAPH6_MAX_N = 512
@@ -43,16 +54,33 @@ class Graph:
     def __post_init__(self):
         if len(self.adj) != self.n:
             raise ValueError("adjacency length must equal vertex count")
+        adj = self.adj
         full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
+        below = 0  # bits of the rows below their diagonal
+        symmetric = True
+        for v, row in enumerate(adj):
             if row & ~full:
                 raise ValueError(f"adjacency of {v} references vertices >= {self.n}")
-            if row >> v & 1:
+            bit = 1 << v
+            if row & bit:
                 raise ValueError(f"self-loop at {v}")
-        for v in range(self.n):
-            for u in range(v):
-                if (self.adj[v] >> u & 1) != (self.adj[u] >> v & 1):
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
+            low = row & (bit - 1)
+            below += low.bit_count()
+            while low:
+                u = low.bit_length() - 1
+                if not adj[u] & bit:
+                    symmetric = False
+                    break
+                low ^= 1 << u
+        # with every bit below the diagonal mirrored above it, the rows hold
+        # at least as many bits above as below, and exactly as many only
+        # when every bit above is mirrored too; the pairwise loop names the
+        # first pair that is not
+        if not symmetric or 2 * below != sum(map(int.bit_count, adj)):
+            for v in range(self.n):
+                for u in range(v):
+                    if (adj[v] >> u & 1) != (adj[u] >> v & 1):
+                        raise ValueError(f"asymmetric adjacency between {u} and {v}")
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -66,7 +94,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
+        return sum(map(int.bit_count, self.adj)) // 2
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(
@@ -113,13 +141,10 @@ def permuted(g: Graph, p: Perm) -> Graph:
     unless p has degree n."""
     if p.degree != g.n:
         raise DegreeError(f"degree mismatch: {p.degree} vs {g.n}")
+    images = p.images
     adj = [0] * g.n
-    for v in range(g.n):
-        row = 0
-        for u in range(g.n):
-            if g.adj[v] >> u & 1:
-                row |= 1 << p.images[u]
-        adj[p.images[v]] = row
+    for v, row in enumerate(g.adj):
+        adj[images[v]] = apply_mask(images, row)
     return Graph(g.n, tuple(adj))
 
 
@@ -128,16 +153,28 @@ def permuted(g: Graph, p: Perm) -> Graph:
 # ---------------------------------------------------------------------------
 
 
+# the six bits of each graph6 character, first bit first
+_DIGIT_BITS = str.maketrans({63 + d: format(d, "06b") for d in range(64)})
+# the graph6 character whose six bits, first bit first, are bits 0..5 of d
+_REVERSED_DIGIT = tuple(chr(63 + int(format(d, "06b")[::-1], 2)) for d in range(64))
+
+
 def parse_graph6(text: str) -> Graph:
-    """Parse one graph6 record (optional header stripped, EOL tolerated)."""
+    """Parse one graph6 record (optional header stripped, EOL tolerated).
+
+    The body becomes one integer whose bit k is bit k of the stream: each
+    character is translated to its six bits, and the reversed bit string is
+    read by int(). Column v is then the next v bits, adj[v] below v, and the
+    rows above the diagonal are filled from the set bits of each column."""
     record = text.strip("\r\n")
     if record.startswith(GRAPH6_HEADER):
         record = record[len(GRAPH6_HEADER):]
     if not record:
         raise ParseError("empty record", offset=0)
-    for i, ch in enumerate(record):
-        if not 63 <= ord(ch) <= 126:
-            raise ParseError(f"character {ch!r} outside printable range 63..126", offset=i)
+    if min(record) < "?" or max(record) > "~":
+        for i, ch in enumerate(record):
+            if not 63 <= ord(ch) <= 126:
+                raise ParseError(f"character {ch!r} outside printable range 63..126", offset=i)
     first = ord(record[0]) - 63
     if first == 63:
         # long size form: 126 then three 6-bit digits, big-endian
@@ -162,22 +199,26 @@ def parse_graph6(text: str) -> Graph:
             f"body has {len(body)} bytes, expected {nbytes} for n={n}",
             offset=body_start + min(len(body), nbytes),
         )
-    adj = [0] * n
-    bit = 0
-    for v in range(1, n):
-        for u in range(v):
-            byte = ord(body[bit // 6]) - 63
-            if byte >> (5 - bit % 6) & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            bit += 1
+    stream = int(body.translate(_DIGIT_BITS)[::-1], 2) if body else 0
     # pad bits beyond the triangle must be zero
-    if nbytes:
-        last = ord(body[-1]) - 63
-        pad = nbytes * 6 - nbits
-        if last & ((1 << pad) - 1):
-            raise ParseError("nonzero trailing padding bits", offset=body_start + nbytes - 1)
-    g = Graph(n, tuple(adj))
+    if stream >> nbits:
+        raise ParseError("nonzero trailing padding bits", offset=body_start + nbytes - 1)
+    adj = [0] * n
+    for v in range(1, n):
+        column = stream & ((1 << v) - 1)
+        stream >>= v
+        adj[v] = column
+        bit = 1 << v
+        while column:
+            u = column.bit_length() - 1
+            adj[u] |= bit
+            column ^= 1 << u
+    # each row holds its column and the mirrors of the other columns' bits,
+    # and nothing else: symmetric, loop-free and inside 0..n-1 by
+    # construction, so the graph is made without Graph's check
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", tuple(adj))
     # the encoder writes the short size form exactly when n <= 62, and the
     # checks above make a record in that form the one it writes
     if (body_start == 1) == (n <= 62):
@@ -192,24 +233,30 @@ def encode_graph6(g: Graph) -> str:
 
 
 def _encoded(g: Graph) -> str:
-    if g.n > GRAPH6_MAX_N:
-        raise UnsupportedSizeError(f"graph6 supports n <= {GRAPH6_MAX_N}, got {g.n}")
-    if g.n <= 62:
-        out = [chr(g.n + 63)]
+    """The graph6 record of g. Each row's bits below the diagonal, which are
+    its column of the stream, are ORed into a pending integer above the bits
+    not yet written; whole characters are then taken off its low end, six
+    bits at a time, through _REVERSED_DIGIT. The pending integer stays
+    shorter than one row plus six bits, so the work is linear in the record
+    at every size up to GRAPH6_MAX_N."""
+    n = g.n
+    if n > GRAPH6_MAX_N:
+        raise UnsupportedSizeError(f"graph6 supports n <= {GRAPH6_MAX_N}, got {n}")
+    if n <= 62:
+        out = [chr(n + 63)]
     else:
         # long size form: 126 then three 6-bit digits, big-endian
-        out = [chr(126)] + [chr((g.n >> shift & 63) + 63) for shift in (12, 6, 0)]
-    acc = 0
-    nacc = 0
-    for v in range(1, g.n):
-        for u in range(v):
-            acc = acc << 1 | (g.adj[v] >> u & 1)
-            nacc += 1
-            if nacc == 6:
-                out.append(chr(acc + 63))
-                acc = nacc = 0
-    if nacc:
-        out.append(chr((acc << (6 - nacc)) + 63))
+        out = [chr(126)] + [chr((n >> shift & 63) + 63) for shift in (12, 6, 0)]
+    pending = npending = 0
+    for v, row in enumerate(g.adj):
+        pending |= (row & ((1 << v) - 1)) << npending
+        npending += v
+        while npending >= 6:
+            out.append(_REVERSED_DIGIT[pending & 63])
+            pending >>= 6
+            npending -= 6
+    if npending:
+        out.append(_REVERSED_DIGIT[pending])
     return "".join(out)
 
 

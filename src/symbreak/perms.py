@@ -52,38 +52,27 @@ def check_bijection(images: tuple[int, ...]) -> None:
         raise ValueError(f"not a bijection on 0..{n - 1}: {images}")
 
 
-def _cycle_lengths(images: tuple[int, ...]) -> tuple[int, ...]:
-    """Per vertex, the length of the cycle of images through it."""
-    lengths = [0] * len(images)
+def _cycle_type(images: tuple[int, ...]) -> tuple[int, ...]:
+    """The cycle lengths of the permutation images, sorted descending; each
+    cycle is walked once, from its least point."""
+    seen = [False] * len(images)
+    lengths = []
     for start, v in enumerate(images):
-        if lengths[start]:
+        if seen[start]:
             continue
         k = 1
         while v != start:
+            seen[v] = True
             v = images[v]
             k += 1
-        lengths[start] = k
-        v = images[start]
-        while v != start:
-            lengths[v] = k
-            v = images[v]
+        lengths.append(k)
+    lengths.sort(reverse=True)
     return tuple(lengths)
-
-
-def _type_of(lengths: tuple[int, ...]) -> tuple[int, ...]:
-    """The cycle type, sorted descending, of a permutation whose cycle
-    lengths per vertex are lengths: a cycle of length k is k entries k."""
-    ordered = sorted(lengths, reverse=True)
-    cycle_lengths, i, n = [], 0, len(ordered)
-    while i < n:
-        cycle_lengths.append(ordered[i])
-        i += ordered[i]
-    return tuple(cycle_lengths)
 
 
 def cycle_type(p: Perm) -> tuple[int, ...]:
     """Multiset of cycle lengths, sorted descending; lengths sum to the degree."""
-    return _type_of(_cycle_lengths(p.images))
+    return _cycle_type(p.images)
 
 
 def _folded(n: int, levels) -> tuple[tuple[int, ...], ...]:
@@ -280,4 +269,4 @@ class PermGroup:
         """The multiset of the elements' cycle types, counted: two groups
         have equal cycle-type multisets exactly when their cycle indexes are
         equal. Formed from the images, so it costs one pass over the order."""
-        return Counter(_type_of(_cycle_lengths(t)) for t in self.images)
+        return Counter(map(_cycle_type, self.images))

@@ -417,20 +417,27 @@ def brute_equivalent(g1: Graph, g2: Graph):
 
 
 def reference_encode_graph6(g: Graph) -> str:
-    assert g.n <= 62
+    assert g.n <= 512
     bits = "".join(
         "1" if g.adj[v] >> u & 1 else "0" for v in range(1, g.n) for u in range(v)
     )
     bits += "0" * (-len(bits) % 6)
-    chars = [chr(g.n + 63)]
-    for i in range(0, len(bits), 6):
-        chars.append(chr(int(bits[i : i + 6], 2) + 63))
-    return "".join(chars)
+    if g.n <= 62:
+        size = format(g.n, "06b")
+    else:  # long size form: 126, then n in 18 bits
+        size = "111111" + format(g.n, "018b")
+    bits = size + bits
+    return "".join(chr(int(bits[i : i + 6], 2) + 63) for i in range(0, len(bits), 6))
 
 
 def reference_decode_graph6(record: str) -> tuple[int, set[tuple[int, int]]]:
-    n = ord(record[0]) - 63
-    bits = "".join(format(ord(ch) - 63, "06b") for ch in record[1:])
+    bits = "".join(format(ord(ch) - 63, "06b") for ch in record)
+    if bits.startswith("111111"):
+        n = int(bits[6:24], 2)
+        bits = bits[24:]
+    else:
+        n = int(bits[:6], 2)
+        bits = bits[6:]
     edges = set()
     k = 0
     for v in range(1, n):
@@ -439,6 +446,17 @@ def reference_decode_graph6(record: str) -> tuple[int, set[tuple[int, int]]]:
                 edges.add((u, v))
             k += 1
     return n, edges
+
+
+def first_asymmetric_pair(n: int, adj) -> tuple[int, int] | None:
+    """The first pair u < v, by v and then by u, that one of adj[u] and
+    adj[v] holds and the other does not; None when the rows are symmetric.
+    Graph names this pair when it refuses the rows."""
+    for v in range(n):
+        for u in range(v):
+            if (adj[v] >> u & 1) != (adj[u] >> v & 1):
+                return u, v
+    return None
 
 
 # -- fixed graphs ------------------------------------------------------------

@@ -113,21 +113,103 @@ def test_long_size_form_round_trips(n):
 
 
 def test_encode_rejects_n_above_512():
-    with pytest.raises(UnsupportedSizeError):
+    with pytest.raises(UnsupportedSizeError) as exc:
         encode_graph6(Graph(513, (0,) * 513))
+    assert str(exc.value) == "graph6 supports n <= 512, got 513"
 
 
-@given(graphs(max_n=10))
+def test_a_dense_graph_at_the_size_cap_round_trips():
+    rng = random.Random(0)
+    g = Graph.from_edges(512, [(u, v) for v in range(512) for u in range(v) if rng.random() < 0.5])
+    record = encode_graph6(g)
+    assert record == reference_encode_graph6(g)
+    parsed = parse_graph6(record)
+    assert parsed == g and cached(parsed) and encode_graph6(parsed) == record
+
+
+@pytest.mark.parametrize("n", [61, 62, 63, 64])
+def test_both_sides_of_the_long_size_form_match_the_reference(n):
+    rng = random.Random(n)
+    g = Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.5])
+    record = encode_graph6(g)
+    assert record == reference_encode_graph6(g)
+    assert record.startswith("~") == (n > 62)
+    assert reference_decode_graph6(record) == (n, set(g.edges()))
+    assert parse_graph6(record) == g
+
+
+# every refusal of the parser, with its message and byte offset; the offset
+# counts from the start of the record, after any header
+N63_BODY = 63 * 62 // 2 // 6 + 1  # 326 body bytes, the last with 3 pad bits
+
+
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        ("", "empty record", 0),
+        (">>graph6<<", "empty record", 0),
+        ("\u00e9A", "character '\u00e9' outside printable range 63..126", 0),
+        ("C\x00", "character '\\x00' outside printable range 63..126", 1),
+        ("D? {", "character ' ' outside printable range 63..126", 2),
+        ("D?\x7f", "character '\\x7f' outside printable range 63..126", 2),
+        ("D?{\u00e9", "character '\u00e9' outside printable range 63..126", 3),
+        (">>graph6<<A ", "character ' ' outside printable range 63..126", 1),
+        ("A_ ", "character ' ' outside printable range 63..126", 2),
+        ("A@", "nonzero trailing padding bits", 1),
+        ("A~", "nonzero trailing padding bits", 1),
+        ("D?}", "nonzero trailing padding bits", 2),
+        ("~??~" + "?" * (N63_BODY - 1) + "@", "nonzero trailing padding bits", 329),
+        ("D?", "body has 1 bytes, expected 2 for n=5", 2),
+        ("D?{?", "body has 3 bytes, expected 2 for n=5", 3),
+        ("A__", "body has 2 bytes, expected 1 for n=2", 2),
+        ("@?", "body has 1 bytes, expected 0 for n=1", 1),
+        ("~??~" + "?" * (N63_BODY - 1), "body has 325 bytes, expected 326 for n=63", 329),
+        ("~??~" + "?" * (N63_BODY + 1), "body has 327 bytes, expected 326 for n=63", 330),
+        ("~??", "truncated long size header", 3),
+    ],
+)
+def test_parse_errors_name_the_defect_and_its_offset(text, message, offset):
+    with pytest.raises(ParseError) as exc:
+        parse_graph6(text)
+    assert str(exc.value) == f"{message} (byte offset {offset})"
+    assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("~~?????", "eight-byte size form not supported"),
+        ("~?G@", "record encodes n=513, beyond supported sizes"),
+        ("~~~~", "eight-byte size form not supported"),
+        ("~}~~", "record encodes n=258047, beyond supported sizes"),
+    ],
+)
+def test_unsupported_sizes_are_named(text, message):
+    with pytest.raises(UnsupportedSizeError) as exc:
+        parse_graph6(text)
+    assert str(exc.value) == message
+
+
+def test_every_record_of_the_corpus_re_encodes_to_itself():
+    records = GRAPHS7.read_text(encoding="ascii").split()
+    assert len(records) == 1044
+    for record in records:
+        g = parse_graph6(record)
+        fresh = Graph(g.n, g.adj)  # holds no text, so it is encoded
+        assert encode_graph6(fresh) == record
+
+
+@given(graphs(max_n=70))
 def test_parse_inverts_encode(g):
     assert parse_graph6(encode_graph6(g)) == g
 
 
-@given(graphs(max_n=10))
+@given(graphs(max_n=70))
 def test_encoder_matches_reference(g):
     assert encode_graph6(g) == reference_encode_graph6(g)
 
 
-@given(graphs(max_n=10))
+@given(graphs(max_n=70))
 def test_parser_matches_reference(g):
     record = reference_encode_graph6(g)
     n, edges = reference_decode_graph6(record)

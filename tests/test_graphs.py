@@ -1,8 +1,11 @@
+from itertools import product
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import REPO_ROOT, graphs
-from helpers import canonical_mask, slot_mask
+from helpers import canonical_mask, first_asymmetric_pair, slot_mask
 from symbreak.errors import DegreeError, FamilySpecError, UnsupportedSizeError
 from symbreak.graphs import (
     FamilySpec,
@@ -201,3 +204,71 @@ def test_graph_validation():
         Graph(1, (1,))  # self-loop
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 0)])
+
+
+@pytest.mark.parametrize(
+    "n, adj, message",
+    [
+        (2, (1, 0), "self-loop at 0"),
+        (3, (0, 0), "adjacency length must equal vertex count"),
+        (2, (0b100, 0), "adjacency of 0 references vertices >= 2"),
+        (2, (-1, 0), "adjacency of 0 references vertices >= 2"),
+        (3, (0b010, 0b100, 0b001), "asymmetric adjacency between 0 and 1"),
+        (3, (0b110, 0, 0b001), "asymmetric adjacency between 0 and 1"),
+        (3, (0b100, 0b100, 0b001), "asymmetric adjacency between 1 and 2"),
+        (3, (0b100, 0b100, 0b100), "self-loop at 2"),
+        (4, (0b1000, 0, 0, 0b0011), "asymmetric adjacency between 1 and 3"),
+    ],
+)
+def test_graph_refusals_are_named(n, adj, message):
+    with pytest.raises(ValueError) as exc:
+        Graph(n, adj)
+    assert str(exc.value) == message
+
+
+def assert_graph_matches_the_pairwise_oracle(n, adj):
+    pair = first_asymmetric_pair(n, adj)
+    if pair is None:
+        assert Graph(n, adj).adj == adj
+    else:
+        with pytest.raises(ValueError) as exc:
+            Graph(n, adj)
+        assert str(exc.value) == "asymmetric adjacency between {} and {}".format(*pair)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_every_loopless_row_set_on_few_vertices_meets_the_oracle(n):
+    # all 2**(n(n - 1)) sets of rows without self-loops: 4096 at n = 4
+    others = [[u for u in range(n) if u != v] for v in range(n)]
+    for bits in product((0, 1), repeat=n * (n - 1)):
+        adj = [0] * n
+        k = 0
+        for v in range(n):
+            for u in others[v]:
+                adj[v] |= bits[k] << u
+                k += 1
+        assert_graph_matches_the_pairwise_oracle(n, tuple(adj))
+
+
+@st.composite
+def loopless_rows(draw):
+    """Rows on up to 16 vertices with no self-loop: random ones, which are
+    almost never symmetric, or a symmetric set with up to three bits
+    flipped."""
+    n = draw(st.integers(1, 16))
+    rows = [draw(st.integers(0, (1 << n) - 1)) & ~(1 << v) for v in range(n)]
+    if draw(st.booleans()):
+        rows = [
+            sum(1 << u for u in range(n) if u != v and rows[max(u, v)] >> min(u, v) & 1)
+            for v in range(n)
+        ]
+        if n > 1:
+            for _ in range(draw(st.integers(0, 3))):
+                u, v = draw(st.permutations(range(n)))[:2]
+                rows[u] ^= 1 << v
+    return n, tuple(rows)
+
+
+@given(loopless_rows())
+def test_graph_refuses_exactly_the_rows_the_oracle_does(rows):
+    assert_graph_matches_the_pairwise_oracle(*rows)
