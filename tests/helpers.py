@@ -328,14 +328,68 @@ def per_element_pair_rules(group: PermGroup, x: int, y: int, d):
 def first_subsets(group: PermGroup, max_size: int) -> list[tuple[int, int, int]]:
     """(k, mask, |setwise stabilizer|) for each subset of size k <= max_size,
     in combinations order, that no element maps to an earlier subset of its
-    size, with the number of elements mapping it onto itself."""
+    size, with the number of elements mapping it onto itself. Subsets are
+    visited in combinations order, so a subset comes first exactly when it
+    is in no orbit met before it."""
     out = []
     for k in range(max_size + 1):
+        seen = set()  # the orbits met so far, each subset as a sorted tuple
         for s in combinations(range(group.degree), k):
-            images = [tuple(sorted(p.images[v] for v in s)) for p in group.elements]
-            if min(images) == s:
-                out.append((k, sum(1 << v for v in s), images.count(s)))
+            if s in seen:
+                continue
+            images = [tuple(sorted(t[v] for v in s)) for t in group.images]
+            seen.update(images)
+            out.append((k, sum(1 << v for v in s), images.count(s)))
     return out
+
+
+def reference_coloring_searches(group):
+    """(k, first, nodes) for k = 3, 4, ... up to the first k with a
+    distinguishing k-coloring, each from a depth-first search over the
+    k-colorings in canonical form (a color id appears only after all smaller
+    ids), color ids tried in increasing order: first is the first
+    distinguishing coloring, or None, and nodes counts every color tried at
+    a vertex. Coloring v is doomed iff an element that moves v and fixes
+    every vertex above it sends each colored vertex into its own color
+    class; each node is tested from scratch on group.maps_to, with those
+    elements read off the image tuples."""
+    n, maps_to = group.degree, group.maps_to
+    last_moved = [0] * n
+    for i, t in enumerate(group.images):
+        v = n - 1
+        while v >= 0 and t[v] == v:
+            v -= 1
+        if v >= 0:
+            last_moved[v] |= 1 << i
+    colors: list[int] = []
+
+    def doomed(v: int) -> bool:
+        keep = last_moved[v]
+        for c in set(colors):
+            members = [u for u, cu in enumerate(colors) if cu == c]
+            for u in members:
+                keep &= sum(maps_to[u][x] for x in members)
+        return keep != 0
+
+    def extend(k: int) -> bool:
+        nonlocal nodes
+        v = len(colors)
+        if v == n:
+            return True
+        for c in range(min(max(colors, default=-1) + 1, k - 1) + 1):
+            nodes += 1
+            colors.append(c)
+            if not doomed(v) and extend(k):
+                return True
+            colors.pop()
+        return False
+
+    for k in range(3, n + 1):
+        nodes = 0
+        if extend(k):
+            yield k, tuple(colors), nodes
+            return
+        yield k, None, nodes
 
 
 def slot_mask(g: Graph) -> int:

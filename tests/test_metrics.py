@@ -23,6 +23,7 @@ from helpers import (
     per_element_is_determining_set,
     per_element_is_distinguishing,
     per_element_is_distinguishing_class,
+    reference_coloring_searches,
 )
 from symbreak.autgroup import automorphism_group
 from symbreak.config import Budget
@@ -34,10 +35,14 @@ from symbreak.graphs import (
     enumerate_graphs,
     generate_family,
     parse_graph6,
+    permuted,
 )
 from symbreak.metrics import (
     UNKNOWN,
     Coloring,
+    _distinguishing_ge3,
+    _last_moved,
+    _search_coloring,
     _SubsetScan,
     analyze,
     cost_number,
@@ -410,20 +415,43 @@ def test_budget_error_raised_directly():
         determining_number(fam("cycle", 8), Budget(subset_tests=2))
 
 
+def relabellings(g: Graph, seeds):
+    """g relabelled by a random permutation drawn from each seed."""
+    for seed in seeds:
+        images = list(range(g.n))
+        random.Random(seed).shuffle(images)
+        yield permuted(g, Perm(tuple(images)))
+
+
 def test_subset_walk_yields_the_first_subset_of_each_orbit():
     """The walk yields, in combinations order, each subset that no element
-    maps to an earlier one, with the order of its setwise stabilizer."""
-    mid = mid_group_graphs()
-    cases = [(g, g.n) for n in range(1, 6) for g in enumerate_graphs(n)]
-    cases += [(mid[name], 4) for name in ("Q3", "K3xK3", "Petersen", "2K4")]
-    for g, max_size in cases:
+    maps to an earlier one, with the order of its setwise stabilizer. The
+    mid-size groups, relabelled too, are walked over every size, so that the
+    walk meets parents sharing long prefixes and parents that differ at
+    their first member."""
+    cases = [g for n in range(1, 6) for g in enumerate_graphs(n)]
+    for g in mid_group_graphs().values():
+        cases += [g, *relabellings(g, (1, 2))]
+    for g in cases:
         aut = automorphism_group(g)
-        walked = list(_SubsetScan(aut, Budget()).representatives(range(max_size + 1)))
-        assert walked == first_subsets(aut, max_size), g
+        walked = list(_SubsetScan(aut, Budget()).representatives(range(g.n + 1)))
+        assert walked == first_subsets(aut, g.n), g
         for _k, mask, stab in walked:
             members = {v for v in range(g.n) if mask >> v & 1}
             onto = sum({t[v] for v in members} == members for t in aut.images)
             assert stab == onto, (g, members)
+
+
+def test_a_walk_that_settles_at_the_empty_set_builds_no_table():
+    """A trivial group settles Det = rho = 0 at size 0, so analyze never
+    reads its maps_to."""
+    g = next(g for g in enumerate_graphs(6) if automorphism_group(g).is_trivial)
+    aut = automorphism_group(g)
+    line = analyze(g, aut=aut).to_line()
+    assert line.endswith(
+        " aut=1 D=1 Det=0 rho=0 det2_d2=0 rho_in_2_4=- det_set=- rho_class=- degenerate=1"
+    )
+    assert "maps_to" not in vars(aut)
 
 
 def test_subset_walk_expands_each_first_subset_once(graphs7_path):
@@ -507,6 +535,23 @@ def test_coloring_node_counts_match_golden():
         assert distinguishing_number(g, Budget(coloring_nodes=nodes), aut=aut)[0] == int(d)
         with pytest.raises(BudgetExceededError):
             distinguishing_number(g, Budget(coloring_nodes=nodes - 1), aut=aut)
+
+
+def test_coloring_search_matches_a_search_testing_each_node_afresh():
+    """For each k from 3 until a coloring is found, the search finds the
+    reference's coloring (or None) within exactly the reference's node
+    count, and one node fewer trips the budget. The groups reach 82,944
+    elements (3K4, D = 5), and each graph is also searched relabelled."""
+    named = {**mid_group_graphs(), "3K4": disjoint_cliques(3, 4)}
+    for name, g in named.items():
+        for h in (g, *relabellings(g, (3, 4, 5))):
+            aut = automorphism_group(h)
+            last_moved = _last_moved(aut)
+            for k, first, nodes in reference_coloring_searches(ElementList(h.n, aut.images)):
+                assert _search_coloring(aut, last_moved, k, Budget(coloring_nodes=nodes)) == first
+                with pytest.raises(BudgetExceededError):
+                    _search_coloring(aut, last_moved, k, Budget(coloring_nodes=nodes - 1))
+            assert _distinguishing_ge3(aut, Budget()) == (k, Coloring(first, k)), (name, h)
 
 
 def test_coloring_search_leaves_no_reference_cycles():
