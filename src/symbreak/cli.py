@@ -20,7 +20,7 @@ from dataclasses import replace
 from . import config
 from .autgroup import automorphism_group
 from .checks import ERROR_SKIP, ScanOptions, scan_corpus
-from .equivalence import distinguishably_equivalent
+from .equivalence import distinguishably_equivalent, obstruction
 from .errors import (
     BudgetExceededError,
     FamilySpecError,
@@ -124,13 +124,7 @@ def cmd_equiv(args) -> int:
         print(f"unknown search-exhausted {exc}")
         return 1
     if sigma is None:
-        if a1.order != a2.order:
-            reason = f"aut-order {a1.order} != {a2.order}"
-        elif a1.cycle_index != a2.cycle_index:
-            reason = "cycle-type multisets differ"
-        else:
-            reason = "no conjugating bijection"
-        print(f"not-equivalent {reason}")
+        print(f"not-equivalent {obstruction(a1, a2) or 'no conjugating bijection'}")
         return 0
     # the empty mapping of two 0-vertex graphs leaves the word alone on its line
     print(" ".join(["equivalent", *(f"{v}->{sigma.images[v]}" for v in range(g1.n))]))

@@ -6,19 +6,22 @@ same as the two groups having equal labeled cycle representations under
 suitable labelings. Under one labelling, two groups have equal representations
 exactly when their image_set views are equal.
 
-_conjugating_bijection compares, cheapest first, the degrees and orders and
-the sorted orbit sizes (PermGroup.orbits, read off the levels). A group
-whose order is the product of |O|! over its orbits O is orbit-symmetric: it
-always lies in the product of Sym(O), so it is that product, and a group of
-equal order and orbit sizes is orbit-symmetric too. Two such products are
+obstruction holds the checks that need no search, cheapest first: the
+degrees and orders, the sorted orbit sizes (PermGroup.orbits, read off the
+levels) and the cycle profiles (PermGroup.cycle_profile, the multiset of
+(fixed points, 2-cycles) over the elements, read off maps_to). It forms no
+element, and _conjugating_bijection and `symbreak equiv` both call it. A
+group whose order is the product of |O|! over its orbits O is
+orbit-symmetric: it always lies in the product of Sym(O), so it is that
+product, and a group of equal order and orbit sizes is orbit-symmetric too.
+Their profiles are then equal, and are not read. Two such products are
 conjugate by any bijection mapping orbits onto orbits of equal size, and the
 least of them is built directly: each orbit of the first group A, by least
 member, takes the next unused orbit of its size of the second group B, by
 least member, point for point in ascending order. That settles every trivial
-group too, and forms no element, maps_to or cycle index. Otherwise the cycle
-indexes (PermGroup.cycle_index, the multiset of cycle types, the only check
-that forms elements) are compared, and the search chooses sigma(0),
-sigma(1), ... in the order of A's base. Once 0..i-1 is mapped, sigma(i) is
+group too, and forms no element and no maps_to. Otherwise, once the
+profiles agree, the search chooses sigma(0), sigma(1), ... in the order of
+A's base. Once 0..i-1 is mapped, sigma(i) is
 tried only at the least unused point of each orbit of B_sigma(0..i-1), the
 elements of B fixing the points mapped so far, whose size is that of i's
 orbit under A_0..i-1, read off the levels of A's chain. B_sigma(0..i-1) is
@@ -37,15 +40,15 @@ equivalence_classes looks each group up before it searches, by
 autgroup.group_key, its degree and the levels of its stabilizer chain,
 which depend only on the group: a graph whose group equals, element for
 element, one already placed joins that class without a search, since the
-identity conjugates the one group onto the other, and none of its elements
-is formed. A new group is tried only against the representatives of the
-classes with its n, order and sorted orbit sizes, found by one dict lookup.
-For an orbit-symmetric group that bucket holds at most one class, which it
-joins with no search node. A group forms its elements, for its cycle index,
-only when another group that is not orbit-symmetric has its n, order and
-orbit sizes. The cached views a search reads, orbits, maps_to and
-cycle_index, are built once per group, so a class representative tried
-against many groups builds them once.
+identity conjugates the one group onto the other. A new group is tried only
+against the representatives of the classes with its n, order and sorted
+orbit sizes, found by one dict lookup. For an orbit-symmetric group that
+bucket holds at most one class, which it joins with no search node. A group
+builds maps_to, for its profile and the search, only when another group that
+is not orbit-symmetric has its n, order and orbit sizes. The cached views a
+search reads, orbits, maps_to and cycle_profile, are built once per group,
+so a class representative tried against many groups builds them once. No
+group forms its elements.
 """
 
 from __future__ import annotations
@@ -75,15 +78,35 @@ def _orbit_heads(B, fix: int, size: int, used: list[bool]):
                 yield x
 
 
+def _orbit_symmetric(aut: PermGroup) -> bool:
+    """Whether aut is the symmetric group on each of its orbits: its order
+    is the product of |O|! over its orbits O."""
+    return aut.order == prod(factorial(len(orbit)) for orbit in aut.orbits)
+
+
+def obstruction(autA: PermGroup, autB: PermGroup) -> str | None:
+    """Why no bijection conjugates autA onto autB, from the checks that need
+    no search, cheapest first, or None when every check passes: the degrees,
+    the orders, the sorted orbit sizes and, unless both groups are
+    orbit-symmetric, their cycle profiles. No element is formed."""
+    if autA.degree != autB.degree:
+        return f"vertex-count {autA.degree} != {autB.degree}"
+    if autA.order != autB.order:
+        return f"aut-order {autA.order} != {autB.order}"
+    sizes = [sorted(map(len, aut.orbits)) for aut in (autA, autB)]
+    if sizes[0] != sizes[1]:
+        return f"orbit-sizes {sizes[0]} != {sizes[1]}"
+    if not _orbit_symmetric(autA) and autA.cycle_profile != autB.cycle_profile:
+        return "cycle-type multisets differ"
+    return None
+
+
 def _conjugating_bijection(autA: PermGroup, autB: PermGroup, budget: config.Budget):
     """A vertex bijection sigma with sigma.autA.sigma^-1 == autB, or None."""
+    if obstruction(autA, autB) is not None:
+        return None
     n = autA.degree
-    if autB.degree != n or autA.order != autB.order:
-        return None
-    sizes = sorted(map(len, autA.orbits))
-    if sizes != sorted(map(len, autB.orbits)):
-        return None
-    if autA.order == prod(map(factorial, sizes)):  # Sym(O) on each orbit O, in both
+    if _orbit_symmetric(autA):  # Sym(O) on each orbit O, in both
         free: dict[int, list] = {}  # orbit size -> B's orbits of that size, least member last
         for orbit in reversed(autB.orbits):
             free.setdefault(len(orbit), []).append(orbit)
@@ -92,8 +115,6 @@ def _conjugating_bijection(autA: PermGroup, autB: PermGroup, budget: config.Budg
             for v, w in zip(sorted(orbit), sorted(free[len(orbit)].pop())):
                 sigma[v] = w
         return Perm(tuple(sigma))
-    if autA.cycle_index != autB.cycle_index:
-        return None
 
     # per representative t of autA's levels (with its inverse), the elements
     # of autB that can still be sigma.t.sigma^-1: those that send sigma(u)
@@ -175,20 +196,20 @@ def equivalence_classes(
 
     A graph whose group equals, element for element, the group of a graph
     already placed, found by group_key, joins that graph's class at once:
-    the identity conjugates one group onto the other, so no element, no
-    cycle index and no search are needed. Any other graph is tested against
-    the representative of each existing class with its key (n, |Aut| and
-    sorted orbit sizes), in class creation order, so transitivity is
-    exploited rather than re-derived; a representative whose cycle index
-    differs is ruled out before any search. A graph whose group is the
-    symmetric group on each of its orbits finds at most one class with its
-    key, and _conjugating_bijection settles that pair without a search. A
-    pair whose search ran out of budget is returned as unresolved, and the
-    graph goes on to the next class with its key: it may join a later class,
-    and starts its own only when no class with its key takes it. A later
-    graph with the same group as one already placed, like a graph whose
-    group is orbit-symmetric, is never unresolved, even under a budget too
-    small to settle a pair by search.
+    the identity conjugates one group onto the other, so no maps_to and no
+    search are needed. Any other graph is tested against the representative
+    of each existing class with its key (n, |Aut| and sorted orbit sizes), in
+    class creation order, so transitivity is exploited rather than
+    re-derived; a representative whose cycle profile differs is ruled out
+    before any search (obstruction). A graph whose group is the symmetric
+    group on each of its orbits finds at most one class with its key, and
+    _conjugating_bijection settles that pair without a search. A pair whose
+    search ran out of budget is returned as unresolved, and the graph goes on
+    to the next class with its key: it may join a later class, and starts its
+    own only when no class with its key takes it. A later graph with the same
+    group as one already placed, like a graph whose group is orbit-symmetric,
+    is never unresolved, even under a budget too small to settle a pair by
+    search. No element of any group is formed.
     """
     classes: list[list[int]] = []  # the members of each class, in creation order
     unresolved: list[tuple[int, int]] = []

@@ -52,9 +52,10 @@ def check_bijection(images: tuple[int, ...]) -> None:
         raise ValueError(f"not a bijection on 0..{n - 1}: {images}")
 
 
-def _cycle_type(images: tuple[int, ...]) -> tuple[int, ...]:
-    """The cycle lengths of the permutation images, sorted descending; each
-    cycle is walked once, from its least point."""
+def cycle_type(p: Perm) -> tuple[int, ...]:
+    """Multiset of cycle lengths, sorted descending; lengths sum to the
+    degree. Each cycle is walked once, from its least point."""
+    images = p.images
     seen = [False] * len(images)
     lengths = []
     for start, v in enumerate(images):
@@ -68,11 +69,6 @@ def _cycle_type(images: tuple[int, ...]) -> tuple[int, ...]:
         lengths.append(k)
     lengths.sort(reverse=True)
     return tuple(lengths)
-
-
-def cycle_type(p: Perm) -> tuple[int, ...]:
-    """Multiset of cycle lengths, sorted descending; lengths sum to the degree."""
-    return _cycle_type(p.images)
 
 
 def _folded(n: int, levels) -> tuple[tuple[int, ...], ...]:
@@ -118,6 +114,31 @@ def _sifts(t: tuple[int, ...], inverses: list[dict]) -> bool:
     return t == tuple(range(len(t)))  # fails only where some tuple is no bijection
 
 
+def _by_count(bitsets, every: int) -> dict[int, int]:
+    """Per count c, the bitset of the elements of every that lie in exactly
+    c of bitsets. The bitsets are added element-wise into carry-save bit
+    planes, plane k holding bit k of each element's count; then the elements
+    are split plane by plane into the groups with equal counts."""
+    planes: list[int] = []
+    for carry in bitsets:
+        k = 0
+        while carry:
+            if k == len(planes):
+                planes.append(0)
+            planes[k], carry = planes[k] ^ carry, planes[k] & carry
+            k += 1
+    parts = {0: every}
+    for k, plane in enumerate(planes):
+        split = {}
+        for c, bits in parts.items():
+            if bits & plane:
+                split[c | 1 << k] = bits & plane
+            if bits & ~plane:
+                split[c] = bits & ~plane
+        parts = split
+    return parts
+
+
 class PermGroup:
     """A permutation group on 0..degree-1, held as a stabilizer chain on the
     base 0..degree-1: per base point, first base point first, levels holds
@@ -135,11 +156,12 @@ class PermGroup:
     the hash is that of the element set. The views are built once, on first
     use, and cached on the group:
     - order, is_trivial, orbits and maps_to are read from the levels, and
-      no product is formed; identity_bits is bit 0, since images forms the
-      identity first. maps_to needs degree <= 256; orbits takes any degree.
+      cycle_profile from maps_to; no product is formed. identity_bits is
+      bit 0, since images forms the identity first. maps_to and
+      cycle_profile need degree <= 256; orbits takes any degree.
     - images forms the products; elements holds them as Perm objects, and
       is built only for callers that ask for it; image_set holds the image
-      tuples; cycle_index counts their cycle types, at any degree.
+      tuples.
     elements is aligned with images, and bit i of a maps_to or
     identity_bits bitset stands for images[i], also before images is
     formed. The group is not itself a container: callers
@@ -265,8 +287,20 @@ class PermGroup:
         return _folded(n, self.levels)
 
     @cached_property
-    def cycle_index(self) -> Counter:
-        """The multiset of the elements' cycle types, counted: two groups
-        have equal cycle-type multisets exactly when their cycle indexes are
-        equal. Formed from the images, so it costs one pass over the order."""
-        return Counter(map(_cycle_type, self.images))
+    def cycle_profile(self) -> Counter:
+        """The multiset of (fixed points, 2-cycles) over the elements,
+        counted; conjugation keeps both numbers, since it keeps each
+        element's cycle type. Read off maps_to, so no product is formed: an
+        element fixes u iff it lies in maps_to[u][u], and swaps u < x iff it
+        lies in maps_to[u][x] & maps_to[x][u]. DegreeError above degree 256."""
+        rows = self.maps_to
+        every = (1 << self.order) - 1
+        fixed = _by_count((row[u] for u, row in enumerate(rows)), every)
+        swapped = _by_count(
+            (row[x] & rows[x][u] for u, row in enumerate(rows) for x in range(u + 1, len(rows))),
+            every,
+        )
+        return Counter({
+            (f, s): (a & b).bit_count()
+            for f, a in fixed.items() for s, b in swapped.items() if a & b
+        })

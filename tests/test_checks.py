@@ -1,6 +1,8 @@
 import random
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations
+from math import comb, factorial, perm
 
 import pytest
 from hypothesis import given
@@ -587,3 +589,28 @@ def test_string_class_matches_cost_on_n2():
     from symbreak.metrics import cost_number
 
     assert cost_number(g)[0] == 4
+
+
+def test_free_theorem_checks_over_every_graph_on_at_most_7_vertices():
+    """Four theorems that tie independent searches together, over the scan
+    of every graph with n <= 7. Orbit-stabilizer: the n!/|Aut(G)| labelled
+    copies of each G add up to the 2^C(n,2) labelled graphs, which ties the
+    automorphism search to the enumeration. A determining set coloured
+    1..Det, every other vertex 0, is distinguishing, so D <= Det + 1. An
+    automorphism is fixed by where it sends a determining set, so |Aut| <=
+    n!/(n - Det)!. A one-point determining set is a distinguishing class,
+    so Det = 1 implies rho = 1. Both bounds are tight often enough on n = 7
+    that an off-by-one would show."""
+    reports = scan_corpus(g for n in range(1, 8) for g in enumerate_graphs(n)).graph_reports
+    labelled: dict[int, Fraction] = {}
+    tight_d = tight_aut = 0
+    for r in reports:
+        labelled[r.n] = labelled.get(r.n, 0) + Fraction(factorial(r.n), r.aut_order)
+        assert r.d <= r.det + 1, r.graph6
+        assert r.aut_order <= perm(r.n, r.det), r.graph6
+        assert r.det != 1 or r.rho == 1, r.graph6
+        if r.n == 7:
+            tight_d += r.d == r.det + 1
+            tight_aut += r.aut_order == perm(r.n, r.det)
+    assert labelled == {n: 2 ** comb(n, 2) for n in range(1, 8)}
+    assert (len(reports), tight_d, tight_aut) == (1252, 566, 154)

@@ -8,7 +8,7 @@ import pytest
 
 from symbreak.cli import main
 from symbreak.graphs import FamilySpec, Graph, encode_graph6, generate_family, permuted
-from symbreak.perms import Perm
+from symbreak.perms import Perm, PermGroup
 
 GOOD, BAD = "Bw", b"\x80"  # a triangle; a byte outside ASCII
 
@@ -96,10 +96,39 @@ def test_family_analyze_refuses_a_group_over_the_cap(capsys):
     assert err == "error: group exceeds element cap of 1000000\n"
 
 
-def test_equiv_reason_cycle_types(tmp_path, capsys):
+def test_equiv_reason_orbit_sizes(tmp_path, capsys):
     p3_k1 = Graph.from_edges(4, [(0, 1), (1, 2)])
     code, out, _ = run_cli(capsys, "equiv", write_pair(tmp_path, fam("path", 4), p3_k1))
+    assert (code, out) == (0, "not-equivalent orbit-sizes [2, 2] != [1, 1, 2]\n")
+
+
+def test_equiv_reason_cycle_types(tmp_path, capsys):
+    """The first pair of graphs, by graph6, whose groups agree in order (8)
+    and orbit sizes ([2, 2, 4]) but not in their (fixed points, 2-cycles)
+    profiles; no such pair has fewer than 8 vertices."""
+    path = tmp_path / "pair.g6"
+    path.write_text("G??HmO\nG??XPo\n")
+    code, out, _ = run_cli(capsys, "equiv", str(path))
     assert (code, out) == (0, "not-equivalent cycle-type multisets differ\n")
+
+
+@pytest.mark.parametrize("pair", ["G???B{ G???GK", "G??HmO G??XPo"])
+def test_equiv_reason_forms_no_element(tmp_path, capsys, monkeypatch, pair):
+    """Two pairs of groups of equal order, told apart by orbit sizes (720
+    elements each) and by cycle profiles: the reason is worded without
+    forming a product of either group."""
+    formed = []
+    real = PermGroup.images.func
+
+    def images(group):
+        formed.append(group.order)
+        return real(group)
+
+    monkeypatch.setattr(PermGroup, "images", property(images))
+    path = tmp_path / "pair.g6"
+    path.write_text(pair.replace(" ", "\n") + "\n")
+    code, out, _ = run_cli(capsys, "equiv", str(path))
+    assert code == 0 and out.startswith("not-equivalent ") and formed == []
 
 
 def test_equiv_reason_search_exhausted(tmp_path, capsys):

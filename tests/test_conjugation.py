@@ -1,20 +1,28 @@
 """The ways _conjugating_bijection can fail once the orders agree: orbit
-sizes that differ, cycle indexes that differ, and a search that exhausts
+sizes that differ, cycle profiles that differ, and a search that exhausts
 without a bijection; and the bijection it builds, with no search, between
 two groups that are the symmetric group on each of their orbits."""
 
 import random
+from collections import Counter
 from itertools import permutations
 from math import factorial, prod
 
 import pytest
 
-from helpers import conjugate_group
+from helpers import conjugate_group, disjoint_cliques, per_element_cycle_types
 from symbreak.autgroup import automorphism_group, group_key
 from symbreak.config import Budget
 from symbreak.equivalence import _conjugating_bijection, distinguishably_equivalent
 from symbreak.errors import BudgetExceededError
-from symbreak.graphs import FamilySpec, complement, enumerate_graphs, generate_family, permuted
+from symbreak.graphs import (
+    FamilySpec,
+    clique_with_tails,
+    complement,
+    enumerate_graphs,
+    generate_family,
+    permuted,
+)
 from symbreak.perms import Perm, PermGroup
 
 
@@ -47,7 +55,8 @@ def test_klein_groups_with_equal_cycle_types_differ_in_orbit_sizes():
     a = closure(6, [(1, 0, 3, 2, 4, 5), (2, 3, 0, 1, 4, 5)])
     b = closure(6, [(1, 0, 3, 2, 4, 5), (1, 0, 2, 3, 5, 4)])
     assert a.order == b.order == 4
-    assert a.cycle_index == b.cycle_index
+    assert Counter(per_element_cycle_types(a)) == Counter(per_element_cycle_types(b))
+    assert a.cycle_profile == b.cycle_profile
     assert sorted(map(len, a.orbits)) == [1, 1, 4]
     assert sorted(map(len, b.orbits)) == [2, 2, 2]
     assert _conjugating_bijection(a, b, Budget(equivalence_nodes=0)) is None
@@ -56,8 +65,10 @@ def test_klein_groups_with_equal_cycle_types_differ_in_orbit_sizes():
 def test_regular_groups_with_equal_orbit_sizes_differ_in_cycle_index():
     """Z2^5 and Z4 x Z2^3, each acting on itself by translation: one orbit
     of 32 points and order 32, so only the cycle index (Z4 x Z2^3 has
-    elements of order 4) tells them apart before a search. Without that
-    check the search runs past 10^6 nodes."""
+    elements of order 4) tells them apart before a search. The cycle profile
+    does too, with no element formed: Z2^5 has 31 elements with sixteen
+    2-cycles, Z4 x Z2^3 has 15. Without that check the search runs past
+    10^6 nodes."""
     shifts = [tuple(x ^ 1 << k for x in range(32)) for k in range(5)]
     z2_5 = closure(32, shifts)
 
@@ -67,7 +78,8 @@ def test_regular_groups_with_equal_orbit_sizes_differ_in_cycle_index():
     z4_z2_3 = closure(32, [tuple(add(x, g) for x in range(32)) for g in (1, 4, 8, 16)])
     assert z2_5.order == z4_z2_3.order == 32
     assert [len(o) for o in z2_5.orbits] == [len(o) for o in z4_z2_3.orbits] == [32]
-    assert z2_5.cycle_index != z4_z2_3.cycle_index
+    assert Counter(per_element_cycle_types(z2_5)) != Counter(per_element_cycle_types(z4_z2_3))
+    assert z2_5.cycle_profile[0, 16] == 31 and z4_z2_3.cycle_profile[0, 16] == 15
     assert _conjugating_bijection(z2_5, z4_z2_3, Budget(equivalence_nodes=0)) is None
 
 
@@ -79,7 +91,8 @@ def test_search_exhausts_on_non_conjugate_groups_with_equal_signatures():
     gens_b = [(7, 3, 4, 6, 0, 1, 5, 2), (1, 2, 3, 0, 6, 4, 7, 5)]
     a, b = closure(8, gens_a), closure(8, gens_b)
     assert a.order == b.order == 192
-    assert a.cycle_index == b.cycle_index
+    assert Counter(per_element_cycle_types(a)) == Counter(per_element_cycle_types(b))
+    assert a.cycle_profile == b.cycle_profile
     assert [len(o) for o in a.orbits] == [len(o) for o in b.orbits] == [8]
     assert not any(conjugates_into(s, gens_a, b) for s in permutations(range(8)))
     assert _conjugating_bijection(a, b, Budget(equivalence_nodes=1)) is None
@@ -121,11 +134,31 @@ def test_k8_against_a_relabelled_k8_forms_nothing():
     """K8 against a seeded relabelling of K8, the pair of the tests
     workflow: S8 against S8 settles at a budget of zero nodes, on the
     identity the search returned, and neither group forms its 40,320
-    products, maps_to or cycle index."""
+    products, maps_to or cycle profile."""
     k8 = generate_family(FamilySpec("complete", 8))
     relabelled = permuted(k8, Perm(tuple(random.Random(0).sample(range(8), 8))))
     a, b = automorphism_group(k8), automorphism_group(relabelled)
     sigma = distinguishably_equivalent(k8, relabelled, Budget(equivalence_nodes=0), aut1=a, aut2=b)
     assert sigma == Perm.identity(8)
-    formed = {"images", "maps_to", "cycle_index"}
+    formed = {"images", "maps_to", "cycle_profile"}
     assert formed.isdisjoint(a.__dict__) and formed.isdisjoint(b.__dict__)
+
+
+def test_large_pairs_that_are_not_orbit_symmetric_form_no_element():
+    """clique_with_tails(3) against a seeded relabelling (|Aut| = 40,320,
+    the pair of the tests workflow, at the least budget that settles it) and
+    4K3 against a seeded relabelling of its complement (|Aut| = 31,104):
+    neither group is the symmetric group on each of its orbits, so their
+    cycle profiles are compared, read off maps_to, and the search runs; no
+    product of either group is formed."""
+    k = disjoint_cliques(4, 3)
+    tails = clique_with_tails(3)
+    for g, h, budget in [
+        (tails, permuted(tails, Perm(tuple(random.Random(0).sample(range(24), 24)))), 118),
+        (k, permuted(complement(k), Perm(tuple(random.Random(0).sample(range(12), 12)))), 10**6),
+    ]:
+        a, b = automorphism_group(g), automorphism_group(h)
+        sigma = distinguishably_equivalent(g, h, Budget(equivalence_nodes=budget), aut1=a, aut2=b)
+        assert "cycle_profile" in a.__dict__ and "cycle_profile" in b.__dict__
+        assert "images" not in a.__dict__ and "images" not in b.__dict__
+        assert conjugates_into(sigma.images, [t for reps in a.levels for t in reps], b)

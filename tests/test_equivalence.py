@@ -495,7 +495,7 @@ def test_orbit_symmetric_groups_join_by_orbit_sizes_without_a_search(monkeypatch
     assert unresolved == []
     assert partition == [[*range(6), *range(12, 18)], list(range(6, 12))]
     assert len(groups) == len(graphs) and len({group_key(a) for a in groups}) > 2
-    formed = {"images", "maps_to", "cycle_index"}
+    formed = {"images", "maps_to", "cycle_profile"}
     assert all(formed.isdisjoint(a.__dict__) for a in groups)
 
 

@@ -103,31 +103,40 @@ def test_permgroup_validate_rejects_non_closed():
         validate_group(bad)
 
 
+def oracle_profile(group: PermGroup) -> Counter:
+    """The (fixed points, 2-cycles) multiset, counted from each element's
+    cycle type."""
+    return Counter((t.count(1), t.count(2)) for t in per_element_cycle_types(group))
+
+
 def test_cycle_views_match_per_element_oracle():
     cases = [g for n in range(1, 7) for g in enumerate_graphs(n)]
     cases += [*mid_group_graphs().values(), generate_family(FamilySpec("hypercube", 5))]
     for g in cases:
         aut = automorphism_group(g)
-        assert aut.cycle_index == Counter(per_element_cycle_types(aut)), g
+        profile = aut.cycle_profile
+        assert "images" not in aut.__dict__
+        assert profile == oracle_profile(aut), g
 
 
 def test_cycle_views_beyond_the_corpus():
-    """The cycle index of Aut(K8) (40,320 elements), Aut(4K3), a cyclic
-    group of degree 300 (above maps_to's degree limit) and the degree-0
-    group of ?, against the per-element oracle counted."""
+    """The cycle profile of Aut(K8) (40,320 elements), Aut(4K3) and the
+    degree-0 group of ?, against the per-element oracle counted; a cyclic
+    group of degree 300, above maps_to's degree limit, has none."""
+    groups = [
+        automorphism_group(generate_family(FamilySpec("complete", 8))),
+        automorphism_group(disjoint_cliques(4, 3)),
+        automorphism_group(parse_graph6("?")),
+    ]
+    assert [g.order for g in groups] == [40320, 31104, 1]
+    for aut in groups:
+        assert aut.cycle_profile == oracle_profile(aut)
     shift = tuple((v + 1) % 300 for v in range(300))
     powers = [tuple(range(300))]
     while len(powers) < 300:
         powers.append(tuple(shift[v] for v in powers[-1]))
-    groups = [
-        automorphism_group(generate_family(FamilySpec("complete", 8))),
-        automorphism_group(disjoint_cliques(4, 3)),
-        PermGroup.from_images(300, powers),
-        automorphism_group(parse_graph6("?")),
-    ]
-    assert [g.order for g in groups] == [40320, 31104, 300, 1]
-    for aut in groups:
-        assert aut.cycle_index == Counter(per_element_cycle_types(aut))
+    with pytest.raises(DegreeError):
+        PermGroup.from_images(300, powers).cycle_profile
 
 
 def test_permgroup_from_elements_sorts_and_dedupes():
