@@ -25,7 +25,11 @@ isomorphism preserves triangle counts, so it maps each seeded cell onto its
 counterpart: the seed also drops only branches without a leaf, and the groups
 and first leaves stay those of the unit partition. A random regular graph
 without automorphisms is mostly discrete at the root this way; a strongly
-regular graph, whose counts are all equal, is not.
+regular graph, whose counts are all equal, is not. Any other graph starts
+from its degree classes, in ascending order of degree, with the trace the
+unit cell's first split writes (head 0): refined by itself, the unit cell
+splits into exactly those classes first, so the cells and trace that follow
+are the same, without that split's OR over every row and count per vertex.
 
 Refinement runs at the root of each branch v -> x, with v individualized on
 one side and x on the other; below it the walk only reads the cells.
@@ -191,21 +195,29 @@ def _tally(by_count: dict, head: int, trace: list[int], ref):
 
 def _unit_refined(g: Graph, trace: list[int], ref=None):
     """The coarsest equitable partition of g's vertices (see _refine), or of
-    a regular g's vertices grouped by triangle count."""
+    a regular g's vertices grouped by triangle count. The unit cell refined
+    by itself splits first into the degree classes, head 0, so a graph with
+    more than one degree starts from those, with the trace that split
+    writes, and gets the same cells and trace. A regular graph pays for
+    the degree test only, not for the buckets."""
     adj = g.adj
-    if len({row.bit_count() for row in adj}) > 1:
-        every = (1 << g.n) - 1
-        return _refine(adj, [every], [every], trace, ref)
-    by_count = {}  # twice the triangles through v -> those vertices v
-    for v, row in enumerate(adj):
-        k = 0
-        rest = row
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            k += (adj[low.bit_length() - 1] & row).bit_count()
-        by_count[k] = by_count.get(k, 0) | 1 << v
-    seeded = _tally(by_count, -1, trace, ref)  # a split's head is its position, never -1
+    degrees = list(map(int.bit_count, adj))
+    if len(set(degrees)) > 1:
+        by_count = {}  # degree -> those vertices
+        for v, k in enumerate(degrees):
+            by_count[k] = by_count.get(k, 0) | 1 << v
+        seeded = _tally(by_count, 0, trace, ref)
+    else:
+        by_count = {}  # twice the triangles through v -> those vertices v
+        for v, row in enumerate(adj):
+            k = 0
+            rest = row
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                k += (adj[low.bit_length() - 1] & row).bit_count()
+            by_count[k] = by_count.get(k, 0) | 1 << v
+        seeded = _tally(by_count, -1, trace, ref)  # a split's head is its position, never -1
     return None if seeded is None else _refine(adj, *seeded, trace, ref)
 
 

@@ -26,7 +26,9 @@ tried only at the least unused point of each orbit of B_sigma(0..i-1), the
 elements of B fixing the points mapped so far, whose size is that of i's
 orbit under A_0..i-1, read off the levels of A's chain. B_sigma(0..i-1) is
 the AND of the diagonal maps_to rows B[w][w] of those points, and the orbit
-of x under it is {y : B[x][y] meets it}. This is exact: a conjugator sends
+of x under it is {y : B[x][y] meets it}. Most heads asked for are of orbits
+of one point, and x is one exactly when B_sigma(0..i-1) lies in B[x][x]: one
+AND per point, with no orbit formed. This is exact: a conjugator sends
 A_0..i-1 onto B_sigma(0..i-1), so it maps i's orbit onto an orbit of the
 same size; and for b in B_sigma(0..i-1), b.sigma is again a conjugator that
 agrees with sigma on 0..i-1, so one image per orbit is enough. Each coset
@@ -67,7 +69,14 @@ def _orbit_heads(B, fix: int, size: int, used: list[bool]):
     elements fix of the group whose maps_to is B, in ascending order, where
     that point is not used: the orbit of x is {y : B[x][y] & fix}. Yielded
     one at a time, so that an orbit past the first head that settles is
-    never formed; used must not change between heads."""
+    never formed; used must not change between heads. For size 1 no orbit
+    is formed at all: x is alone in its orbit exactly when every element of
+    fix lies in B[x][x], one AND per point."""
+    if size == 1:
+        for x, row in enumerate(B):
+            if not (used[x] or fix & ~row[x]):
+                yield x
+        return
     seen = [False] * len(B)
     for x, row in enumerate(B):
         if not seen[x]:

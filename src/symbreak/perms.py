@@ -254,11 +254,14 @@ class PermGroup:
         """Vertex orbits, as a partition sorted by least member. The coset
         representatives of every level generate the group (Sims), so the
         orbits are the classes of the union-find that joins u and t[u] for
-        every representative t and vertex u."""
+        every representative t and vertex u that t moves; a fixed point
+        joins nothing."""
         least = list(range(self.degree))  # a vertex -> a smaller one of its orbit, or itself
         for reps in self.levels:
             for t in reps:
                 for u, x in enumerate(t):
+                    if u == x:
+                        continue
                     while least[u] != u:
                         least[u] = u = least[least[u]]
                     while least[x] != x:

@@ -467,6 +467,30 @@ def brute_equivalent(g1: Graph, g2: Graph):
     return None
 
 
+def unseeded_unit_refined(g: Graph, trace: list[int], ref=None):
+    """The unit partition refined by itself, with no seed: the root
+    refinement of a graph with more than one degree before it started from
+    the degree classes."""
+    every = (1 << g.n) - 1
+    return autgroup._refine(g.adj, [every], [every], trace, ref)
+
+
+def scanned_orbit_heads(B, fix: int, size: int, used: list[bool]) -> list[int]:
+    """The least point of each orbit of exactly size points under the
+    elements fix of the group whose maps_to is B, where that point is not
+    used, in ascending order: every orbit {y : B[x][y] & fix} is formed."""
+    heads = []
+    seen = [False] * len(B)
+    for x, row in enumerate(B):
+        if not seen[x]:
+            orbit = [y for y, b in enumerate(row) if b & fix]
+            for y in orbit:
+                seen[y] = True
+            if len(orbit) == size and not used[x]:
+                heads.append(x)
+    return heads
+
+
 # -- independent graph6 codec ------------------------------------------------
 
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from helpers import (
     random_graph,
     random_regular,
     two_diamonds,
+    unseeded_unit_refined,
     validate_group,
 )
 from symbreak import autgroup, checks, config, equivalence
@@ -658,6 +660,42 @@ def test_regular_and_non_regular_graphs_are_never_isomorphic():
             autgroup._unit_refined(a, trace)
             assert trace[0] == (-1 if a is g else 0)
             assert isomorphism(a, b) is None, seed
+
+
+def test_degree_seed_gives_the_cells_and_trace_of_the_unseeded_refinement():
+    """On every graph with n <= 7 and two seeded relabellings of each, a
+    graph with more than one degree gets from _unit_refined the cells and
+    trace of the unit partition refined by itself; a regular one's trace
+    starts with -1. Given as ref the trace of a graph up to two places
+    away with the same n, a relabelling or not, regular or not, both
+    refinements return None for the same pairs and equal cells otherwise."""
+    rng = random.Random(0)
+    corpus = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    corpus += map(parse_graph6, GRAPHS7_FILE.read_text().split())
+    cases = []
+    for g in corpus:
+        cases.append(g)
+        cases += (permuted(g, Perm(tuple(rng.sample(range(g.n), g.n)))) for _ in range(2))
+    traces = []
+    for g in cases:
+        trace: list[int] = []
+        cells = autgroup._unit_refined(g, trace)
+        if len(set(map(int.bit_count, g.adj))) > 1:
+            want: list[int] = []
+            assert (cells, trace) == (unseeded_unit_refined(g, want), want), g
+        else:
+            assert trace[0] == -1, g
+        traces.append(trace)
+    assert len(cases) == 3756
+    settled = Counter()
+    for i, g in enumerate(cases):
+        if len(set(map(int.bit_count, g.adj))) > 1:
+            for j in range(max(i - 2, 0), min(i + 3, len(cases))):
+                if j != i and cases[j].n == g.n:
+                    cells = autgroup._unit_refined(g, [], traces[j])
+                    assert cells == unseeded_unit_refined(g, [], traces[j]), (g, cases[j])
+                    settled[cells is None] += 1
+    assert settled[True] > 0 and settled[False] > 0, settled
 
 
 def test_rigid_cubic_graphs_are_discrete_at_the_root(monkeypatch):

@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from itertools import permutations
 from math import factorial, prod
 from pathlib import Path
@@ -21,7 +22,9 @@ from helpers import (
     net_graph,
     preserves_adjacency,
     random_graph,
+    scanned_orbit_heads,
 )
+from symbreak import equivalence
 from symbreak.autgroup import automorphism_group, group_key, isomorphism
 from symbreak.equivalence import (
     _conjugating_bijection,
@@ -266,6 +269,30 @@ def test_bijection_node_counts_match_golden():
                 distinguishably_equivalent(
                     g, h, Budget(equivalence_nodes=nodes - 1), aut1=a, aut2=b
                 )
+
+
+def test_orbit_heads_match_the_orbit_scan(monkeypatch):
+    """Over the 215 pairs of the node-count golden, every head _orbit_heads
+    yields is the next one found by forming each orbit
+    (scanned_orbit_heads), and a call run to the end yields them all. used is restored before a paused call resumes, so the
+    oracle's list is formed when the call is made."""
+    calls = Counter()
+    heads = equivalence._orbit_heads
+
+    def checked(B, fix, size, used):
+        want = scanned_orbit_heads(B, fix, size, used)
+        calls[size == 1] += 1
+        got = 0
+        for x in heads(B, fix, size, used):
+            assert x == want[got], (size, want, got)
+            got += 1
+            yield x
+        assert got == len(want), (size, want)
+
+    monkeypatch.setattr(equivalence, "_orbit_heads", checked)
+    for g, h in _complement_pairs():
+        assert distinguishably_equivalent(g, h) is not None, (g, h)
+    assert calls[True] > 0 and calls[False] > 0, calls
 
 
 def test_budget_exceeded_raised():
