@@ -1,11 +1,12 @@
 """Corpus-scale verification of the structural facts behind the invariants.
 
 Everything here runs against the whole automorphism group, through its
-maps_to bitsets and, where a few elements are listed, its image tuples, so
-each fact is checked exactly, in its strongest executable form, and nothing
-is sampled: the pair rules find the elements of each hypothesis pattern, then
-assert the forbidden (or required) pattern; the clique-with-tails family's
-Det and rho come from the exhaustive walk.
+maps_to bitsets and its image tuples, so each fact is checked exactly, in
+its strongest executable form, and nothing is sampled: the pair rules find
+the elements of each hypothesis pattern, then assert the forbidden (or
+required) pattern, listing only the few elements they name; the scan's
+direct rho cross-check reads every image tuple; the clique-with-tails
+family's Det and rho come from the exhaustive walk.
 
 Each pair-rule pattern is a few ANDs of maps_to rows, M[a][b] being the
 elements sending a to b: swaps M[x][y] & M[y][x], half swaps x <-> e with y
@@ -49,6 +50,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from functools import cache
 from itertools import combinations, permutations
 
 from . import config
@@ -75,7 +77,7 @@ from .metrics import (
     is_distinguishing,
     is_distinguishing_class,
 )
-from .perms import PermGroup, apply_mask
+from .perms import PermGroup
 
 RULES = (
     "pair_fixers_trivial",
@@ -218,7 +220,8 @@ def check_pair_rules(
 # ---------------------------------------------------------------------------
 
 
-# the scan cross-checks rho by direct enumeration of all subsets up to this n
+# the scan cross-checks rho by direct enumeration, every vertex set against
+# every element, up to this n; its tables hold 2^n-bit integers
 VERIFY_SMALLER_CLASS_UPTO = 10
 
 # skip reason of a record whose scan raised; such a skip fails the scan
@@ -282,19 +285,46 @@ class ScanReport:
         }
 
 
+@cache
+def _vertex_set_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The tables of the direct rho cross-check on n vertices, each a 2^n-bit
+    integer whose bit S stands for the vertex set with bitmask S: agree[a][b]
+    holds the sets that contain both a and b or neither, and sizes[k] (k = 0
+    .. n) the sets of size k. The sets holding v are bits 2^v .. 2^(v+1) - 1
+    of each block of 2^(v+1), a run of ones repeated by one division. A set
+    of size k on the first v + 1 vertices has size k without v, or k - 1
+    with it, where its index is 2^v higher."""
+    full = (1 << (1 << n)) - 1
+    has = [full // ((1 << (2 << v)) - 1) * (((1 << (1 << v)) - 1) << (1 << v)) for v in range(n)]
+    agree = tuple(tuple(full ^ has[a] ^ has[b] for b in range(n)) for a in range(n))
+    sizes = [1]  # the empty set, on no vertices
+    for v in range(n):
+        sizes = [a | b << (1 << v) for a, b in zip([*sizes, 0], [0, *sizes])]
+    return agree, tuple(sizes)
+
+
 def _brute_min_class_size(aut: PermGroup, n: int):
     """Smallest size over all 2-colorings of the smaller color class of a
     distinguishing 2-coloring; direct enumeration, no orbit pruning. Used as
-    an independent cross-check of the subset search."""
-    non_id = [t for t in aut.images if t != tuple(range(n))]
-    for k in range(n // 2 + 1):
-        for comb in combinations(range(n), k):
-            mask = 0
-            for v in comb:
-                mask |= 1 << v
-            if all(apply_mask(t, mask) != mask for t in non_id):
-                return k
-    return None
+    an independent cross-check of the subset search: it reads only the image
+    tuples, and tests every vertex set of size at most n/2 against every
+    element, all sets at once as the bits of one integer.
+
+    An element t maps a set onto itself iff, for each u it moves, the set
+    holds both u and t(u) or neither: the AND of agree[u][t(u)]. free keeps
+    the sets no element so far maps onto itself, and the sweep stops once
+    none is left. images[0] is the identity, which keeps every set."""
+    agree, sizes = _vertex_set_tables(n)
+    free = sum(sizes[: n // 2 + 1])  # the size classes are disjoint
+    for t in aut.images[1:]:
+        kept = -1  # every set, before any moved point is read
+        for u, x in enumerate(t):
+            if u != x:
+                kept &= agree[u][x]
+        free &= ~kept
+        if not free:
+            return None
+    return next(k for k, sets in enumerate(sizes) if sets & free)
 
 
 def _scan_one(g: Graph, options: ScanOptions, by_group: dict):

@@ -19,7 +19,7 @@ from symbreak.equivalence import distinguishably_equivalent
 from symbreak.errors import DegreeError, NotApplicableError
 from symbreak.graphs import FamilySpec, Graph, generate_family, induced_subgraph
 from symbreak.metrics import distinguishing_number
-from symbreak.perms import Perm, PermGroup
+from symbreak.perms import Perm, PermGroup, apply_mask
 
 
 # -- permutations from first principles ---------------------------------------
@@ -443,6 +443,21 @@ def brute_cost_number(g: Graph):
             size = min(sum(colors), g.n - sum(colors))
             best = size if best is None else min(best, size)
     return best
+
+
+def per_subset_min_class_size(aut: PermGroup, n: int):
+    """Smallest size over all 2-colorings of the smaller color class of a
+    distinguishing 2-coloring, or None: every subset of up to n/2 vertices,
+    one at a time, against every element but the identity."""
+    non_id = [t for t in aut.images if t != tuple(range(n))]
+    for k in range(n // 2 + 1):
+        for comb in combinations(range(n), k):
+            mask = 0
+            for v in comb:
+                mask |= 1 << v
+            if all(apply_mask(t, mask) != mask for t in non_id):
+                return k
+    return None
 
 
 def brute_equivalent(g1: Graph, g2: Graph):

@@ -3,12 +3,13 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, perm
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import GRAPHS7_FILE
+from conftest import GRAPHS7_FILE, REPO_ROOT
 from helpers import (
     ElementList,
     from_cycles,
@@ -18,13 +19,15 @@ from helpers import (
     net_graph,
     per_element_is_determining_set,
     per_element_pair_rules,
+    per_subset_min_class_size,
     random_graph,
 )
 from symbreak import checks
-from symbreak.autgroup import automorphism_group
+from symbreak.autgroup import automorphism_group, group_key
 from symbreak.checks import (
     RULES,
     ScanOptions,
+    Violation,
     check_pair_rules,
     family_bounds_check,
     scan_corpus,
@@ -48,7 +51,7 @@ from symbreak.graphs import (
     permuted,
 )
 from symbreak.metrics import analyze, determining_number, is_determining_set
-from symbreak.perms import Perm
+from symbreak.perms import Perm, PermGroup
 
 
 def fam(kind, p):
@@ -546,6 +549,133 @@ def test_rule_reports_cover_every_rule():
     assert report.rule_reports
     for rr in report.rule_reports:
         assert set(rr.statuses) == set(RULES)
+
+
+# -- direct rho cross-check ------------------------------------------------
+
+
+class CountedImages(tuple):
+    """Image tuples that count the elements read through a slice of them."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        got = super().__getitem__(key)
+        return self._counted(got) if isinstance(key, slice) else got
+
+    def _counted(self, images):
+        for t in images:
+            self.reads += 1
+            yield t
+
+
+def direct_rho(aut, n):
+    """The cross-check's answer and the number of elements it read, on a
+    stand-in with the group's image tuples and nothing else, so that it
+    can read no other view of the group."""
+    images = CountedImages(aut.images)
+    return checks._brute_min_class_size(SimpleNamespace(images=images), n), images.reads
+
+
+def distinct_groups(graphs):
+    """The first record's (group, n) per distinct group, in input order."""
+    groups = {}
+    for g in graphs:
+        aut = automorphism_group(g)
+        groups.setdefault(group_key(aut), (aut, g.n))
+    return list(groups.values())
+
+
+def test_vertex_set_tables_hold_their_definitions():
+    for n in range(11):
+        agree, sizes = checks._vertex_set_tables(n)
+
+        def holding(member):  # the integer with bit S set for each set S that is a member
+            return sum(1 << s for s in range(1 << n) if member(s))
+
+        assert agree == tuple(
+            tuple(holding(lambda s: s >> a & 1 == s >> b & 1) for b in range(n))
+            for a in range(n)
+        ), n
+        assert sizes == tuple(holding(lambda s: s.bit_count() == k) for k in range(n + 1)), n
+
+
+def test_direct_rho_matches_the_per_subset_loop_on_every_group_on_at_most_8_vertices():
+    """Over the distinct groups on n <= 7, a group with no distinguishing
+    class stops the sweep early: 133 such groups with 11,610 elements are
+    settled after 952 non-identity elements. Any other answer reads every
+    non-identity element."""
+    small = distinct_groups(g for n in range(1, 8) for g in enumerate_graphs(n))
+    records = (REPO_ROOT / "data" / "graphs8.g6").read_text().split()
+    eight = distinct_groups(map(parse_graph6, records))
+    assert (len(small), len(small) + len(eight)) == (294, 999)
+    none = []  # the order and the elements read of each group on n <= 7 with no class
+    for i, (aut, n) in enumerate(small + eight):
+        answer, reads = direct_rho(aut, n)
+        assert answer == per_subset_min_class_size(aut, n), aut
+        if answer is not None:
+            assert reads == aut.order - 1
+        elif i < len(small):
+            none.append((aut.order, reads))
+    assert (len(none), *map(sum, zip(*none))) == (133, 11610, 952)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [name for name, g in mid_group_graphs().items() if g.n <= checks.VERIFY_SMALLER_CLASS_UPTO],
+)
+def test_direct_rho_matches_the_per_subset_loop_on_mid_groups_and_relabellings(name):
+    g = mid_group_graphs()[name]
+    relabellings = [Perm(tuple(random.Random(seed).sample(range(g.n), g.n))) for seed in (0, 1)]
+    for h in (g, *(permuted(g, pi) for pi in relabellings)):
+        aut = automorphism_group(h)
+        assert direct_rho(aut, h.n)[0] == per_subset_min_class_size(aut, h.n)
+
+
+def test_direct_rho_at_its_widest_table_and_its_smallest():
+    petersen = mid_group_graphs()["Petersen"]
+    rigid = random_graph(random.Random(0), 10)
+    cases = [petersen, rigid, Graph(0, ()), Graph(1, (0,))]
+    assert [g.n for g in cases] == [10, 10, 0, 1]
+    answers = []
+    for g in cases:
+        aut = automorphism_group(g)
+        answers.append(direct_rho(aut, g.n)[0])
+        assert answers[-1] == per_subset_min_class_size(aut, g.n)
+    assert answers == [None, 0, 0, 0]
+
+
+def test_direct_rho_skips_the_identity_of_a_group_built_from_shuffled_tuples():
+    """from_images forms the identity first, whatever the order it is given
+    its tuples in; the sweep skips images[0] and would read an identity
+    anywhere else as an element keeping every set."""
+    for g in (fam("path", 5), fam("cycle", 6), mid_group_graphs()["K3xK3"]):
+        identity, *images = automorphism_group(g).images
+        random.Random(g.n).shuffle(images)
+        images.append(identity)
+        aut = PermGroup.from_images(g.n, images)
+        assert aut.images[0] == tuple(range(g.n))
+        answer, reads = direct_rho(aut, g.n)
+        assert answer == per_subset_min_class_size(aut, g.n)
+        assert answer is None or reads == len(images) - 1
+
+
+@pytest.mark.parametrize(
+    "claimed", [lambda rho: rho + 1, lambda rho: None], ids=["plus-one", "none"]
+)
+def test_scan_reports_a_rho_the_direct_count_refutes(monkeypatch, claimed):
+    g = fam("path", 3)  # colour an end vertex: rho = 1
+    assert analyze(g).rho == 1 and not analyze(g).det2_d2_case
+    real_analyze = checks.analyze
+
+    def analyze_(h, *args, **kwargs):
+        report = real_analyze(h, *args, **kwargs)
+        return replace(report, rho=claimed(report.rho))
+
+    monkeypatch.setattr(checks, "analyze", analyze_)
+    report = scan_corpus([g])
+    detail = f"direct enumeration gives 1, subset search gave {claimed(1)}"
+    assert report.violations == (Violation("smaller_class_mismatch", encode_graph6(g), detail),)
 
 
 # -- family bounds ---------------------------------------------------------
