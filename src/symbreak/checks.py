@@ -8,6 +8,9 @@ required) pattern, listing only the few elements they name; the scan's
 direct rho cross-check reads every image tuple; the clique-with-tails
 family's Det and rho come from the exhaustive walk.
 
+The corpus scan is one pass: a record's line is its own graph6, n and m and
+its group's GroupResult, formed once per group, written as the record passes.
+
 Each pair-rule pattern is a few ANDs of maps_to rows, M[a][b] being the
 elements sending a to b: swaps M[x][y] & M[y][x], half swaps x <-> e with y
 fixed M[y][y] & M[x][e] & M[e][x], rotations a -> b -> c M[a][b] & M[b][c] &
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations, permutations
 
@@ -241,6 +244,33 @@ class Violation:
     detail: str
 
 
+class GroupResult:
+    """A group's scan result, with no graph6, n or m: the report's other
+    fields, its line after m= and its other JSON fields, each violation's
+    (kind, detail) and each pair rule check's (pair, statuses, violations)."""
+
+    __slots__ = ("invariants", "suffix", "fields", "violations", "rules")
+
+    def __init__(self, invariants, suffix, fields, violations, rules):
+        self.invariants, self.suffix, self.fields = invariants, suffix, fields
+        self.violations, self.rules = violations, rules
+
+
+class ScannedRecord:
+    """A scanned record, with the line and JSON object of its report."""
+
+    __slots__ = ("graph6", "n", "m", "result")
+
+    def __init__(self, graph6: str, n: int, m: int, result: GroupResult):
+        self.graph6, self.n, self.m, self.result = graph6, n, m, result
+
+    def to_line(self) -> str:
+        return f"{self.graph6} n={self.n} m={self.m} {self.result.suffix}"
+
+    def to_obj(self) -> dict:
+        return {"graph6": self.graph6, "n": self.n, "m": self.m, **self.result.fields}
+
+
 @dataclass(frozen=True)
 class ScanReport:
     corpus_size: int
@@ -250,7 +280,8 @@ class ScanReport:
     rho4_witnesses: tuple[str, ...]
     max_rho_per_det: dict[int, int]
     violations: tuple[Violation, ...]
-    rule_reports: tuple[RuleReport, ...]
+    rule_checks: int
+    rule_reports: tuple[RuleReport, ...]  # empty under an emit, as graph_reports is
     same_order_nonequivalent: tuple[str, str] | None
     graph_reports: tuple[SymmetryReport, ...]
 
@@ -276,12 +307,8 @@ class ScanReport:
                 {"kind": v.kind, "graph6": v.graph6, "detail": v.detail}
                 for v in self.violations
             ],
-            "rule_checks": len(self.rule_reports),
-            "same_order_nonequivalent": (
-                list(self.same_order_nonequivalent)
-                if self.same_order_nonequivalent
-                else None
-            ),
+            "rule_checks": self.rule_checks,
+            "same_order_nonequivalent": list(self.same_order_nonequivalent or ()) or None,
         }
 
 
@@ -328,85 +355,55 @@ def _brute_min_class_size(aut: PermGroup, n: int):
 
 
 def _scan_one(g: Graph, options: ScanOptions, by_group: dict):
-    """Per-graph work: the record's group, None when it was not built, and
-    its result. Any exception, the graph6 encoding's included, becomes an
-    error skip with its type and message (and its traceback goes to the log),
-    so one bad record never aborts the scan but still fails it. A record with
-    no graph6 text is labelled by its vertex count."""
+    """Per-record work: the graph6 text, the group (None when not built) and
+    its result, entered in by_group once complete, or a skip reason. Any
+    exception, the graph6 encoding's included, becomes an error skip with its
+    type and message (its traceback goes to the log): one bad record never
+    aborts the scan but fails it. A record with no graph6 text is <n=...>."""
     g6 = f"<n={g.n}>"
     try:
         g6 = encode_graph6(g)
-        return _scan_record(g, g6, options, by_group)
+        try:
+            aut = automorphism_group(g)
+        except (GroupTooLargeError, UnsupportedSizeError) as exc:
+            return g6, None, f"automorphism group: {exc}"
+        key = group_key(aut)
+        res = by_group.get(key)
+        if res is None:
+            res = by_group[key] = _group_results(g, aut, options)
+        return g6, aut, res
     except Exception as exc:
         logging.getLogger(__name__).exception("scan of %s failed", g6)
-        return None, {"graph6": g6, "skip": f"{ERROR_SKIP}{type(exc).__name__}: {exc}"}
+        return g6, None, f"{ERROR_SKIP}{type(exc).__name__}: {exc}"
 
 
-def _restamp(res: dict, g: Graph, g6: str) -> dict:
-    """The result of another record with the same group, carrying the graph6,
-    n and m of this one: nothing else in it depends on the graph."""
-    out = dict(res, graph6=g6)
-    if "report" in res:
-        out["report"] = replace(res["report"], graph6=g6, n=g.n, edge_count=g.edge_count)
-    if "violations" in res:
-        out["violations"] = [replace(v, graph6=g6) for v in res["violations"]]
-        out["rule_reports"] = [replace(rr, graph6=g6) for rr in res["rule_reports"]]
-    return out
-
-
-def _scan_record(g: Graph, g6: str, options: ScanOptions, by_group: dict):
-    """The record's group and a skip when the group cannot be built, else a
-    re-stamped copy of the table's result for the group, else the group
-    results, entered in the table only once they are complete."""
-    try:
-        aut = automorphism_group(g)
-    except (GroupTooLargeError, UnsupportedSizeError) as exc:
-        return None, {"graph6": g6, "skip": f"automorphism group: {exc}"}
-    key = group_key(aut)
-    if key in by_group:
-        return aut, _restamp(by_group[key], g, g6)
-    by_group[key] = _group_results(g, g6, aut, options)
-    return aut, by_group[key]
-
-
-def _group_results(g: Graph, g6: str, aut: PermGroup, options: ScanOptions):
-    """Report, witness re-verification, pair rules."""
+def _group_results(g: Graph, aut: PermGroup, options: ScanOptions) -> GroupResult | str:
+    """Report, witness re-verification, pair rules; or the skip reason."""
     report = analyze(g, options.budget, aut=aut)
-    violations: list[Violation] = []
-    rule_reports: list[RuleReport] = []
+    violations: list[tuple[str, str]] = []
+    rules: list[tuple] = []
 
     if report.d is UNKNOWN or report.det is UNKNOWN or report.rho is UNKNOWN:
-        return {"graph6": g6, "skip": "budget exceeded", "report": report}
+        return "budget exceeded"
 
     if report.det_witness is not None and not is_determining_set(aut, report.det_witness):
-        violations.append(Violation("witness_reverify", g6, "det witness not determining"))
-    if report.rho_witness is not None and not is_distinguishing_class(
-        aut, report.rho_witness
-    ):
-        violations.append(Violation("witness_reverify", g6, "rho witness not a class"))
+        violations.append(("witness_reverify", "det witness not determining"))
+    if report.rho_witness is not None and not is_distinguishing_class(aut, report.rho_witness):
+        violations.append(("witness_reverify", "rho witness not a class"))
     if report.d_witness is not None and not is_distinguishing(aut, report.d_witness):
-        violations.append(Violation("witness_reverify", g6, "D witness not distinguishing"))
+        violations.append(("witness_reverify", "D witness not distinguishing"))
     if report.rho is not None and report.det > report.rho:
-        violations.append(
-            Violation("det_le_rho", g6, f"Det={report.det} > rho={report.rho}")
-        )
+        violations.append(("det_le_rho", f"Det={report.det} > rho={report.rho}"))
 
     if g.n <= VERIFY_SMALLER_CLASS_UPTO:
         brute = _brute_min_class_size(aut, g.n)
         if brute != report.rho:
-            violations.append(
-                Violation(
-                    "smaller_class_mismatch",
-                    g6,
-                    f"direct enumeration gives {brute}, subset search gave {report.rho}",
-                )
-            )
+            detail = f"direct enumeration gives {brute}, subset search gave {report.rho}"
+            violations.append(("smaller_class_mismatch", detail))
 
     if report.det2_d2_case:
         if report.rho not in (2, 3, 4):
-            violations.append(
-                Violation("rho_bound", g6, f"D=2, Det=2 but rho={report.rho}")
-            )
+            violations.append(("rho_bound", f"D=2, Det=2 but rho={report.rho}"))
         if options.all_pairs:
             # the pairs whose diagonal rows maps_to[v][v] meet in the identity
             fixers = [row[v] for v, row in enumerate(aut.maps_to)]
@@ -419,69 +416,75 @@ def _group_results(g: Graph, g6: str, aut: PermGroup, options: ScanOptions):
             pairs = [tuple(sorted(report.det_witness))]
         for pair in pairs:
             rr = check_pair_rules(g, pair, aut=aut, d=report.d, budget=options.budget)
-            rule_reports.append(rr)
-            for v in rr.violations:
-                violations.append(Violation(f"rule:{v.rule}", g6, v.describe()))
+            rules.append((rr.pair, rr.statuses, rr.violations))
+            violations += [(f"rule:{v.rule}", v.describe()) for v in rr.violations]
 
-    return {
-        "graph6": g6,
-        "report": report,
-        "violations": violations,
-        "rule_reports": rule_reports,
-    }
+    invariants, fields = dict(vars(report)), report.to_obj()
+    del invariants["graph6"], invariants["n"], invariants["edge_count"]
+    del fields["graph6"], fields["n"], fields["m"]
+    suffix = report.to_line().split(" ", 3)[3]  # graph6 holds no space
+    return GroupResult(invariants, suffix, fields, tuple(violations), tuple(rules))
 
 
-def scan_corpus(graphs, options: ScanOptions = ScanOptions()) -> ScanReport:
+def scan_corpus(graphs, options: ScanOptions = ScanOptions(), emit=None) -> ScanReport:
     """Analyze every graph, enforce the rho bound and the pair rules on the
-    D=2, Det=2 subset, and aggregate as it goes, in input order.
+    D=2, Det=2 subset, and tally the summary, in one pass in input order. An
+    item of graphs is a Graph, or the (text, reason) of a record that did
+    not parse, listed before the scan's own skips.
 
-    The group results (the report's invariants and witnesses, their
-    re-verification, the direct rho cross-check and the pair rules) are
-    computed once per distinct group of the corpus: a table maps
-    group_key(aut), equal for two groups exactly when they have the same
-    elements, to the first such record's result, which is re-stamped with
-    the graph6, n and m of each later record with that group. Each record's
-    group is searched once; the hunt for two graphs with groups of one order
-    that are not equivalent compares the groups the records already have."""
-    by_group: dict[tuple, dict] = {}
-    corpus_size = 0
+    The work on a group (its report, witness re-verification, direct rho
+    cross-check and pair rules) is done once per distinct group, keyed by
+    group_key. Each scanned record goes to emit as it passes; the default
+    emit collects its report and rule reports, another keeps nothing per
+    record. Each record's group is searched once, and the hunt for two graphs
+    with groups of one order that are not equivalent compares those groups."""
+    by_group: dict[tuple, GroupResult | str] = {}
+    corpus_size = det2_d2 = rule_checks = 0
+    unparsed: list[tuple[str, str]] = []
     skipped: list[tuple[str, str]] = []
-    det2_d2 = 0
     histogram: dict[int, int] = {}
     rho4: list[str] = []
     max_rho_per_det: dict[int, int] = {}
     violations: list[Violation] = []
     rule_reports: list[RuleReport] = []
     graph_reports: list[SymmetryReport] = []
+    if emit is None:
+
+        def emit(rec: ScannedRecord) -> None:
+            graph_reports.append(SymmetryReport(rec.graph6, rec.n, rec.m, **rec.result.invariants))
+            rule_reports.extend(RuleReport(rec.graph6, *rule) for rule in rec.result.rules)
+
     # per group order, the first record with it: graph, group and graph6
     first_by_order: dict[int, tuple[Graph, PermGroup, str]] = {}
     evidence: tuple[str, str] | None = None
 
     for g in graphs:
         corpus_size += 1
-        aut, res = _scan_one(g, options, by_group)
-        if "skip" in res:
-            skipped.append((res["graph6"], res["skip"]))
+        if not isinstance(g, Graph):
+            record, reason = g  # a record that did not parse
+            unparsed.append((record, reason))
             continue
-        report: SymmetryReport = res["report"]
-        graph_reports.append(report)
-        violations.extend(res["violations"])
-        rule_reports.extend(res["rule_reports"])
-        if report.rho is not None:
-            cur = max_rho_per_det.get(report.det)
-            max_rho_per_det[report.det] = (
-                report.rho if cur is None else max(cur, report.rho)
-            )
-        if report.det2_d2_case:
+        g6, aut, res = _scan_one(g, options, by_group)
+        if isinstance(res, str):
+            skipped.append((g6, res))
+            continue
+        emit(ScannedRecord(g6, g.n, g.edge_count, res))
+        violations += [Violation(kind, g6, detail) for kind, detail in res.violations]
+        rule_checks += len(res.rules)
+        inv = res.invariants
+        det, rho = inv["det"], inv["rho"]
+        if rho is not None:
+            max_rho_per_det[det] = max(max_rho_per_det.get(det, rho), rho)
+        if inv["d"] == 2 and det == 2:
             det2_d2 += 1
-            if isinstance(report.rho, int):
-                histogram[report.rho] = histogram.get(report.rho, 0) + 1
-                if report.rho == 4:
-                    rho4.append(report.graph6)
+            if isinstance(rho, int):
+                histogram[rho] = histogram.get(rho, 0) + 1
+                if rho == 4:
+                    rho4.append(g6)
         if evidence is None:
-            seen = first_by_order.get(report.aut_order)
+            seen = first_by_order.get(inv["aut_order"])
             if seen is None:
-                first_by_order[report.aut_order] = (g, aut, report.graph6)
+                first_by_order[inv["aut_order"]] = (g, aut, g6)
             else:
                 seen_g, seen_aut, seen_g6 = seen
                 try:
@@ -492,16 +495,17 @@ def scan_corpus(graphs, options: ScanOptions = ScanOptions()) -> ScanReport:
                     pass  # undecided, so no evidence either way
                 else:
                     if sigma is None:
-                        evidence = (seen_g6, report.graph6)
+                        evidence = (seen_g6, g6)
 
     return ScanReport(
         corpus_size=corpus_size,
-        skipped=tuple(skipped),
+        skipped=(*unparsed, *skipped),
         det2_d2_count=det2_d2,
         rho_histogram=histogram,
         rho4_witnesses=tuple(rho4),
         max_rho_per_det=max_rho_per_det,
         violations=tuple(violations),
+        rule_checks=rule_checks,
         rule_reports=tuple(rule_reports),
         same_order_nonequivalent=evidence,
         graph_reports=tuple(graph_reports),

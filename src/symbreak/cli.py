@@ -15,7 +15,8 @@ import argparse
 import io
 import json
 import sys
-from dataclasses import replace
+from functools import partial
+from itertools import chain, islice
 
 from . import config
 from .autgroup import automorphism_group
@@ -38,6 +39,9 @@ from .graphs import (
     read_graph6_lines,
 )
 from .metrics import analyze
+
+# records the scan reads and parses at a time (see cmd_scan)
+SCAN_BLOCK = 256
 
 
 def _read_records(path: str):
@@ -131,34 +135,32 @@ def cmd_equiv(args) -> int:
     return 0
 
 
+def _scan_items(path: str):
+    """The records of a graph6 file or stdin for scan_corpus: each graph, or
+    the text and reason of a record that does not parse, also sent to stderr."""
+    for lineno, item in _read_records(path):
+        if isinstance(item, Exception):
+            reason = f"{ERROR_SKIP}line {lineno}: {item}"
+            print(reason, file=sys.stderr)
+            item = (item.record, reason)
+        yield item
+
+
 def cmd_scan(args) -> int:
-    graphs, unparsed = [], []
+    # one pass: records are read (or enumerated) SCAN_BLOCK at a time, as a
+    # block parsed in one loop runs faster than records parsed one by one
+    # between automorphism searches; each line goes out as its record passes
     if args.enumerate is not None:
         if not 1 <= args.enumerate <= ENUM_MAX_N:
             print(f"usage error: --enumerate takes n in 1..{ENUM_MAX_N}", file=sys.stderr)
             return 2
-        graphs = [g for n in range(1, args.enumerate + 1) for g in enumerate_graphs(n)]
+        items = (g for n in range(1, args.enumerate + 1) for g in enumerate_graphs(n))
     else:
-        # a record that does not parse is reported, left out of the scan and
-        # listed among the summary's skips
-        for lineno, item in _read_records(args.input):
-            if isinstance(item, Exception):
-                reason = f"{ERROR_SKIP}line {lineno}: {item}"
-                print(reason, file=sys.stderr)
-                unparsed.append((item.record, reason))
-            else:
-                graphs.append(item)
-
+        items = _scan_items(args.input)
+    blocks = iter(lambda: list(islice(items, SCAN_BLOCK)), [])  # until one is empty
     options = ScanOptions(budget=_budget(args), all_pairs=args.props)
-    report = scan_corpus(graphs, options)
-    if unparsed:
-        report = replace(
-            report,
-            corpus_size=report.corpus_size + len(unparsed),
-            skipped=(*unparsed, *report.skipped),
-        )
-    for gr in report.graph_reports:
-        _emit_report(gr, args.format)
+    emit = partial(_emit_report, fmt=args.format)
+    report = scan_corpus(chain.from_iterable(blocks), options, emit=emit)
     print(json.dumps(report.summary_obj(), sort_keys=True))
     return 0 if report.ok else 1
 

@@ -446,8 +446,8 @@ def test_scan_empty_corpus():
 
 def test_scan_lines_are_the_reports_of_analyze():
     # each complement on the same labels repeats a group, and the shuffle
-    # spreads the records of one group over the list, so most records take
-    # a re-stamped copy of an earlier record's result
+    # spreads the records of one group over the list, so most records share
+    # the result of an earlier record with their group
     rng = random.Random(3)
     base = [g for n in range(1, 6) for g in enumerate_graphs(n)]
     corpus = base + [complement(g) for g in base]
@@ -518,7 +518,7 @@ def test_scan_skips_a_record_whose_analysis_raises(monkeypatch):
     assert not report.ok
 
 
-def test_scan_restamps_a_shared_group_with_each_record(monkeypatch):
+def test_scan_stamps_each_record_of_a_shared_group(monkeypatch):
     g = next(g for g in enumerate_graphs(5) if analyze(g).det2_d2_case)  # has pair rules
     h = complement(g)  # same labels, so the identical group
     assert automorphism_group(g).image_set == automorphism_group(h).image_set
@@ -542,6 +542,19 @@ def test_scan_restamps_a_shared_group_with_each_record(monkeypatch):
         assert [item.graph6 for item in items] == [own[0]] * half + [own[1]] * half
         assert items[half:] == tuple(replace(item, graph6=own[1]) for item in items[:half])
     assert "smaller_class_mismatch" in {v.kind for v in report.violations}
+    assert report.rule_checks == len(report.rule_reports)
+    assert report.summary_obj()["rule_checks"] == len(report.rule_reports)
+
+    # passed to an emit, the two records share one result and the scan keeps
+    # no report of either; the summary is the same
+    emitted = []
+    streamed = scan_corpus([g, h], ScanOptions(all_pairs=True), emit=emitted.append)
+    assert len(brute_calls) == 2
+    assert [rec.to_line() for rec in emitted] == [r.to_line() for r in report.graph_reports]
+    assert [rec.graph6 for rec in emitted] == own
+    assert emitted[0].result is emitted[1].result
+    assert streamed.graph_reports == streamed.rule_reports == ()
+    assert streamed.summary_obj() == report.summary_obj()
 
 
 def test_rule_reports_cover_every_rule():

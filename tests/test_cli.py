@@ -256,3 +256,126 @@ def test_budget_limited_analyze_matches_golden(tmp_path, capsys, budget):
     code, out, _ = run_cli(capsys, "analyze", str(path), "--budget", str(budget))
     assert code == 0
     assert out == (GOLDENS / f"analyze6_budget{budget}.out").read_text()
+
+
+class CountingStdin:
+    """A stdin that hands out its lines one at a time. Before each line it
+    notes what stdout holds, so a test can see what was written when."""
+
+    def __init__(self, text, stdout):
+        self.lines = text.splitlines(keepends=True)
+        self.stdout = stdout
+        self.before = []  # stdout's text as each line was handed out
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if len(self.before) == len(self.lines):
+            raise StopIteration
+        self.before.append(self.stdout.getvalue())
+        return self.lines[len(self.before) - 1]
+
+
+@pytest.mark.parametrize("block", [1, 5])
+def test_scan_streams_one_result_per_group(monkeypatch, block):
+    """Records are read a block at a time, and each block's report lines are
+    written before the next block is read (with blocks of one, the first
+    line before the second record); analyze runs once per distinct group,
+    and a record whose group is already in the table gets no SymmetryReport
+    or RuleReport of its own."""
+    import io
+    import sys
+
+    from symbreak import checks, cli
+    from symbreak.autgroup import automorphism_group, group_key
+    from symbreak.checks import RuleReport
+    from symbreak.metrics import SymmetryReport
+
+    graphs = [g for n in range(1, 6) for g in enumerate_graphs(n)]
+    groups = {}  # group key -> graph6 of its first record
+    for g in graphs:
+        groups.setdefault(group_key(automorphism_group(g)), encode_graph6(g))
+    assert len(groups) < len(graphs)
+    stdout = io.StringIO()
+    stdin = CountingStdin("".join(encode_graph6(g) + "\n" for g in graphs), stdout)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(sys, "stdin", stdin)
+    monkeypatch.setattr(cli, "SCAN_BLOCK", block)
+    calls = {"analyze": 0, SymmetryReport: 0, RuleReport: 0}
+    ruled = []  # graph6 of each graph the pair rules run on
+    real_analyze, real_rules = checks.analyze, checks.check_pair_rules
+
+    def analyze(*args, **kwargs):
+        calls["analyze"] += 1
+        return real_analyze(*args, **kwargs)
+
+    def check_pair_rules(g, *args, **kwargs):
+        ruled.append(encode_graph6(g))
+        return real_rules(g, *args, **kwargs)
+
+    monkeypatch.setattr(checks, "analyze", analyze)
+    monkeypatch.setattr(checks, "check_pair_rules", check_pair_rules)
+    for cls in (SymmetryReport, RuleReport):
+        def counted(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
+            calls[_cls] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    assert main(["scan", "--props", "-"]) == 0
+    *lines, summary_line = stdout.getvalue().splitlines()
+    assert [line.split()[0] for line in lines] == [encode_graph6(g) for g in graphs]
+    # before record i + 1 is read, the lines of the blocks before its own are out
+    out_before = [lines[: i // block * block] for i in range(len(lines))]
+    assert stdin.before == ["".join(line + "\n" for line in out) for out in out_before]
+    assert calls["analyze"] == calls[SymmetryReport] == len(groups)
+    assert calls[RuleReport] == len(ruled) and set(ruled) <= set(groups.values())
+    assert json.loads(summary_line)["rule_checks"] > calls[RuleReport]
+
+
+def _scan_lines(report, fmt):
+    """What `scan` prints for a library scan's report, in the given format."""
+    rows = [
+        json.dumps(r.to_obj(), sort_keys=True) if fmt == "json" else r.to_line()
+        for r in report.graph_reports
+    ]
+    return "".join(row + "\n" for row in rows) + json.dumps(report.summary_obj(), sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["lines", "json"])
+def test_scan_prints_what_scan_corpus_returns(capsys, fmt):
+    from symbreak.checks import ScanOptions, scan_corpus
+
+    graphs = [g for n in range(1, 6) for g in enumerate_graphs(n)]
+    report = scan_corpus(graphs, ScanOptions(all_pairs=True))
+    code, out, _ = run_cli(capsys, "scan", "--enumerate", "5", "--props", "--format", fmt)
+    assert code == 0 and out == _scan_lines(report, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["lines", "json"])
+def test_scan_lists_unparsed_records_before_the_scan_s_skips(tmp_path, capsys, fmt):
+    """Records that do not parse, wherever they stand, come first among the
+    skips, then the budget skips, in the library scan and the command line
+    alike."""
+    from symbreak.checks import ScanOptions, scan_corpus
+    from symbreak.config import Budget
+    from symbreak.graphs import read_graph6_lines
+
+    records = [encode_graph6(g) for n in range(1, 6) for g in enumerate_graphs(n)]
+    records[40:40] = ["!!bad"]
+    records.append("?bad")
+    path = tmp_path / "corpus.g6"
+    path.write_text("".join(r + "\n" for r in records))
+    items = []
+    for lineno, item in read_graph6_lines(records):
+        if isinstance(item, Exception):
+            item = (item.record, f"error: line {lineno}: {item}")
+        items.append(item)
+    report = scan_corpus(items, ScanOptions(budget=Budget.uniform(2), all_pairs=True))
+    skips = [reason for _record, reason in report.skipped]
+    assert [s.split(":")[:2] for s in skips[:2]] == [["error", " line 41"], ["error", " line 54"]]
+    assert skips[2:] and set(skips[2:]) == {"budget exceeded"}
+    code, out, err = run_cli(capsys, "scan", str(path), "--props", "--budget", "2", "--format", fmt)
+    assert code == 1 and err.splitlines() == skips[:2]
+    assert out == _scan_lines(report, fmt)
